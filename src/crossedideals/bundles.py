@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .dynsys import AmpleSystem
+from .dynsys import AmpleSystem, PartialBijection
 from .exactlin import (
     Field,
     FiniteAlgebra,
@@ -28,20 +28,25 @@ from .exactlin import (
     Representation,
     StructureError,
     Subspace,
+    check_algebra_hom,
     ideal_generate,
     is_ideal,
+    lincomb,
     mat_from_columns,
+    mat_lincomb,
     mat_mul,
     rref,
+    subspace_intersect,
     unit_vector,
     vec_add,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
     zero_vector,
 )
 from .semigroups import InverseSemigroup
 from .validation import ValidationReport
+
+if TYPE_CHECKING:
+    from .induction import InductionContext
 
 
 class NotAFellBundle(StructureError):
@@ -256,13 +261,8 @@ class AlgebraAction:
                 raise ValueError(f"map {s} has wrong number of rows")
 
     def apply(self, s: int, v) -> tuple:
-        f = self.algebra.field
         coords = self.domains[s].coordinates(v)
-        out = zero_vector(f, self.algebra.dim)
-        for c, image in zip(coords, self.maps[s]):
-            if not f.is_zero(c):
-                out = vec_add(f, out, vec_scale(f, c, image))
-        return out
+        return lincomb(self.algebra.field, coords, self.maps[s], self.algebra.dim)
 
     def range_space(self, s: int) -> Subspace:
         return Subspace.span(self.algebra.field, self.algebra.dim, self.maps[s])
@@ -297,7 +297,7 @@ class AlgebraAction:
         for s in range(sg.size):
             for t in range(sg.size):
                 st = sg.product(s, t)
-                overlap = _intersect(self.domains[s], self.range_space(t))
+                overlap = subspace_intersect(self.domains[s], self.range_space(t))
                 pulled = Subspace.span(f, alg.dim,
                                        [self.apply(sg.inv(t), v) for v in overlap.basis])
                 if pulled != self.domains[st]:
@@ -313,11 +313,6 @@ class AlgebraAction:
         if total.dim != alg.dim:
             return ValidationReport.failed("domain-span", (total.dim,))
         return ValidationReport.passed()
-
-
-def _intersect(a: Subspace, b: Subspace) -> Subspace:
-    from .exactlin import subspace_intersect
-    return subspace_intersect(a, b)
 
 
 def semidirect_bundle(action: AlgebraAction,
@@ -497,7 +492,7 @@ class CrossedProduct:
         # fiber basis index -> point, per element
         self._fiber_points = tuple(self.system.theta[s].image()
                                    for s in range(system.semigroup.size))
-        self.cache = {}
+        self.induction_contexts: dict[int, InductionContext] = {}
 
     @property
     def dim(self) -> int:
@@ -520,11 +515,9 @@ class CrossedProduct:
         return self.sections.project(unit_vector(self.field, self.sections.total.dim, g))
 
     def indicator_term(self, s: int, points=None) -> tuple:
-        f = self.field
-        out = zero_vector(f, self.dim)
-        for y in (self._fiber_points[s] if points is None else points):
-            out = vec_add(f, out, self.term(y, s))
-        return out
+        points = self._fiber_points[s] if points is None else points
+        return lincomb(self.field, [self.field.one] * len(points),
+                       [self.term(y, s) for y in points], self.dim)
 
     def lift_terms(self, b):
         """Canonical lift of a coset vector, grouped per element:
@@ -544,19 +537,20 @@ class CrossedProduct:
         f = self.field
         remaining = [y for y in range(self.system.space_size)
                      if not f.is_zero(f_vec[y])]
-        out = zero_vector(f, self.dim)
+        coeffs, terms = [], []
         for e in self.system.semigroup.idempotents:
             if not remaining:
                 break
             dom = set(self.system.theta[e].domain())
-            covered = [y for y in remaining if y in dom]
-            for y in covered:
-                out = vec_add(f, out, vec_scale(f, f_vec[y], self.term(y, e)))
+            for y in remaining:
+                if y in dom:
+                    coeffs.append(f_vec[y])
+                    terms.append(self.term(y, e))
             remaining = [y for y in remaining if y not in dom]
         if remaining:
             raise StructureError("embed-cover", (remaining[0],),
                                  "support not covered by idempotent domains")
-        return out
+        return lincomb(f, coeffs, terms, self.dim)
 
     def transport(self, s: int, f_vec) -> tuple:
         return transport(self.system, self.field, s, f_vec)
@@ -662,9 +656,8 @@ class CovariantRep:
                     return ValidationReport.failed(
                         "covariance", (sg.name(s), sys.point_name(z)))
         for e in sg.idempotents:
-            total = zero
-            for y in sys.theta[e].domain():
-                total = tuple(vec_add(f, a, b) for a, b in zip(total, self.pi[y]))
+            dom = sys.theta[e].domain()
+            total = mat_lincomb(f, [f.one] * len(dom), [self.pi[y] for y in dom], d)
             if total != self.sigma[e]:
                 return ValidationReport.failed("unit-condition", (sg.name(e),))
         return ValidationReport.passed()
@@ -740,43 +733,24 @@ def extend_representation(sections: CrossSectionalAlgebra, target: FiniteAlgebra
             for i in range(bundle.fiber_dim(s)):
                 for j in range(bundle.fiber_dim(t)):
                     want = target.mul(fiber_images[s][i], fiber_images[t][j])
-                    got = zero_vector(f, target.dim)
-                    for k, c in bundle.mu_terms(s, t, i, j):
-                        got = vec_add(f, got, vec_scale(f, c, fiber_images[st][k]))
+                    terms = bundle.mu_terms(s, t, i, j)
+                    got = lincomb(f, [c for _, c in terms],
+                                  [fiber_images[st][k] for k, _ in terms], target.dim)
                     if got != want:
                         raise StructureError("pre-representation",
                                              (sg.name(s), sg.name(t), i, j))
     for (s, t) in sg.order_pairs():
         for i in range(bundle.fiber_dim(s)):
             image = bundle.include(t, s, unit_vector(f, bundle.fiber_dim(s), i))
-            via = zero_vector(f, target.dim)
-            for k, c in enumerate(image):
-                via = vec_add(f, via, vec_scale(f, c, fiber_images[t][k]))
+            via = lincomb(f, image, fiber_images[t], target.dim)
             if via != fiber_images[s][i]:
                 raise StructureError("inclusion-compatibility", (sg.name(s), sg.name(t), i))
+    per_label = [fiber_images[s][i] for s, i in sections.label_pairs]
     for v in sections.redundancy.basis:
-        acc = zero_vector(f, target.dim)
-        for g, c in enumerate(v):
-            if not f.is_zero(c):
-                s, i = sections.label_pairs[g]
-                acc = vec_add(f, acc, vec_scale(f, c, fiber_images[s][i]))
-        if not vec_is_zero(f, acc):
+        if not vec_is_zero(f, lincomb(f, v, per_label, target.dim)):
             raise StructureError("redundancy-not-killed", None)
-    cols = []
-    for g in sections.qmap.coset_positions:
-        s, i = sections.label_pairs[g]
-        cols.append(fiber_images[s][i])
-    quot = sections.quotient
-    for a in range(quot.dim):
-        for b in range(quot.dim):
-            prod = quot.basis_product(a, b)
-            lhs = zero_vector(f, target.dim)
-            for k, c in enumerate(prod):
-                if not f.is_zero(c):
-                    lhs = vec_add(f, lhs, vec_scale(f, c, cols[k]))
-            rhs = target.mul(cols[a], cols[b])
-            if lhs != rhs:
-                raise StructureError("extension-multiplicative", (a, b))
+    cols = [per_label[g] for g in sections.qmap.coset_positions]
+    check_algebra_hom(sections.quotient, target, cols, "extension-multiplicative")
     return mat_from_columns(f, cols, target.dim)
 
 
@@ -792,31 +766,16 @@ def unitization_isomorphism(system: AmpleSystem, field: Field) -> UnitizationIso
     identity on the whole space; returns the verified isomorphism."""
     cp = CrossedProduct(system, field)
     sg = system.semigroup
-    from .dynsys import PartialBijection
     unit_theta = PartialBijection.identity(range(system.space_size))
     bigger = AmpleSystem(sg.unitize(), system.space_size,
                          tuple(system.theta) + (unit_theta,), system.point_names)
     cpu = CrossedProduct(bigger, field)
     if cpu.dim != cp.dim:
         raise StructureError("unitization-dimension", (cp.dim, cpu.dim))
-    f = field
-    cols = []
-    for idx in range(cp.dim):
-        y, s = cp.basis_pair(idx)
-        cols.append(cpu.term(y, s))
-    matrix = mat_from_columns(f, cols, cpu.dim)
-    _, rank = rref(f, cols)
+    cols = [cpu.term(*cp.basis_pair(idx)) for idx in range(cp.dim)]
+    matrix = mat_from_columns(field, cols, cpu.dim)
+    _, rank = rref(field, cols)
     if rank != cp.dim:
         raise StructureError("unitization-injective", (rank, cp.dim))
-    for a in range(cp.dim):
-        for b in range(cp.dim):
-            prod = cp.algebra.basis_product(a, b)
-            lhs = zero_vector(f, cpu.dim)
-            for k, c in enumerate(prod):
-                if not f.is_zero(c):
-                    lhs = vec_add(f, lhs, vec_scale(f, c, cols[k]))
-            rhs = cpu.algebra.mul(cols[a], cols[b])
-            if lhs != rhs:
-                raise StructureError("unitization-multiplicative",
-                                     (cp.algebra.labels[a], cp.algebra.labels[b]))
+    check_algebra_hom(cp.algebra, cpu.algebra, cols, "unitization-multiplicative")
     return UnitizationIso(cp, cpu, matrix)

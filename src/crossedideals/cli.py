@@ -20,7 +20,6 @@ from .exactlin import (
     GuardError,
     PrimeField,
     StructureError,
-    Subspace,
     enumerate_ideals,
     ideal_generate,
     parse_field,
@@ -56,11 +55,6 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(0, f"cannot read {path}: {exc}")
-
-
-def _load_system(path: str, field_override):
-    system, field = parse_system(_read(path))
-    return system, (field_override or field)
 
 
 def _germ_count(system) -> int:
@@ -102,9 +96,10 @@ def _algebra_text(report: dict) -> list:
 
 
 # ---------------------------------------------------------------------------
-# per-system command bodies (each returns a JSON-ready dict and text lines)
+# command bodies: each takes (input, field, guard, generators) and returns
+# a JSON-ready dict and text lines
 
-def _run_validate_system(system, field):
+def _run_validate_system(system, field, guard, generators):
     report = system.validate()
     body = {
         "kind": "system",
@@ -122,7 +117,7 @@ def _run_validate_system(system, field):
     return body, text
 
 
-def _run_validate_groupoid(groupoid, field):
+def _run_validate_groupoid(groupoid, field, guard, generators):
     report = groupoid.validate()
     body = {
         "kind": "groupoid",
@@ -140,7 +135,7 @@ def _run_validate_groupoid(groupoid, field):
     return body, text
 
 
-def _run_build_system(system, field, guard: int):
+def _run_build_system(system, field, guard, generators):
     cp = _guarded_crossed_product(system, field, guard)
     body = {"kind": "crossed-product", "field": field_text(field)}
     body.update(_algebra_report(cp.algebra))
@@ -148,7 +143,7 @@ def _run_build_system(system, field, guard: int):
     return body, text
 
 
-def _run_build_groupoid(groupoid, field):
+def _run_build_groupoid(groupoid, field, guard, generators):
     algebra = steinberg_algebra(groupoid, field)
     body = {"kind": "groupoid-algebra", "field": field_text(field)}
     body.update(_algebra_report(algebra))
@@ -157,7 +152,7 @@ def _run_build_groupoid(groupoid, field):
     return body, text
 
 
-def _run_germs(system, field):
+def _run_germs(system, field, guard, generators):
     model = germ_groupoid(system)
     sys_ = model.system
     germs = []
@@ -199,7 +194,7 @@ def _run_germs(system, field):
     return body, text
 
 
-def _run_decompose(system, field, generators, guard: int):
+def _run_decompose(system, field, guard, generators):
     cp = _guarded_crossed_product(system, field, guard)
     vectors = [parse_generator(cp, g) for g in generators]
     ideal = ideal_generate(cp.algebra, vectors)
@@ -231,7 +226,7 @@ def _run_decompose(system, field, generators, guard: int):
     return body, text
 
 
-def _run_isocheck(system, field, guard: int):
+def _run_isocheck(system, field, guard, generators):
     cp = _guarded_crossed_product(system, field, guard)
     iso = steinberg_isomorphism(cp)
     body = {"kind": "section-groupoid-isomorphism",
@@ -244,7 +239,7 @@ def _run_isocheck(system, field, guard: int):
     return body, text
 
 
-def _run_bisect(groupoid, field, guard: int):
+def _run_bisect(groupoid, field, guard, generators):
     model = steinberg_as_crossed_product(groupoid, field, guard)
     body = {"kind": "bisection-model", "field": field_text(field), "ok": True}
     body.update(model.to_json())
@@ -258,7 +253,7 @@ def _run_bisect(groupoid, field, guard: int):
     return body, text
 
 
-def _run_oracle(system, field, guard: int):
+def _run_oracle(system, field, guard, generators):
     if not isinstance(field, PrimeField):
         raise GuardError("the exhaustive oracle needs a prime field")
     cp = _guarded_crossed_product(system, field, CP_GUARD)
@@ -289,74 +284,54 @@ def _run_oracle(system, field, guard: int):
 # ---------------------------------------------------------------------------
 # command dispatch
 
-def _fixture_systems():
-    for name in sorted(FIXTURES):
-        yield name, FIXTURES[name]()
+# verb -> (runner on a system, runner on a groupoid, default guard); a
+# missing runner means the verb does not take that kind of file.  In
+# fixture mode a groupoid-only verb runs on each fixture's germ groupoid.
+VERBS = {
+    "validate": (_run_validate_system, _run_validate_groupoid, None),
+    "build": (_run_build_system, _run_build_groupoid, CP_GUARD),
+    "germs": (_run_germs, None, None),
+    "decompose": (_run_decompose, None, CP_GUARD),
+    "isocheck": (_run_isocheck, None, CP_GUARD),
+    "oracle": (_run_oracle, None, ORACLE_GUARD),
+    "bisect": (None, _run_bisect, BISECTION_GUARD),
+}
 
 
-def _dispatch_path(args) -> tuple:
-    """Run the command on the file named on the command line."""
-    text = _read(args.path)
-    kind = file_kind(text)
+def _dispatch(args) -> tuple:
+    """Run the command on the named file or across the built-in fixtures."""
+    run_system, run_groupoid, guard = VERBS[args.command]
+    if args.guard_dim is not None:
+        guard = args.guard_dim
+    generators = getattr(args, "generators", [])
+    if args.fixtures:
+        field = parse_field(args.field) if args.field else GF(2)
+        sections = {}
+        text = []
+        for name in sorted(FIXTURES):
+            system = FIXTURES[name]()
+            if run_system is None:
+                body, lines = run_groupoid(germ_groupoid(system).groupoid, field,
+                                           guard, generators)
+            else:
+                body, lines = run_system(system, field, guard, generators)
+            sections[name] = body
+            text.append(f"[{name}]")
+            text.extend("  " + line for line in lines)
+        return {"kind": "fixture-suite", "command": args.command,
+                "fixtures": sections}, text
+    source = _read(args.path)
+    kind = file_kind(source)
     field_override = parse_field(args.field) if args.field else None
     if kind == "system":
-        system, field = parse_system(text)
-        field = field_override or field
-        if args.command == "validate":
-            return _run_validate_system(system, field)
-        if args.command == "build":
-            return _run_build_system(system, field, args.guard_dim or CP_GUARD)
-        if args.command == "germs":
-            return _run_germs(system, field)
-        if args.command == "decompose":
-            return _run_decompose(system, field, args.generators,
-                                  args.guard_dim or CP_GUARD)
-        if args.command == "isocheck":
-            return _run_isocheck(system, field, args.guard_dim or CP_GUARD)
-        if args.command == "oracle":
-            return _run_oracle(system, field, args.guard_dim or ORACLE_GUARD)
-        raise ParseError(0, f"command {args.command} expects a groupoid file")
-    groupoid, field = parse_groupoid(text)
-    field = field_override or field
-    if args.command == "validate":
-        return _run_validate_groupoid(groupoid, field)
-    if args.command == "build":
-        return _run_build_groupoid(groupoid, field)
-    if args.command == "bisect":
-        return _run_bisect(groupoid, field, args.guard_dim or BISECTION_GUARD)
-    raise ParseError(0, f"command {args.command} expects a system file")
-
-
-def _dispatch_fixtures(args) -> tuple:
-    """Run the command across the built-in fixtures."""
-    field = parse_field(args.field) if args.field else GF(2)
-    sections = {}
-    text = []
-    for name, system in _fixture_systems():
-        if args.command == "validate":
-            body, lines = _run_validate_system(system, field)
-        elif args.command == "build":
-            body, lines = _run_build_system(system, field, args.guard_dim or CP_GUARD)
-        elif args.command == "germs":
-            body, lines = _run_germs(system, field)
-        elif args.command == "decompose":
-            body, lines = _run_decompose(system, field, args.generators,
-                                         args.guard_dim or CP_GUARD)
-        elif args.command == "isocheck":
-            body, lines = _run_isocheck(system, field, args.guard_dim or CP_GUARD)
-        elif args.command == "oracle":
-            body, lines = _run_oracle(system, field, args.guard_dim or ORACLE_GUARD)
-        elif args.command == "bisect":
-            model = germ_groupoid(system)
-            body, lines = _run_bisect(model.groupoid, field,
-                                      args.guard_dim or BISECTION_GUARD)
-        else:
-            raise ParseError(0, f"command {args.command} has no fixture mode")
-        sections[name] = body
-        text.append(f"[{name}]")
-        text.extend("  " + line for line in lines)
-    return {"kind": "fixture-suite", "command": args.command,
-            "fixtures": sections}, text
+        target, field = parse_system(source)
+        run, wanted = run_system, "groupoid"
+    else:
+        target, field = parse_groupoid(source)
+        run, wanted = run_groupoid, "system"
+    if run is None:
+        raise ParseError(0, f"command {args.command} expects a {wanted} file")
+    return run(target, field_override or field, guard, generators)
 
 
 def _emit(args, body, text_lines) -> None:
@@ -390,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ideal generators like '1·a:g + 1·b:g'")
         p.add_argument("--field", help="override the file's field (e.g. 'F 3', 'Q')")
         p.add_argument("--guard-dim", type=int,
-                       help="override the command's dimension guard")
+                       help="override the command's dimension guard (a positive integer)")
         p.add_argument("--json-out", help="also write the report as JSON")
         p.add_argument("--fixtures", action="store_true",
                        help="run on the built-in fixture suite instead of a file")
@@ -403,11 +378,12 @@ def main(argv=None) -> int:
         print("error: a file path is required unless --fixtures is given",
               file=sys.stderr)
         return 2
+    if args.guard_dim is not None and args.guard_dim < 1:
+        print(f"error: --guard-dim must be a positive integer, got {args.guard_dim}",
+              file=sys.stderr)
+        return 2
     try:
-        if args.fixtures:
-            body, text = _dispatch_fixtures(args)
-        else:
-            body, text = _dispatch_path(args)
+        body, text = _dispatch(args)
     except CommandFailure as exc:
         _emit(args, exc.report, [f"FAILED: {exc}"])
         return 1

@@ -11,9 +11,8 @@ transversals) is computed here once and memoized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactlin import Field, FiniteAlgebra
+from .exactlin import Field, FiniteAlgebra, StructureError
 from .semigroups import InverseSemigroup
 from .validation import ValidationReport
 
@@ -247,7 +246,10 @@ class AmpleSystem:
         out = []
         for y in self.orbit(x):
             candidates = [g for g in self.germs_at(x) if self.germ_target(g) == y]
-            assert candidates, "orbit point without a germ reaching it"
+            if not candidates:
+                raise StructureError("orbit-transversal",
+                                     (self.point_name(x), self.point_name(y)),
+                                     "orbit point without a germ reaching it")
             out.append(min(candidates, key=lambda g: g.element))
         return tuple(out)
 
@@ -291,15 +293,17 @@ class IsotropyGroup:
     def _check_group_laws(self):
         n = self.size
         e = self.identity
+        name = [self.system.germ_name(g) for g in self.members]
         for i in range(n):
-            assert self.table[i][e] == i and self.table[e][i] == i, "identity law"
-            assert self.table[i][self.inverse[i]] == e, "inverse law"
-            assert self.table[self.inverse[i]][i] == e, "inverse law"
+            if self.table[i][e] != i or self.table[e][i] != i:
+                raise StructureError("isotropy-identity", (name[i],))
+            if self.table[i][self.inverse[i]] != e or self.table[self.inverse[i]][i] != e:
+                raise StructureError("isotropy-inverse", (name[i],))
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert (self.table[self.table[i][j]][k]
-                            == self.table[i][self.table[j][k]]), "associativity"
+                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
+                        raise StructureError("isotropy-associativity", (name[i], name[j], name[k]))
 
     def member_index(self, g: Germ) -> int:
         for i, m in enumerate(self.members):

@@ -198,21 +198,34 @@ def unit_vector(field: Field, n: int, i: int) -> tuple:
 
 
 def vec_add(field: Field, u, v):
-    assert len(u) == len(v)
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(field: Field, u, v):
-    assert len(u) == len(v)
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(field: Field, c, v):
-    return tuple(field.mul(c, a) for a in v)
+    return tuple(field.add(a, b) for a, b in zip(u, v, strict=True))
 
 
 def vec_is_zero(field: Field, v) -> bool:
     return all(field.is_zero(a) for a in v)
+
+
+def lincomb(field: Field, coeffs, vectors, dim: int) -> tuple:
+    """The sum of c * v over aligned coefficients and vectors of length
+    dim, skipping zero coefficients and zero entries."""
+    out = [field.zero] * dim
+    for c, v in zip(coeffs, vectors, strict=True):
+        if field.is_zero(c):
+            continue
+        if len(v) != dim:
+            raise ValueError(f"vector of length {len(v)} in a combination of length {dim}")
+        for j, a in enumerate(v):
+            if not field.is_zero(a):
+                out[j] = field.add(out[j], field.mul(c, a))
+    return tuple(out)
+
+
+def mat_lincomb(field: Field, coeffs, matrices, dim: int) -> tuple:
+    """The sum of c * m over aligned coefficients and dim x dim matrices,
+    formed row by row with lincomb."""
+    live = [(c, m) for c, m in zip(coeffs, matrices, strict=True) if not field.is_zero(c)]
+    scalars = [c for c, _ in live]
+    return tuple(lincomb(field, scalars, [m[r] for _, m in live], dim) for r in range(dim))
 
 
 def mat_vec(field: Field, m, v):
@@ -248,20 +261,13 @@ def mat_from_columns(field: Field, cols: Sequence, nrows: int):
     if not cols:
         return tuple(() for _ in range(nrows))
     for c in cols:
-        assert len(c) == nrows
+        if len(c) != nrows:
+            raise ValueError(f"column of length {len(c)} in a matrix with {nrows} rows")
     return tuple(tuple(c[r] for c in cols) for r in range(nrows))
 
 
 def identity_matrix(field: Field, n: int):
     return tuple(unit_vector(field, n, i) for i in range(n))
-
-
-def zero_matrix(field: Field, rows: int, cols: int):
-    return tuple(zero_vector(field, cols) for _ in range(rows))
-
-
-def mat_eq_zero(field: Field, m) -> bool:
-    return all(vec_is_zero(field, row) for row in m)
 
 
 def rref(field: Field, rows: Iterable[Sequence]):
@@ -479,7 +485,7 @@ class FiniteAlgebra:
     checked on every basis triple at construction.
     """
 
-    def __init__(self, field: Field, labels: Sequence, products, *, check: bool = True):
+    def __init__(self, field: Field, labels: Sequence, products):
         self.field = field
         self.labels = tuple(labels)
         norm = {}
@@ -495,22 +501,21 @@ class FiniteAlgebra:
             if cleaned:
                 norm[(i, j)] = cleaned
         self.products = norm
-        if check:
-            self._check_associativity()
+        self._check_associativity()
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     @classmethod
-    def from_monomial_table(cls, field: Field, labels: Sequence, table, *, check: bool = True):
+    def from_monomial_table(cls, field: Field, labels: Sequence, table):
         """table[i][j] is a basis index or None (zero product)."""
         products = {}
         for i, row in enumerate(table):
             for j, k in enumerate(row):
                 if k is not None:
                     products[(i, j)] = ((k, field.one),)
-        return cls(field, labels, products, check=check)
+        return cls(field, labels, products)
 
     def basis_vector(self, i: int) -> tuple:
         return unit_vector(self.field, self.dim, i)
@@ -570,6 +575,25 @@ class FiniteAlgebra:
                         )
 
 
+def check_algebra_hom(src: FiniteAlgebra, dst: FiniteAlgebra, images: Sequence, rule: str):
+    """Verify that the linear map sending the i-th basis vector of src to
+    images[i] is multiplicative: for every basis pair (i, j) the image of
+    e_i e_j, summed over its nonzero structure constants, must equal
+    images[i] * images[j] in dst.  Raises StructureError(rule, (label_i,
+    label_j)) at the first pair that fails."""
+    f = src.field
+    if dst.field != f:
+        raise ValueError("algebras over different fields")
+    if len(images) != src.dim or any(len(v) != dst.dim for v in images):
+        raise ValueError("one image of length dst.dim per basis element required")
+    for i in range(src.dim):
+        for j in range(src.dim):
+            terms = src.products.get((i, j), ())
+            lhs = lincomb(f, [c for _, c in terms], [images[k] for k, _ in terms], dst.dim)
+            if lhs != dst.mul(images[i], images[j]):
+                raise StructureError(rule, (src.labels[i], src.labels[j]))
+
+
 def is_ideal(algebra: FiniteAlgebra, space: Subspace) -> bool:
     """True iff the subspace is a two-sided ideal (closed under both
     multiplications by every basis element)."""
@@ -612,7 +636,7 @@ class Representation:
     against the structure constants is checked on every basis pair.
     """
 
-    def __init__(self, algebra: FiniteAlgebra, space_dim: int, images: Sequence, *, check: bool = True):
+    def __init__(self, algebra: FiniteAlgebra, space_dim: int, images: Sequence):
         self.algebra = algebra
         self.space_dim = space_dim
         self.images = tuple(tuple(tuple(row) for row in m) for m in images)
@@ -621,8 +645,7 @@ class Representation:
         for m in self.images:
             if len(m) != space_dim or any(len(row) != space_dim for row in m):
                 raise ValueError("image has wrong shape")
-        if check:
-            self._check_multiplicative()
+        self._check_multiplicative()
 
     def _check_multiplicative(self):
         f = self.algebra.field
@@ -638,18 +661,7 @@ class Representation:
                     )
 
     def apply(self, coords) -> tuple:
-        f = self.algebra.field
-        out = [[f.zero] * self.space_dim for _ in range(self.space_dim)]
-        for i, c in enumerate(coords):
-            if f.is_zero(c):
-                continue
-            m = self.images[i]
-            for r in range(self.space_dim):
-                row = m[r]
-                for col in range(self.space_dim):
-                    if not f.is_zero(row[col]):
-                        out[r][col] = f.add(out[r][col], f.mul(c, row[col]))
-        return tuple(tuple(r) for r in out)
+        return mat_lincomb(self.algebra.field, coords, self.images, self.space_dim)
 
     def kernel(self) -> Subspace:
         """{a : image(a) = 0}, by one exact nullspace computation."""
@@ -700,10 +712,6 @@ def left_regular_mod(algebra: FiniteAlgebra, ideal: Subspace) -> Representation:
         raise StructureError("left-regular-degenerate", None,
                              "quotient action is degenerate (no local units)")
     return rep
-
-
-def representation_kernel(rep: Representation) -> Subspace:
-    return rep.kernel()
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ def parse_scalar(field: Field, token: str):
         raise ValueError(f"bad coefficient {token!r}: {exc}")
     if isinstance(field, RationalField):
         return q
-    assert isinstance(field, PrimeField)
+    if not isinstance(field, PrimeField):
+        raise ValueError(f"no scalar syntax for {field!r}")
     den = q.denominator % field.p
     if den == 0:
         raise ValueError(f"coefficient {token!r} has denominator divisible by {field.p}")

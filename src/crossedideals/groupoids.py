@@ -17,6 +17,7 @@ from .exactlin import (
     FiniteAlgebra,
     GuardError,
     StructureError,
+    check_algebra_hom,
     mat_from_columns,
     mat_vec,
     rref,
@@ -65,7 +66,9 @@ class FiniteGroupoid:
             and self.compose.get((g, h)) == self.target[g]
             and self.compose.get((h, g)) == self.source[g]
         ]
-        assert len(candidates) == 1, f"element {self.name(g)} lacks a unique inverse"
+        if len(candidates) != 1:
+            raise StructureError("inverses", (self.name(g),),
+                                 f"element {self.name(g)} lacks a unique inverse")
         return candidates[0]
 
     def validate(self) -> ValidationReport:
@@ -221,8 +224,8 @@ class SteinbergIso:
             dup = next(t for t in targets if targets.count(t) > 1)
             raise StructureError("not-injective", (self.model.groupoid.name(dup),))
         self.targets = tuple(targets)
-        cols = [unit_vector(f, cp.dim, t) for t in targets]
-        self.matrix = mat_from_columns(f, cols, cp.dim)
+        self.images = tuple(unit_vector(f, cp.dim, t) for t in targets)
+        self.matrix = mat_from_columns(f, self.images, cp.dim)
         self._verify()
 
     def apply(self, b) -> tuple:
@@ -230,16 +233,7 @@ class SteinbergIso:
 
     def _verify(self):
         f = self.cp.field
-        for i in range(self.cp.dim):
-            for j in range(self.cp.dim):
-                lhs = self.apply(self.cp.algebra.basis_product(i, j))
-                rhs = self.algebra.mul(
-                    unit_vector(f, self.cp.dim, self.targets[i]),
-                    unit_vector(f, self.cp.dim, self.targets[j]))
-                if lhs != rhs:
-                    raise StructureError(
-                        "not-multiplicative",
-                        (self.cp.algebra.labels[i], self.cp.algebra.labels[j]))
+        check_algebra_hom(self.cp.algebra, self.algebra, self.images, "not-multiplicative")
         for x in range(self.cp.system.space_size):
             for i in range(self.cp.dim):
                 b = self.cp.algebra.basis_vector(i)
@@ -455,12 +449,9 @@ class CrossedProductModel:
         self.groupoid_iso = GroupoidModelIso(self.action, self.model)
         self.algebra = steinberg_algebra(groupoid, field)
         perm = self.groupoid_iso.mapping
-        f = field
-        cols = []
-        for i in range(self.cp.dim):
-            through = self.section_iso.targets[i]
-            cols.append(unit_vector(f, groupoid.size, perm[through]))
-        self.matrix = mat_from_columns(f, cols, groupoid.size)
+        self.images = tuple(unit_vector(field, groupoid.size, perm[t])
+                            for t in self.section_iso.targets)
+        self.matrix = mat_from_columns(field, self.images, groupoid.size)
         self._verify()
 
     def apply(self, b) -> tuple:
@@ -471,16 +462,7 @@ class CrossedProductModel:
         _, rank = rref(f, [tuple(r) for r in self.matrix])
         if rank != self.groupoid.size or self.cp.dim != self.groupoid.size:
             raise StructureError("model-dimension", (self.cp.dim, self.groupoid.size))
-        for i in range(self.cp.dim):
-            for j in range(self.cp.dim):
-                lhs = self.apply(self.cp.algebra.basis_product(i, j))
-                rhs = self.algebra.mul(
-                    self.apply(self.cp.algebra.basis_vector(i)),
-                    self.apply(self.cp.algebra.basis_vector(j)))
-                if lhs != rhs:
-                    raise StructureError(
-                        "model-not-multiplicative",
-                        (self.cp.algebra.labels[i], self.cp.algebra.labels[j]))
+        check_algebra_hom(self.cp.algebra, self.algebra, self.images, "model-not-multiplicative")
 
     def to_json(self):
         return {

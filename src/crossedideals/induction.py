@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundles import CrossedProduct, CovariantRep, disintegrate
+from .bundles import CrossedProduct, disintegrate
 from .dynsys import Germ
 from .exactlin import (
-    FiniteAlgebra,
     QuotientMap,
     Representation,
     StructureError,
@@ -30,14 +29,13 @@ from .exactlin import (
     is_ideal,
     left_regular_mod,
     mat_from_columns,
+    mat_lincomb,
     mat_mul,
     mat_vec,
     nullspace,
+    rref,
     unit_vector,
-    vec_add,
     vec_is_zero,
-    vec_scale,
-    zero_vector,
 )
 
 
@@ -56,10 +54,11 @@ def isotropy_restriction(cp: CrossedProduct, x: int, b) -> tuple:
 
 
 def induction_context(cp: CrossedProduct, x: int) -> "InductionContext":
-    key = ("induction", x)
-    if key not in cp.cache:
-        cp.cache[key] = InductionContext(cp, x)
-    return cp.cache[key]
+    """The induction context at x, built once per crossed product."""
+    ctx = cp.induction_contexts.get(x)
+    if ctx is None:
+        ctx = cp.induction_contexts[x] = InductionContext(cp, x)
+    return ctx
 
 
 class InductionContext:
@@ -112,17 +111,7 @@ class InductionContext:
 
     def act(self, b) -> tuple:
         """Matrix of b acting on the germ module."""
-        f = self.field
-        out = [[f.zero] * self.module_dim for _ in range(self.module_dim)]
-        for i, c in enumerate(b):
-            if f.is_zero(c):
-                continue
-            m = self._action[i]
-            for r in range(self.module_dim):
-                for k in range(self.module_dim):
-                    if not f.is_zero(m[r][k]):
-                        out[r][k] = f.add(out[r][k], f.mul(c, m[r][k]))
-        return tuple(tuple(r) for r in out)
+        return mat_lincomb(self.field, b, self._action, self.module_dim)
 
     def right_translate(self, germ_i: int, iso_i: int) -> int:
         """delta_[s] . delta_[g] = delta_[s g] for an isotropy germ g."""
@@ -293,7 +282,9 @@ class Discretization:
     def fiber_map(self, s: int, x: int) -> tuple:
         """Matrix of the map V_x -> V_{theta_s(x)} induced by sigma_s."""
         theta = self.cp.system.theta[s]
-        assert theta.defined_at(x)
+        if not theta.defined_at(x):
+            raise ValueError(f"{self.cp.system.semigroup.name(s)} is not defined at "
+                             f"{self.cp.system.point_name(x)}")
         f = self.cp.field
         move = mat_mul(f, self._q_mats[theta.apply(x)], self.pair.sigma[s])
         return mat_mul(f, move, self._lift_mats[x])
@@ -315,14 +306,7 @@ class Discretization:
         """Block-diagonal matrix of a function on the sum of fibers; the
         block over x is the compression of the represented function."""
         f = self.cp.field
-        v_dim = self.rep.space_dim
-        pf = [[f.zero] * v_dim for _ in range(v_dim)]
-        for y in range(self.cp.system.space_size):
-            if f.is_zero(f_vec[y]):
-                continue
-            for r in range(v_dim):
-                for c in range(v_dim):
-                    pf[r][c] = f.add(pf[r][c], f.mul(f_vec[y], self.pair.pi[y][r][c]))
+        pf = mat_lincomb(f, f_vec, self.pair.pi, self.rep.space_dim)
         big = [[f.zero] * self.total_dim for _ in range(self.total_dim)]
         for x in range(self.cp.system.space_size):
             block = mat_mul(f, self._q_mats[x], mat_mul(f, pf, self._lift_mats[x]))
@@ -439,7 +423,6 @@ def induction_equivalence(disc: Discretization, ctx: InductionContext) -> tuple:
                 col[block_offsets[y] + r] = val
             cols.append(tuple(col))
     tau = mat_from_columns(f, cols, acc)
-    from .exactlin import rref
     _, rank = rref(f, cols)
     if rank != acc:
         raise StructureError("equivalence-not-bijective", (rank, acc))

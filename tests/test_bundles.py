@@ -23,6 +23,7 @@ from crossedideals import (
     transport,
     unitization_isomorphism,
 )
+from crossedideals import bundles
 from crossedideals.exactlin import mat_mul, unit_vector, zero_vector
 from crossedideals.fixtures import (
     FIXTURES,
@@ -32,6 +33,8 @@ from crossedideals.fixtures import (
     semilattice_system,
     trivial_system,
 )
+
+from util import corrupt_hom_check
 
 F2 = GF(2)
 
@@ -326,6 +329,19 @@ def test_section_terms_form_a_conforming_family():
     assert matrix == ident
 
 
+def test_extension_reports_a_non_multiplicative_image_list(monkeypatch):
+    corrupt_hom_check(monkeypatch, bundles, "extension-multiplicative")
+    cp = crossed_product(flip_system(), F2)
+    images = tuple(
+        tuple(cp.term(y, s) for y in cp.system.theta[s].image())
+        for s in range(2))
+    with pytest.raises(StructureError) as err:
+        extend_representation(cp.sections, cp.algebra, images)
+    assert err.value.rule == "extension-multiplicative"
+    left, right = err.value.witness
+    assert left in cp.sections.quotient.labels and right in cp.sections.quotient.labels
+
+
 # ---------------------------------------------------------------------------
 # the redundancy ideal is the kernel of every integrated pair
 
@@ -363,3 +379,12 @@ def test_unitization_preserves_dimensions():
 def test_unitization_works_over_the_rationals():
     iso = unitization_isomorphism(semilattice_system(), QQ)
     assert iso.plain.dim == iso.unitized.dim == 2
+
+
+def test_unitization_reports_a_non_multiplicative_image_list(monkeypatch):
+    corrupt_hom_check(monkeypatch, bundles, "unitization-multiplicative")
+    with pytest.raises(StructureError) as err:
+        unitization_isomorphism(flip_system(), F2)
+    assert err.value.rule == "unitization-multiplicative"
+    plain = crossed_product(flip_system(), F2)
+    assert set(err.value.witness) <= set(plain.algebra.labels)

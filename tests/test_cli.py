@@ -144,6 +144,20 @@ def test_build_guard_override(capsys):
     assert "error: crossed product dimension 4 exceeds the guard 2" in err
 
 
+def test_zero_guard_is_rejected(capsys):
+    code, out, err = run(capsys, ["build", FLIP, "--guard-dim", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --guard-dim must be a positive integer, got 0\n"
+
+
+def test_negative_guard_is_rejected_in_fixture_mode(capsys):
+    code, out, err = run(capsys, ["isocheck", "--fixtures", "--guard-dim", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --guard-dim must be a positive integer, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # germs
 

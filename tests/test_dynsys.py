@@ -2,7 +2,15 @@
 
 import pytest
 
-from crossedideals import GF, QQ, AmpleSystem, Germ, PartialBijection
+from crossedideals import (
+    GF,
+    QQ,
+    AmpleSystem,
+    Germ,
+    IsotropyGroup,
+    PartialBijection,
+    StructureError,
+)
 from crossedideals.fixtures import (
     FIXTURES,
     brandt_system,
@@ -126,6 +134,15 @@ def test_fixed_point_isotropy_is_z2():
     assert iso.table[1][1] == iso.identity
     assert iso.inverse[1] == 1
     assert sys.germ_name(g) == "[g@x]"
+
+
+def test_broken_isotropy_table_is_rejected_without_assert():
+    sys = fixed_point_system()
+    iso = sys.isotropy_group(0)
+    broken = IsotropyGroup(sys, 0, iso.members, ((0, 1), (1, 1)), iso.identity, iso.inverse)
+    with pytest.raises(StructureError) as err:
+        broken._check_group_laws()
+    assert (err.value.rule, err.value.witness) == ("isotropy-inverse", ("[g@x]",))
 
 
 def test_brandt_local_germs():

@@ -25,7 +25,15 @@ from crossedideals import (
     subspace_intersect,
     subspace_sum,
 )
-from crossedideals.exactlin import unit_vector, zero_vector
+from crossedideals.exactlin import (
+    check_algebra_hom,
+    lincomb,
+    mat_from_columns,
+    mat_lincomb,
+    unit_vector,
+    vec_add,
+    zero_vector,
+)
 
 from util import matrix_units_algebra, z2_algebra
 
@@ -285,6 +293,58 @@ def test_representation_rejects_non_multiplicative_images():
     with pytest.raises(StructureError) as err:
         Representation(alg, 2, (ident, shear))
     assert err.value.rule == "representation-multiplicativity"
+
+
+# ---------------------------------------------------------------------------
+# linear combinations and the homomorphism check
+
+def test_lincomb_skips_zero_coefficients_and_scales_the_rest():
+    vectors = [(1, 2, 0), (0, 1, 1), (2, 2, 2)]
+    assert lincomb(F3, [2, 0, 1], vectors, 3) == (1, 0, 2)
+    assert lincomb(F3, [], [], 3) == (0, 0, 0)
+
+
+def test_lincomb_rejects_misaligned_or_misshapen_input():
+    with pytest.raises(ValueError):
+        lincomb(F3, [1, 1], [(1, 0)], 2)
+    with pytest.raises(ValueError):
+        lincomb(F3, [1], [(1, 0, 0)], 2)
+
+
+def test_mat_lincomb_combines_square_matrices():
+    a = ((1, 0), (0, 1))
+    b = ((0, 1), (1, 0))
+    assert mat_lincomb(F3, [2, 1], [a, b], 2) == ((2, 1), (1, 2))
+    assert mat_lincomb(F3, [0, 0], [a, b], 2) == ((0, 0), (0, 0))
+
+
+def test_length_checks_survive_without_assert():
+    with pytest.raises(ValueError):
+        vec_add(F2, (1, 0), (1,))
+    with pytest.raises(ValueError):
+        mat_from_columns(F2, [(1, 0), (1,)], 2)
+
+
+def test_identity_on_matrix_units_is_a_homomorphism():
+    alg = matrix_units_algebra(F3)
+    check_algebra_hom(alg, alg, [alg.basis_vector(i) for i in range(alg.dim)], "any-rule")
+
+
+def test_transpose_on_matrix_units_is_rejected_with_the_callers_rule():
+    alg = matrix_units_algebra(F3)
+    transpose = [alg.basis_vector(i) for i in (0, 2, 1, 3)]  # e12 <-> e21
+    with pytest.raises(StructureError) as err:
+        check_algebra_hom(alg, alg, transpose, "my-bridge-multiplicative")
+    assert err.value.rule == "my-bridge-multiplicative"
+    assert err.value.witness == ("e11", "e12")
+
+
+def test_homomorphism_check_rejects_wrong_image_shapes():
+    alg = matrix_units_algebra(F2)
+    with pytest.raises(ValueError):
+        check_algebra_hom(alg, alg, [alg.basis_vector(0)], "r")
+    with pytest.raises(ValueError):
+        check_algebra_hom(alg, z2_algebra(F2), [alg.basis_vector(0)] * 4, "r")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Germ groupoids, convolution algebras, bisections, and the two
 isomorphism theorems tying them to crossed products."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import crossedideals
+from crossedideals import groupoids
 from crossedideals import (
     GF,
     QQ,
@@ -26,7 +32,7 @@ from crossedideals import (
 from crossedideals.exactlin import unit_vector, zero_vector
 from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
 
-from util import MATRIX_UNIT_POSITIONS, matrix_units_algebra, z2_algebra
+from util import MATRIX_UNIT_POSITIONS, corrupt_hom_check, matrix_units_algebra, z2_algebra
 
 F2 = GF(2)
 
@@ -109,6 +115,25 @@ def test_element_without_an_inverse_is_rejected():
                        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, ("1", "g"))
     report = g.validate()
     assert (report.rule, report.witness) == ("inverses", ("g",))
+    with pytest.raises(StructureError) as err:
+        g.inverse_of(1)
+    assert (err.value.rule, err.value.witness) == ("inverses", ("g",))
+
+
+def test_missing_inverse_is_reported_under_python_optimize():
+    src = str(Path(crossedideals.__file__).resolve().parent.parent)
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from crossedideals import FiniteGroupoid, StructureError\n"
+        "g = FiniteGroupoid(2, (0,), (0, 0), (0, 0),\n"
+        "                   {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})\n"
+        "try:\n"
+        "    print('answer', g.inverse_of(1))\n"
+        "except StructureError as exc:\n"
+        "    print('StructureError', exc.rule)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script, src],
+                          capture_output=True, text=True)
+    assert proc.stdout == "StructureError inverses\n", proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +226,15 @@ def test_isomorphism_dimension_matches_the_germ_count():
         iso = steinberg_isomorphism(cp)
         assert iso.model.size == cp.dim
         assert sorted(iso.targets) == list(range(cp.dim))
+
+
+def test_isomorphism_reports_a_non_multiplicative_image_list(monkeypatch):
+    corrupt_hom_check(monkeypatch, groupoids, "not-multiplicative")
+    cp = crossed_product(flip_system(), F2)
+    with pytest.raises(StructureError) as err:
+        steinberg_isomorphism(cp)
+    assert err.value.rule == "not-multiplicative"
+    assert set(err.value.witness) <= set(cp.algebra.labels)
 
 
 def test_restrictions_commute_with_the_isomorphism():
@@ -316,6 +350,14 @@ def test_group_model_over_the_rationals():
     model = steinberg_as_crossed_product(z2_groupoid(), QQ)
     assert model.cp.dim == 2
     assert sorted(model.groupoid_iso.mapping) == [0, 1]
+
+
+def test_model_reports_a_non_multiplicative_image_list(monkeypatch):
+    corrupt_hom_check(monkeypatch, groupoids, "model-not-multiplicative")
+    with pytest.raises(StructureError) as err:
+        steinberg_as_crossed_product(pair_groupoid(), F2)
+    assert err.value.rule == "model-not-multiplicative"
+    assert len(err.value.witness) == 2
 
 
 def test_germ_groupoid_of_a_fixture_round_trips():

@@ -18,7 +18,7 @@ from crossedideals import (
     left_regular_mod,
 )
 from crossedideals.exactlin import mat_mul, rref, unit_vector, zero_vector
-from crossedideals.fixtures import FIXTURES, flip_system
+from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
 
 F2 = GF(2)
 
@@ -36,6 +36,13 @@ def test_restriction_reads_isotropy_coefficients():
     b = tuple(F2.add(u, v) for u, v in zip(cp.indicator_term(0),
                                            cp.indicator_term(1)))
     assert ctx.restrict(b) == (F2.one, F2.one)
+
+
+def test_induction_contexts_are_built_once_per_point():
+    cp = crossed_product(flip_system(), F2)
+    ctx = induction_context(cp, 0)
+    assert induction_context(cp, 0) is ctx
+    assert cp.induction_contexts == {0: ctx}
 
 
 def test_sections_moving_every_point_restrict_to_zero():
@@ -275,6 +282,13 @@ def test_point_fixture_discretizes_to_itself():
     assert disc.fiber_dim(0) == 1
     assert disc.translation_block(0) == ((F2.one,),)
     assert disc.block_rep.images == disc.rep.images
+
+
+def test_fiber_map_outside_the_domain_is_rejected():
+    disc = discretize(crossed_product(semilattice_system(), F2))
+    assert disc.fiber_map(1, 0) == ((F2.one,),)
+    with pytest.raises(ValueError, match="e is not defined at y"):
+        disc.fiber_map(1, 1)
 
 
 def test_flip_discretization_swaps_two_plane_fibers():

@@ -29,3 +29,18 @@ def matrix_units_algebra(field) -> FiniteAlgebra:
     """M_2(K) on the matrix-unit basis e11, e12, e21, e22."""
     return FiniteAlgebra.from_monomial_table(
         field, ("e11", "e12", "e21", "e22"), matrix_units_table())
+
+
+
+def corrupt_hom_check(monkeypatch, module, rule):
+    """Make the module's homomorphism check see images 0 and 1 swapped
+    whenever it is called with the given rule."""
+    check = module.check_algebra_hom
+
+    def corrupted(src, dst, images, called_rule):
+        if called_rule == rule:
+            images = list(images)
+            images[0], images[1] = images[1], images[0]
+        return check(src, dst, images, called_rule)
+
+    monkeypatch.setattr(module, "check_algebra_hom", corrupted)
