@@ -196,8 +196,9 @@ class FellBundle:
                             return ValidationReport.failed(
                                 "inclusion-transitivity", (sg.name(r), sg.name(s), sg.name(t)))
         # inclusions are multiplicative against mu
-        for (r, rp) in _order_with_diagonal(sg):
-            for (s, sp) in _order_with_diagonal(sg):
+        pairs = _order_with_diagonal(sg)
+        for (r, rp) in pairs:
+            for (s, sp) in pairs:
                 if r == rp and s == sp:
                     continue
                 rs, rpsp = sg.product(r, s), sg.product(rp, sp)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -368,9 +369,19 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
+    @cached_property
+    def _sparse_rows(self) -> tuple:
+        """Each basis row as its ((column, entry), ...) nonzero entries;
+        the first entry sits at the row's pivot."""
+        f = self.field
+        return tuple(
+            tuple((j, a) for j, a in enumerate(row) if not f.is_zero(a))
+            for row in self.basis
+        )
+
+    @cached_property
     def pivots(self) -> tuple:
-        return row_pivots(self.field, self.basis)
+        return tuple(entries[0][0] for entries in self._sparse_rows)
 
     def reduce(self, v) -> tuple:
         """Residue of v after eliminating every pivot coordinate."""
@@ -378,11 +389,11 @@ class Subspace:
         v = list(v)
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
+        for entries in self._sparse_rows:
+            c = v[entries[0][0]]
             if not f.is_zero(c):
-                for j in range(self.ambient_dim):
-                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+                for j, a in entries:
+                    v[j] = f.sub(v[j], f.mul(c, a))
         return tuple(v)
 
     def contains(self, v) -> bool:
@@ -528,17 +539,18 @@ class FiniteAlgebra:
 
     def mul(self, u, v) -> tuple:
         f = self.field
+        products = self.products
         out = [f.zero] * self.dim
+        live = [(j, b) for j, b in enumerate(v) if not f.is_zero(b)]
         for i, a in enumerate(u):
             if f.is_zero(a):
                 continue
-            for j, b in enumerate(v):
-                if f.is_zero(b):
-                    continue
-                ab = f.mul(a, b)
-                for k, c in self.products.get((i, j), ()):
-                    out[k] = f.add(out[k], f.mul(ab, c))
-
+            for j, b in live:
+                terms = products.get((i, j))
+                if terms:
+                    ab = f.mul(a, b)
+                    for k, c in terms:
+                        out[k] = f.add(out[k], f.mul(ab, c))
         return tuple(out)
 
     def full_space(self) -> Subspace:
@@ -560,19 +572,44 @@ class FiniteAlgebra:
         return " + ".join(terms) if terms else "0"
 
     def _check_associativity(self):
-        n = self.dim
-        for i in range(n):
-            ei = self.basis_vector(i)
-            for j in range(n):
-                pij = self.basis_product(i, j)
-                for k in range(n):
-                    left = self.mul(pij, self.basis_vector(k))
-                    right = self.mul(ei, self.basis_product(j, k))
+        """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple, in (i, j, k)
+        order.  With e_i e_j = sum c_m e_m and e_j e_k = sum d_m e_m, the
+        two sides are sum c_m (e_m e_k) and sum d_m (e_i e_m), formed from
+        the nonzero structure constants alone.  A side is zero at every k
+        outside the rows e_m e_* it sums, so only the k in those rows can
+        fail; every other triple is equal, both sides being zero."""
+        f = self.field
+        products = self.products
+        row_support = [set() for _ in range(self.dim)]
+        for i, j in products:
+            row_support[i].add(j)
+        for i in range(self.dim):
+            for j in range(self.dim):
+                pij = products.get((i, j), ())
+                ks = set(row_support[j])
+                for m, _ in pij:
+                    ks |= row_support[m]
+                for k in sorted(ks):
+                    left = _sparse_combination(
+                        f, [(c, products.get((m, k), ())) for m, c in pij])
+                    right = _sparse_combination(
+                        f, [(d, products.get((i, m), ()))
+                            for m, d in products.get((j, k), ())])
                     if left != right:
                         raise StructureError(
                             "associativity",
                             (self.labels[i], self.labels[j], self.labels[k]),
                         )
+
+
+def _sparse_combination(field: Field, scaled) -> dict:
+    """sum c * terms over the (c, terms) pairs, where terms is a structure
+    constant ((k, coeff), ...), as {k: entry} with zero entries dropped."""
+    acc = {}
+    for c, terms in scaled:
+        for k, d in terms:
+            acc[k] = field.add(acc.get(k, field.zero), field.mul(c, d))
+    return {k: a for k, a in acc.items() if not field.is_zero(a)}
 
 
 def check_algebra_hom(src: FiniteAlgebra, dst: FiniteAlgebra, images: Sequence, rule: str):
@@ -653,7 +690,9 @@ class Representation:
         for i in range(n):
             for j in range(n):
                 prod = mat_mul(f, self.images[i], self.images[j])
-                expected = self.apply(self.algebra.basis_product(i, j))
+                terms = self.algebra.products.get((i, j), ())
+                expected = mat_lincomb(f, [c for _, c in terms],
+                                       [self.images[k] for k, _ in terms], self.space_dim)
                 if prod != expected:
                     raise StructureError(
                         "representation-multiplicativity",

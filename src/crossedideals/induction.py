@@ -485,11 +485,11 @@ def decompose_ideal(cp: CrossedProduct, ideal: Subspace) -> IntersectionCertific
     for x in cp.system.orbit_representatives():
         ctx = induction_context(cp, x)
         gamma = ctx.gamma_image(ideal)
-        admissible = ctx.is_admissible(gamma)
+        induced = ctx.induced_ideal(gamma)
+        admissible = ctx.gamma_image(induced) == gamma
         if not admissible:
             raise StructureError("restriction-not-admissible",
                                  (cp.system.point_name(x),))
-        induced = ctx.induced_ideal(gamma)
         if not induced.contains_space(ideal):
             witness = next(v for v in ideal.basis if not induced.contains(v))
             raise StructureError("induced-misses-ideal",

@@ -69,14 +69,19 @@ class InverseSemigroup:
         """Natural partial order: s <= t iff s = t e for some idempotent e."""
         return any(self.mult[t][e] == s for e in self.idempotents)
 
-    def order_pairs(self) -> tuple:
-        """All strictly comparable pairs (s, t) with s <= t, s != t."""
+    @cached_property
+    def _order_pairs(self) -> tuple:
         return tuple(
             (s, t)
             for s in range(self.size)
             for t in range(self.size)
             if s != t and self.leq(s, t)
         )
+
+    def order_pairs(self) -> tuple:
+        """All strictly comparable pairs (s, t) with s <= t, s != t,
+        computed once per semigroup."""
+        return self._order_pairs
 
     def unitize(self) -> "InverseSemigroup":
         """Adjoin a fresh two-sided unit as the last element (always,

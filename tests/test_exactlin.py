@@ -30,12 +30,19 @@ from crossedideals.exactlin import (
     lincomb,
     mat_from_columns,
     mat_lincomb,
+    mat_mul,
     unit_vector,
     vec_add,
     zero_vector,
 )
 
-from util import matrix_units_algebra, z2_algebra
+from util import (
+    dense_check_associativity,
+    dense_mul,
+    matrix_units_algebra,
+    matrix_units_table,
+    z2_algebra,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -235,13 +242,133 @@ def test_is_ideal_on_trivial_and_non_ideals():
     assert not is_ideal(alg, Subspace.span(F2, 4, [unit_vector(F2, 4, 0)]))
 
 
-def test_associativity_check_rejects_corrupted_table():
-    from util import matrix_units_table
+def test_associativity_check_rejects_corrupted_table(monkeypatch):
+    def product(self, u, v):
+        raise RuntimeError("FiniteAlgebra.mul called")
+
+    # the check walks the structure constants, with no product per triple
+    monkeypatch.setattr(FiniteAlgebra, "mul", product)
     table = matrix_units_table()
     table[1][2] = 3  # e12 e21 = e22 breaks (e12 e21) e11 = e12 (e21 e11)
     with pytest.raises(StructureError) as err:
         FiniteAlgebra.from_monomial_table(F2, ("e11", "e12", "e21", "e22"), table)
     assert err.value.rule == "associativity"
+    assert err.value.witness == ("e11", "e12", "e21")
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against the dense references in util
+
+SCALAR_FIELDS = (F2, F3, QQ)
+
+
+def scalars(field):
+    if field is QQ:
+        return st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return st.integers(0, field.p - 1)
+
+
+def with_cancelling_pair(draw, field, n, terms):
+    """Sometimes append a term and its negative, so that the constant has
+    more terms than its sum and may cancel to zero."""
+    if draw(st.booleans()):
+        k, c = draw(st.integers(0, n - 1)), draw(scalars(field))
+        terms = list(terms) + [(k, c), (k, field.neg(c))]
+    return tuple(terms)
+
+
+@st.composite
+def structure_tables(draw, field):
+    """Random sparse structure constants on 1-4 basis elements: up to
+    three terms per pair, repeated targets allowed."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    products = {}
+    for pair in sorted(draw(st.sets(st.tuples(index, index)))):
+        terms = draw(st.lists(st.tuples(index, scalars(field)), max_size=3))
+        products[pair] = with_cancelling_pair(draw, field, n, terms)
+    return n, products
+
+
+MONOMIAL_TABLES = (((None,),), ((0,),), ((0, 1), (1, 0)), tuple(map(tuple, matrix_units_table())))
+
+
+@st.composite
+def associative_tables(draw, field):
+    """A monomial algebra (zero, K, K[Z/2] or M_2(K)) written in a random
+    basis f_i = sum_a B[i][a] e_a, B = LU with unit-diagonal triangular L
+    and U, so that its structure constants have several terms."""
+    table = draw(st.sampled_from(MONOMIAL_TABLES))
+    n = len(table)
+    lower = [[field.one if a == i else draw(scalars(field)) if a < i else field.zero
+              for a in range(n)] for i in range(n)]
+    upper = [[field.one if a == i else draw(scalars(field)) if a > i else field.zero
+              for a in range(n)] for i in range(n)]
+    b = mat_mul(field, lower, upper)
+    inverse = [row[n:] for row in rref(field, [
+        tuple(b[i]) + unit_vector(field, n, i) for i in range(n)])[0]]
+    products = {}
+    for i in range(n):
+        for j in range(n):
+            w = [field.zero] * n
+            for a in range(n):
+                for c in range(n):
+                    if table[a][c] is not None:
+                        w[table[a][c]] = field.add(
+                            w[table[a][c]], field.mul(b[i][a], b[j][c]))
+            x = lincomb(field, w, inverse, n)
+            terms = [(m, x[m]) for m in range(n) if not field.is_zero(x[m])]
+            products[(i, j)] = with_cancelling_pair(draw, field, n, terms)
+    return n, products
+
+
+def associativity_outcome(check):
+    try:
+        check()
+    except StructureError as err:
+        return err.rule, err.witness
+    return None
+
+
+def assert_same_associativity_verdict(field, n, products):
+    labels = tuple(f"b{i}" for i in range(n))
+    library = associativity_outcome(lambda: FiniteAlgebra(field, labels, products))
+    reference = associativity_outcome(
+        lambda: dense_check_associativity(field, labels, products))
+    assert library == reference
+    return library
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_random_tables_fail_at_the_reference_witness(field, data):
+    n, products = data.draw(structure_tables(field))
+    assert_same_associativity_verdict(field, n, products)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_associative_tables_multiply_like_the_reference(field, data):
+    n, products = data.draw(associative_tables(field))
+    assert assert_same_associativity_verdict(field, n, products) is None
+    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
+    vectors = st.tuples(*[scalars(field)] * n)
+    u, v = data.draw(vectors), data.draw(vectors)
+    assert alg.mul(u, v) == dense_mul(field, products, n, u, v)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_perturbed_associative_tables_fail_at_the_reference_witness(field, data):
+    n, products = data.draw(associative_tables(field))
+    index = st.integers(0, n - 1)
+    pair = data.draw(st.tuples(index, index))
+    extra = data.draw(st.tuples(index, scalars(field)))
+    products[pair] = products[pair] + (extra,)
+    assert_same_associativity_verdict(field, n, products)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +420,7 @@ def test_representation_rejects_non_multiplicative_images():
     with pytest.raises(StructureError) as err:
         Representation(alg, 2, (ident, shear))
     assert err.value.rule == "representation-multiplicativity"
+    assert err.value.witness == ("g", "g")
 
 
 # ---------------------------------------------------------------------------

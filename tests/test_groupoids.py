@@ -12,6 +12,7 @@ from crossedideals import groupoids
 from crossedideals import (
     GF,
     QQ,
+    FiniteAlgebra,
     FiniteGroupoid,
     StructureError,
     Subspace,
@@ -202,6 +203,14 @@ def test_pair_groupoid_convolution_matches_matrix_units():
 def test_group_viewed_as_groupoid_gives_the_group_algebra():
     alg = steinberg_algebra(z2_groupoid(), F2)
     assert alg.products == z2_algebra(F2).products
+
+
+def test_convolution_algebras_check_associativity_without_products(monkeypatch):
+    def product(self, u, v):
+        raise RuntimeError("FiniteAlgebra.mul called")
+
+    monkeypatch.setattr(FiniteAlgebra, "mul", product)
+    assert steinberg_algebra(pair_groupoid(), F2).dim == 4
 
 
 # ---------------------------------------------------------------------------

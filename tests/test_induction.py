@@ -19,6 +19,7 @@ from crossedideals import (
 )
 from crossedideals.exactlin import mat_mul, rref, unit_vector, zero_vector
 from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
+from crossedideals.induction import InductionContext
 
 F2 = GF(2)
 
@@ -528,6 +529,23 @@ def test_every_semilattice_ideal_decomposes():
         cert = decompose_ideal(cp, ideal)
         assert cert.exact
         assert cert.intersection == ideal
+
+
+def test_decompose_induces_once_per_orbit_representative(monkeypatch):
+    calls = []
+    induced_ideal = InductionContext.induced_ideal
+
+    def counted(self, ideal):
+        calls.append(self.point)
+        return induced_ideal(self, ideal)
+
+    monkeypatch.setattr(InductionContext, "induced_ideal", counted)
+    for make in FIXTURES.values():
+        cp = crossed_product(make(), F2)
+        for ideal in enumerate_ideals(cp.algebra):
+            calls.clear()
+            decompose_ideal(cp, ideal)
+            assert sorted(calls) == sorted(cp.system.orbit_representatives())
 
 
 def test_non_ideal_subspaces_are_rejected():

@@ -1,6 +1,6 @@
 """Shared constructions for the test suite."""
 
-from crossedideals import FiniteAlgebra, InverseSemigroup
+from crossedideals import FiniteAlgebra, InverseSemigroup, StructureError
 
 
 def z2_semigroup() -> InverseSemigroup:
@@ -30,6 +30,35 @@ def matrix_units_algebra(field) -> FiniteAlgebra:
     return FiniteAlgebra.from_monomial_table(
         field, ("e11", "e12", "e21", "e22"), matrix_units_table())
 
+
+def dense_mul(field, products, dim, u, v):
+    """Reference product: every coordinate pair (i, j) of u and v against
+    the raw structure constants {(i, j): ((k, coeff), ...)}."""
+    out = [field.zero] * dim
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            for k, c in products.get((i, j), ()):
+                out[k] = field.add(out[k], field.mul(field.mul(a, b), c))
+    return tuple(out)
+
+
+def dense_check_associativity(field, labels, products):
+    """Reference associativity check: (e_i e_j) e_k against e_i (e_j e_k)
+    with dense_mul on every basis triple in (i, j, k) order.  Raises
+    StructureError("associativity", labels of the triple) at the first
+    triple that differs."""
+    n = len(labels)
+    basis = [tuple(field.one if j == i else field.zero for j in range(n))
+             for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            pij = dense_mul(field, products, n, basis[i], basis[j])
+            for k in range(n):
+                left = dense_mul(field, products, n, pij, basis[k])
+                right = dense_mul(field, products, n, basis[i],
+                                  dense_mul(field, products, n, basis[j], basis[k]))
+                if left != right:
+                    raise StructureError("associativity", (labels[i], labels[j], labels[k]))
 
 
 def corrupt_hom_check(monkeypatch, module, rule):
