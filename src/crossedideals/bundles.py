@@ -38,7 +38,6 @@ from .exactlin import (
     rref,
     subspace_intersect,
     unit_vector,
-    vec_add,
     vec_is_zero,
     zero_vector,
 )
@@ -573,7 +572,7 @@ class CrossedProduct:
             pulled[s] = frozenset(self.system.theta[sg.inv(s)].apply(y) for y in supp)
         elems = sorted(support)
         space = frozenset(range(self.system.space_size))
-        phi = zero_vector(f, self.dim)
+        pieces = []
         for eps in _subsets(elems):
             for zeta in _subsets(elems):
                 if not eps and not zeta:
@@ -592,7 +591,8 @@ class CrossedProduct:
                 for s in zeta:
                     factor = sg.product(sg.inv(s), s)
                     e = factor if e is None else sg.product(e, factor)
-                phi = vec_add(f, phi, self.indicator_term(e, sorted(region)))
+                pieces += [self.term(y, e) for y in sorted(region)]
+        phi = lincomb(f, [f.one] * len(pieces), pieces, self.dim)
         alg = self.algebra
         if alg.mul(phi, phi) != phi or alg.mul(phi, b) != b or alg.mul(b, phi) != b:
             raise StructureError("local-unit", None, "local unit construction failed")

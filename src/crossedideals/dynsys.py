@@ -261,6 +261,7 @@ class IsotropyGroup:
         self.system = system
         self.point = point
         self.members = tuple(members)
+        self._index = {m: i for i, m in enumerate(self.members)}
         self.table = tuple(tuple(row) for row in table)
         self.identity = identity
         self.inverse = tuple(inverse)
@@ -306,10 +307,10 @@ class IsotropyGroup:
                         raise StructureError("isotropy-associativity", (name[i], name[j], name[k]))
 
     def member_index(self, g: Germ) -> int:
-        for i, m in enumerate(self.members):
-            if m == g:
-                return i
-        raise ValueError(f"{g} is not an isotropy germ here")
+        try:
+            return self._index[g]
+        except KeyError:
+            raise ValueError(f"{g} is not an isotropy germ here") from None
 
     def algebra(self, field: Field) -> FiniteAlgebra:
         """Group algebra on the isotropy germs."""

@@ -105,6 +105,9 @@ class PrimeField(Field):
     def neg(self, a):
         return (-a) % self.p
 
+    def sub(self, a, b):
+        return (a - b) % self.p
+
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -144,6 +147,9 @@ class RationalField(Field):
 
     def neg(self, a):
         return -a
+
+    def sub(self, a, b):
+        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -553,6 +559,39 @@ class FiniteAlgebra:
                         out[k] = f.add(out[k], f.mul(ab, c))
         return tuple(out)
 
+    @cached_property
+    def _constants_by_factor(self) -> tuple:
+        """(as_right, as_left): as_right[j] lists (i, terms) and as_left[j]
+        lists (k, terms) for the nonzero structure constants of e_i e_j
+        and e_j e_k."""
+        as_right = [[] for _ in range(self.dim)]
+        as_left = [[] for _ in range(self.dim)]
+        for (i, j), terms in self.products.items():
+            as_right[j].append((i, terms))
+            as_left[i].append((j, terms))
+        return as_right, as_left
+
+    def basis_multiples(self, v) -> tuple:
+        """(left, right) with left[i] = e_i v and right[i] = v e_i for every
+        basis index i, from one walk of the nonzero entries of v against
+        the structure constants."""
+        f = self.field
+        n = self.dim
+        if len(v) != n:
+            raise ValueError(f"vector of length {len(v)} in an algebra of dim {n}")
+        left = [[f.zero] * n for _ in range(n)]
+        right = [[f.zero] * n for _ in range(n)]
+        as_right, as_left = self._constants_by_factor
+        for j, b in enumerate(v):
+            if f.is_zero(b):
+                continue
+            for outs, pairs in ((left, as_right[j]), (right, as_left[j])):
+                for i, terms in pairs:
+                    out = outs[i]
+                    for k, c in terms:
+                        out[k] = f.add(out[k], f.mul(b, c))
+        return tuple(map(tuple, left)), tuple(map(tuple, right))
+
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)
 
@@ -637,30 +676,46 @@ def is_ideal(algebra: FiniteAlgebra, space: Subspace) -> bool:
     if space.ambient_dim != algebra.dim:
         raise ValueError("subspace does not live in the algebra")
     for v in space.basis:
-        for i in range(algebra.dim):
-            e = algebra.basis_vector(i)
-            if not space.contains(algebra.mul(e, v)):
-                return False
-            if not space.contains(algebra.mul(v, e)):
-                return False
+        left, right = algebra.basis_multiples(v)
+        if not all(space.contains(w) for w in left + right):
+            return False
     return True
 
 
 def ideal_generate(algebra: FiniteAlgebra, generators: Iterable) -> Subspace:
-    """Smallest two-sided ideal containing the generators: span closure
-    under left/right multiplication, iterated to a fixed point."""
-    current = Subspace.span(algebra.field, algebra.dim, generators)
-    while True:
-        new_vectors = list(current.basis)
-        for v in current.basis:
-            for i in range(algebra.dim):
-                e = algebra.basis_vector(i)
-                new_vectors.append(algebra.mul(e, v))
-                new_vectors.append(algebra.mul(v, e))
-        nxt = Subspace.span(algebra.field, algebra.dim, new_vectors)
-        if nxt.dim == current.dim:
-            return nxt
-        current = nxt
+    """Smallest two-sided ideal containing the generators, by a worklist
+    closure: each queued vector is reduced against the echelon rows found
+    so far, and one that adds a row queues its products with every basis
+    element on both sides.  The rows then span a subspace holding the
+    generators and closed under both multiplications by the basis."""
+    f, n = algebra.field, algebra.dim
+    queue = [tuple(v) for v in generators]
+    for v in queue:
+        if len(v) != n:
+            raise ValueError(f"vector of length {len(v)} in ambient dim {n}")
+    seen = set(queue)
+    rows = {}    # pivot -> (row scaled to 1 there, its nonzero (column, entry))
+    while queue and len(rows) < n:
+        v = list(queue.pop())
+        for p in sorted(rows):
+            c = v[p]
+            if not f.is_zero(c):
+                for j, a in rows[p][1]:
+                    v[j] = f.sub(v[j], f.mul(c, a))
+        lead = next((j for j, a in enumerate(v) if not f.is_zero(a)), None)
+        if lead is None:
+            continue
+        inv = f.inv(v[lead])
+        row = tuple(f.mul(inv, a) for a in v)
+        rows[lead] = (row, tuple((j, a) for j, a in enumerate(row) if not f.is_zero(a)))
+        left, right = algebra.basis_multiples(row)
+        for w in left + right:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if len(rows) == n:
+        return Subspace.full(f, n)
+    return Subspace.span(f, n, [row for row, _ in rows.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -779,12 +834,32 @@ def enumerate_subspaces(field: Field, n: int):
 
 
 def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
-    """Brute-force oracle: every two-sided ideal, found by enumerating all
-    subspaces and filtering.  Guarded to small prime-field algebras."""
-    if not isinstance(algebra.field, PrimeField):
+    """Exhaustive oracle: every two-sided ideal, in the order of
+    enumerate_subspaces (by dimension, then pivot columns, then basis
+    entries).  An ideal is the sum of the principal ideals of its basis
+    vectors, so the ideals are the principal ideals <v> of the lines of
+    K^n, the first subspaces enumerate_subspaces yields, closed under
+    sums.  The work is one ideal_generate per line plus one span per
+    (ideal, principal ideal) pair: far less than filtering every subspace
+    when the ideal lattice is small, as for the crossed products the
+    oracle runs on, but more when most subspaces are ideals (zero
+    multiplication).  Guarded to small prime-field algebras."""
+    f, n = algebra.field, algebra.dim
+    if not isinstance(f, PrimeField):
         raise GuardError("ideal enumeration needs a prime field")
-    if algebra.dim > dim_limit:
+    if n > dim_limit:
         raise GuardError(
-            f"ideal enumeration guarded to dim <= {dim_limit}, got dim {algebra.dim}")
-    return [s for s in enumerate_subspaces(algebra.field, algebra.dim)
-            if is_ideal(algebra, s)]
+            f"ideal enumeration guarded to dim <= {dim_limit}, got dim {n}")
+    lines = itertools.islice(enumerate_subspaces(f, n), 1, (f.p ** n - 1) // (f.p - 1) + 1)
+    principal = list(dict.fromkeys(ideal_generate(algebra, line.basis) for line in lines))
+    found = {Subspace.zero(f, n), *principal}
+    frontier = list(principal)
+    while frontier:
+        ideal = frontier.pop()
+        for p in principal:
+            if not ideal.contains_space(p):
+                total = subspace_sum(ideal, p)
+                if total not in found:
+                    found.add(total)
+                    frontier.append(total)
+    return sorted(found, key=lambda s: (s.dim, s.pivots, s.basis))

@@ -18,8 +18,8 @@ from .exactlin import (
     GuardError,
     StructureError,
     check_algebra_hom,
+    lincomb,
     mat_from_columns,
-    mat_vec,
     rref,
     unit_vector,
 )
@@ -229,7 +229,7 @@ class SteinbergIso:
         self._verify()
 
     def apply(self, b) -> tuple:
-        return mat_vec(self.cp.field, self.matrix, b)
+        return lincomb(self.cp.field, b, self.images, self.cp.dim)
 
     def _verify(self):
         f = self.cp.field
@@ -455,7 +455,7 @@ class CrossedProductModel:
         self._verify()
 
     def apply(self, b) -> tuple:
-        return mat_vec(self.field, self.matrix, b)
+        return lincomb(self.field, b, self.images, self.groupoid.size)
 
     def _verify(self):
         f = self.field

@@ -1,5 +1,7 @@
 """Fell bundles, cross-sectional algebras, crossed products, covariant pairs."""
 
+import random
+
 import pytest
 
 from crossedideals import (
@@ -192,6 +194,18 @@ def test_local_units_exist_for_every_basis_element():
             assert cp.algebra.mul(phi, phi) == phi
             assert cp.algebra.mul(phi, b) == b
             assert cp.algebra.mul(b, phi) == b
+
+
+def test_local_units_of_random_elements_over_f3():
+    rng = random.Random(0)
+    f3 = GF(3)
+    for make in FIXTURES.values():
+        cp = crossed_product(make(), f3)
+        for _ in range(10):
+            b = tuple(rng.randrange(3) for _ in range(cp.dim))
+            phi = cp.local_unit(b)
+            assert cp.algebra.mul(phi, phi) == phi
+            assert cp.algebra.mul(phi, b) == b == cp.algebra.mul(b, phi)
 
 
 def test_local_unit_of_a_mixed_element():

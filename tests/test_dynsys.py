@@ -249,3 +249,18 @@ def test_identity_germ_is_shared_by_all_idempotents():
             assert len(germs) == 1
             iso = sys.isotropy_group(x)
             assert iso.members[iso.identity] == germs.pop()
+
+
+def test_member_index_finds_every_isotropy_germ_and_rejects_others():
+    for make in FIXTURES.values():
+        sys = make()
+        for x in range(sys.space_size):
+            iso = sys.isotropy_group(x)
+            for i, g in enumerate(iso.members):
+                assert iso.member_index(g) == i
+            outside = [Germ(s, y) for s in range(sys.semigroup.size)
+                       for y in range(sys.space_size)
+                       if Germ(s, y) not in iso.members]
+            for g in outside:
+                with pytest.raises(ValueError):
+                    iso.member_index(g)

@@ -1,5 +1,6 @@
 """Exact fields, canonical subspaces, finite algebras, ideals, representations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossedideals import (
+    FIXTURES,
     GF,
     QQ,
     FiniteAlgebra,
@@ -25,6 +27,7 @@ from crossedideals import (
     subspace_intersect,
     subspace_sum,
 )
+from crossedideals import crossed_product, exactlin
 from crossedideals.exactlin import (
     check_algebra_hom,
     lincomb,
@@ -37,10 +40,16 @@ from crossedideals.exactlin import (
 )
 
 from util import (
+    basis_multiples_reference,
+    brute_force_ideals,
     dense_check_associativity,
     dense_mul,
+    fixpoint_ideal_generate,
+    klein_four_system,
     matrix_units_algebra,
     matrix_units_table,
+    reference_is_ideal,
+    rotation_system,
     z2_algebra,
 )
 
@@ -242,6 +251,14 @@ def test_is_ideal_on_trivial_and_non_ideals():
     assert not is_ideal(alg, Subspace.span(F2, 4, [unit_vector(F2, 4, 0)]))
 
 
+def test_one_sided_ideals_are_not_two_sided():
+    alg = matrix_units_algebra(F3)
+    first_column = Subspace.span(F3, 4, [unit_vector(F3, 4, 0), unit_vector(F3, 4, 2)])
+    first_row = Subspace.span(F3, 4, [unit_vector(F3, 4, 0), unit_vector(F3, 4, 1)])
+    assert not is_ideal(alg, first_column)
+    assert not is_ideal(alg, first_row)
+
+
 def test_associativity_check_rejects_corrupted_table(monkeypatch):
     def product(self, u, v):
         raise RuntimeError("FiniteAlgebra.mul called")
@@ -294,11 +311,12 @@ MONOMIAL_TABLES = (((None,),), ((0,),), ((0, 1), (1, 0)), tuple(map(tuple, matri
 
 
 @st.composite
-def associative_tables(draw, field):
-    """A monomial algebra (zero, K, K[Z/2] or M_2(K)) written in a random
-    basis f_i = sum_a B[i][a] e_a, B = LU with unit-diagonal triangular L
-    and U, so that its structure constants have several terms."""
-    table = draw(st.sampled_from(MONOMIAL_TABLES))
+def associative_tables(draw, field, tables=MONOMIAL_TABLES):
+    """A monomial algebra (by default zero, K, K[Z/2] or M_2(K)) written in
+    a random basis f_i = sum_a B[i][a] e_a, B = LU with unit-diagonal
+    triangular L and U, so that its structure constants have several
+    terms."""
+    table = draw(st.sampled_from(tables))
     n = len(table)
     lower = [[field.one if a == i else draw(scalars(field)) if a < i else field.zero
               for a in range(n)] for i in range(n)]
@@ -509,3 +527,153 @@ def test_enumeration_guards():
         enumerate_ideals(z2_algebra(QQ))
     with pytest.raises(GuardError):
         list(enumerate_subspaces(QQ, 2))
+
+
+# ---------------------------------------------------------------------------
+# the principal-ideal oracle and the ideal closure against the references
+
+def random_vectors(data, field, n, max_size):
+    return data.draw(st.lists(st.tuples(*[scalars(field)] * n), max_size=max_size))
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_basis_multiples_and_is_ideal_match_dense_products(field, data):
+    n, products = data.draw(associative_tables(field))
+    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
+    v = data.draw(st.tuples(*[scalars(field)] * n))
+    left, right = alg.basis_multiples(v)
+    assert list(left + right) == basis_multiples_reference(alg, v)
+    space = Subspace.span(field, n, random_vectors(data, field, n, 3))
+    assert is_ideal(alg, space) == reference_is_ideal(alg, space)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ideal_generate_matches_the_fixpoint_reference(field, data):
+    n, products = data.draw(associative_tables(field))
+    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
+    generators = random_vectors(data, field, n, 3)
+    ideal = ideal_generate(alg, generators)
+    assert ideal == fixpoint_ideal_generate(alg, generators)
+    assert is_ideal(alg, ideal)
+
+
+def test_ideal_generate_edge_cases():
+    for field in SCALAR_FIELDS:
+        empty = FiniteAlgebra(field, (), {})
+        assert ideal_generate(empty, []) == Subspace.zero(field, 0) == Subspace.full(field, 0)
+        assert ideal_generate(empty, [()]) == Subspace.zero(field, 0)
+        alg = matrix_units_algebra(field)
+        assert ideal_generate(alg, []) == Subspace.zero(field, 4)
+        assert ideal_generate(alg, [zero_vector(field, 4)]) == Subspace.zero(field, 4)
+        with pytest.raises(ValueError):
+            ideal_generate(alg, [unit_vector(field, 4, 0), (field.one,) * 3])
+        with pytest.raises(ValueError):
+            alg.basis_multiples(())
+
+
+def upper_triangular_algebra(field) -> FiniteAlgebra:
+    """T_2: upper triangular 2 x 2 matrices on e11, e12, e22."""
+    return FiniteAlgebra.from_monomial_table(
+        field, ("e11", "e12", "e22"),
+        ((0, 1, None), (None, None, 1), (None, None, 2)))
+
+
+@pytest.mark.parametrize("field", (F2, F3), ids=str)
+def test_upper_triangular_ideals_match_brute_force(field):
+    alg = upper_triangular_algebra(field)
+    ideals = enumerate_ideals(alg)
+    assert ideals == brute_force_ideals(alg)
+    assert [i.basis for i in ideals] == [
+        (), ((0, 1, 0),), ((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+
+
+def test_noncommutative_group_algebra_ideals_match_brute_force():
+    perms = list(itertools.permutations(range(3)))
+    index = {g: i for i, g in enumerate(perms)}
+    table = tuple(tuple(index[tuple(g[h[k]] for k in range(3))] for h in perms)
+                  for g in perms)
+    alg = FiniteAlgebra.from_monomial_table(F2, tuple(map(str, perms)), table)
+    ideals = enumerate_ideals(alg)
+    assert ideals == brute_force_ideals(alg)
+    assert [i.dim for i in ideals] == [0, 1, 2, 4, 5, 6]
+
+
+ORACLE_SYSTEMS = {f"rot{n}on{d}": (lambda n=n, d=d: rotation_system(n, d))
+                  for n, d in ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2))}
+ORACLE_SYSTEMS.update(FIXTURES)
+ORACLE_SYSTEMS["klein4on1"] = klein_four_system
+
+
+# K[x, y]/(x, y)^2, K[Z/2 x Z/2] and the zero algebra on K^2 have ideals
+# that are not principal, such as (x, y); the oracle reaches them as sums
+NON_PRINCIPAL_TABLES = (
+    ((0, 1, 2), (1, None, None), (2, None, None)),
+    tuple(tuple(a ^ b for b in range(4)) for a in range(4)),
+    ((None, None), (None, None)),
+)
+
+
+def test_sums_of_principal_ideals_are_enumerated():
+    alg = FiniteAlgebra.from_monomial_table(F3, ("1", "x", "y"), NON_PRINCIPAL_TABLES[0])
+    ideals = enumerate_ideals(alg)
+    maximal = Subspace.span(F3, 3, [(0, 1, 0), (0, 0, 1)])
+    assert maximal in ideals
+    assert all(ideal_generate(alg, [v]) != maximal
+               for v in itertools.product(F3.elements(), repeat=3))
+    # 0, the four lines of (x, y), (x, y) itself and the whole algebra
+    assert len(ideals) == 7 and ideals == brute_force_ideals(alg)
+
+
+# the brute force runs through dim 6 over F2 and dim 5 over F3
+@pytest.mark.parametrize("name, p", [(name, p) for p in (2, 3) for name in sorted(ORACLE_SYSTEMS)
+                                     if (name, p) != ("rot6on1", 3)])
+def test_principal_ideal_oracle_lists_the_brute_force_ideals_in_order(name, p):
+    cp = crossed_product(ORACLE_SYSTEMS[name](), GF(p))
+    assert enumerate_ideals(cp.algebra) == brute_force_ideals(cp.algebra)
+
+
+@pytest.mark.parametrize("field", (F2, F3), ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_principal_ideal_oracle_on_basis_changed_algebras(field, data):
+    n, products = data.draw(associative_tables(field, MONOMIAL_TABLES + NON_PRINCIPAL_TABLES))
+    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
+    assert enumerate_ideals(alg) == brute_force_ideals(alg)
+
+
+def test_f3_cyclic_six_oracle_uses_principal_ideals_only(monkeypatch):
+    calls = {"ideal_generate": 0, "is_ideal": 0}
+
+    def counted(name):
+        original = getattr(exactlin, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(exactlin, name, wrapper)
+
+    counted("ideal_generate")
+    counted("is_ideal")
+    table = tuple(tuple((a + b) % 6 for b in range(6)) for a in range(6))
+    alg = FiniteAlgebra.from_monomial_table(F3, tuple(f"g{k}" for k in range(6)), table)
+    ideals = enumerate_ideals(alg)
+    # one ideal_generate per line of F3^6, (3^6 - 1) / 2 = 364
+    assert calls == {"ideal_generate": 364, "is_ideal": 0}
+    # F3[Z/6] = F3[x]/((x - 1)^3 (x + 1)^3): the ideals are generated by
+    # (x - 1)^a (x + 1)^b for 0 <= a, b <= 3
+    one, x = alg.basis_vector(0), alg.basis_vector(1)
+    minus, plus = lincomb(F3, [1, 2], [x, one], 6), lincomb(F3, [1, 1], [x, one], 6)
+    generators = []
+    for a in range(4):
+        for b in range(4):
+            g = one
+            for factor in [minus] * a + [plus] * b:
+                g = alg.mul(g, factor)
+            generators.append(g)
+    assert set(ideals) == {ideal_generate(alg, [g]) for g in generators}
+    assert [i.dim for i in ideals] == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 5, 5, 6]

@@ -1,6 +1,7 @@
 """Germ groupoids, convolution algebras, bisections, and the two
 isomorphism theorems tying them to crossed products."""
 
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ from crossedideals import (
     steinberg_as_crossed_product,
     steinberg_isomorphism,
 )
-from crossedideals.exactlin import unit_vector, zero_vector
+from crossedideals.exactlin import mat_vec, unit_vector, zero_vector
 from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
 
 from util import MATRIX_UNIT_POSITIONS, corrupt_hom_check, matrix_units_algebra, z2_algebra
@@ -256,6 +257,16 @@ def test_restrictions_commute_with_the_isomorphism():
                 iso.model, x, iso.apply(b), F2)
 
 
+def test_isomorphism_apply_is_the_permutation_matrix_product():
+    rng = random.Random(0)
+    for field in (F2, GF(3)):
+        for make in FIXTURES.values():
+            iso = steinberg_isomorphism(crossed_product(make(), field))
+            for _ in range(10):
+                b = tuple(rng.randrange(field.p) for _ in range(iso.cp.dim))
+                assert iso.apply(b) == mat_vec(field, iso.matrix, b)
+
+
 # ---------------------------------------------------------------------------
 # bisections
 
@@ -367,6 +378,15 @@ def test_model_reports_a_non_multiplicative_image_list(monkeypatch):
         steinberg_as_crossed_product(pair_groupoid(), F2)
     assert err.value.rule == "model-not-multiplicative"
     assert len(err.value.witness) == 2
+
+
+def test_model_apply_is_the_permutation_matrix_product():
+    rng = random.Random(0)
+    for groupoid in (one_unit_groupoid(), pair_groupoid(), z2_groupoid()):
+        model = steinberg_as_crossed_product(groupoid, GF(3))
+        for _ in range(10):
+            b = tuple(rng.randrange(3) for _ in range(groupoid.size))
+            assert model.apply(b) == mat_vec(model.field, model.matrix, b)
 
 
 def test_germ_groupoid_of_a_fixture_round_trips():

@@ -1,6 +1,14 @@
 """Shared constructions for the test suite."""
 
-from crossedideals import FiniteAlgebra, InverseSemigroup, StructureError
+from crossedideals import (
+    AmpleSystem,
+    FiniteAlgebra,
+    InverseSemigroup,
+    PartialBijection,
+    StructureError,
+    Subspace,
+    enumerate_subspaces,
+)
 
 
 def z2_semigroup() -> InverseSemigroup:
@@ -59,6 +67,61 @@ def dense_check_associativity(field, labels, products):
                                   dense_mul(field, products, n, basis[j], basis[k]))
                 if left != right:
                     raise StructureError("associativity", (labels[i], labels[j], labels[k]))
+
+
+def rotation_system(n: int, d: int) -> AmpleSystem:
+    """Z/n acting on Z/d (d divides n) by x -> x + k."""
+    sg = InverseSemigroup(
+        tuple(tuple((a + b) % n for b in range(n)) for a in range(n)),
+        tuple((-a) % n for a in range(n)),
+        ["1"] + [f"g{k}" for k in range(1, n)])
+    theta = [PartialBijection({x: (x + k) % d for x in range(d)}) for k in range(n)]
+    return AmpleSystem(sg, d, theta, [f"p{x}" for x in range(d)])
+
+
+def klein_four_system() -> AmpleSystem:
+    """Z/2 x Z/2 fixing one point; over F2 its crossed product, the group
+    algebra, has an ideal that is not principal."""
+    sg = InverseSemigroup(tuple(tuple(a ^ b for b in range(4)) for a in range(4)),
+                          (0, 1, 2, 3), ("1", "a", "b", "ab"))
+    return AmpleSystem(sg, 1, [PartialBijection({0: 0})] * 4, ["x"])
+
+
+def basis_multiples_reference(algebra, v):
+    """e_i v and v e_i for every basis index i, by dense_mul."""
+    f, n = algebra.field, algebra.dim
+    basis = [tuple(f.one if j == i else f.zero for j in range(n)) for i in range(n)]
+    return ([dense_mul(f, algebra.products, n, e, v) for e in basis]
+            + [dense_mul(f, algebra.products, n, v, e) for e in basis])
+
+
+def reference_is_ideal(algebra, space) -> bool:
+    """Closure of the basis of space under both multiplications by every
+    basis element, with dense products."""
+    return all(space.contains(w) for v in space.basis
+               for w in basis_multiples_reference(algebra, v))
+
+
+def brute_force_ideals(algebra):
+    """Reference oracle: every subspace of K^n, filtered by the ideal
+    test, in the order of enumerate_subspaces."""
+    return [s for s in enumerate_subspaces(algebra.field, algebra.dim)
+            if reference_is_ideal(algebra, s)]
+
+
+def fixpoint_ideal_generate(algebra, generators) -> Subspace:
+    """Reference ideal closure: span the generators and all their products
+    with the basis on both sides, and repeat until the dimension stops
+    growing."""
+    current = Subspace.span(algebra.field, algebra.dim, generators)
+    while True:
+        vectors = list(current.basis)
+        for v in current.basis:
+            vectors += basis_multiples_reference(algebra, v)
+        nxt = Subspace.span(algebra.field, algebra.dim, vectors)
+        if nxt.dim == current.dim:
+            return nxt
+        current = nxt
 
 
 def corrupt_hom_check(monkeypatch, module, rule):
