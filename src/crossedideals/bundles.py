@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .dynsys import AmpleSystem, PartialBijection
 from .exactlin import (
+    AssociativityError,
     Field,
     FiniteAlgebra,
     QuotientMap,
@@ -35,7 +37,9 @@ from .exactlin import (
     mat_from_columns,
     mat_lincomb,
     mat_mul,
+    mat_vec,
     rref,
+    sparse_combination,
     subspace_intersect,
     unit_vector,
     vec_is_zero,
@@ -63,7 +67,11 @@ class NotAFellBundle(StructureError):
 
 
 class FellBundle:
-    """Structure constants of a Fell bundle over an inverse semigroup."""
+    """Structure constants of a Fell bundle over an inverse semigroup.
+
+    The fibers are laid end to end in element order: fiber s starts at
+    offsets[s] in the total space, and label_pairs[g] = (s, i) names the
+    fiber and fiber index of the g-th total basis vector."""
 
     def __init__(self, semigroup: InverseSemigroup, field: Field, fiber_labels,
                  mu, order_maps):
@@ -99,6 +107,13 @@ class FellBundle:
         for (s, t) in order:
             if (t, s) not in self.order_maps:
                 raise ValueError(f"missing inclusion for order pair {s} <= {t}")
+        self.label_pairs = tuple(
+            (s, i) for s in range(semigroup.size) for i in range(self.fiber_dim(s)))
+        offsets, acc = [], 0
+        for s in range(semigroup.size):
+            offsets.append(acc)
+            acc += self.fiber_dim(s)
+        self.offsets = tuple(offsets)
 
     def fiber_dim(self, s: int) -> int:
         return len(self.fiber_labels[s])
@@ -133,13 +148,29 @@ class FellBundle:
         """j_{t,s} applied to a vector of B_s (s <= t)."""
         if s == t:
             return tuple(v)
-        m = self.order_maps[(t, s)]
-        return tuple(
-            sum_terms(self.field, (self.field.mul(row[i], v[i]) for i in range(len(v))))
-            for row in m
-        )
+        return mat_vec(self.field, self.order_maps[(t, s)], v)
+
+    @cached_property
+    def total(self) -> FiniteAlgebra:
+        """The direct sum of the fibers with the bundle multiplication: the
+        mu constants placed at the fiber offsets.  Building it checks
+        associativity, which raises AssociativityError on failure."""
+        products = {}
+        for (s, t), entries in self.mu.items():
+            st = self.semigroup.product(s, t)
+            for (i, j), terms in entries.items():
+                gi, gj = self.offsets[s] + i, self.offsets[t] + j
+                products[(gi, gj)] = tuple((self.offsets[st] + k, c) for k, c in terms)
+        labels = [lbl for per in self.fiber_labels for lbl in per]
+        return FiniteAlgebra(self.field, labels, products)
 
     def validate(self) -> ValidationReport:
+        """Check the bundle axioms in a fixed order, returning the first
+        failure with its witness.  Fiber associativity is the associativity
+        of the total algebra, checked by FiniteAlgebra when total is first
+        built.  That check visits basis triples in (r, i, s, j, t, k) order;
+        its first failing triple is mapped back by global index and
+        reported as (r, s, t, i, j, k)."""
         sg, f = self.semigroup, self.field
         n = sg.size
         # inclusions are injective
@@ -149,21 +180,12 @@ class FellBundle:
             if rank != self.fiber_dim(s):
                 return ValidationReport.failed("inclusion-injective", (sg.name(s), sg.name(t)))
         # multiplication is associative fiberwise
-        for r in range(n):
-            for s in range(n):
-                rs = sg.product(r, s)
-                for t in range(n):
-                    st = sg.product(s, t)
-                    for i in range(self.fiber_dim(r)):
-                        for j in range(self.fiber_dim(s)):
-                            left_inner = self.mu_terms(r, s, i, j)
-                            for k in range(self.fiber_dim(t)):
-                                lhs = self._combine(rs, t, left_inner, k, left_slot=True)
-                                rhs = self._combine(r, st, self.mu_terms(s, t, j, k), i, left_slot=False)
-                                if lhs != rhs:
-                                    return ValidationReport.failed(
-                                        "fiber-associativity",
-                                        (sg.name(r), sg.name(s), sg.name(t), i, j, k))
+        try:
+            self.total  # built once, with its associativity check
+        except AssociativityError as err:
+            (r, i), (s, j), (t, k) = (self.label_pairs[g] for g in err.indices)
+            return ValidationReport.failed(
+                "fiber-associativity", (sg.name(r), sg.name(s), sg.name(t), i, j, k))
         # B_s B_{s*} B_s spans B_s
         for s in range(n):
             sstar = sg.inv(s)
@@ -194,8 +216,10 @@ class FellBundle:
                         if via != direct:
                             return ValidationReport.failed(
                                 "inclusion-transitivity", (sg.name(r), sg.name(s), sg.name(t)))
-        # inclusions are multiplicative against mu
+        # inclusions are multiplicative against mu: j(a) j(b) = j(ab) on
+        # basis vectors a, b, formed from the nonzero entries alone
         pairs = _order_with_diagonal(sg)
+        columns = self._inclusion_columns()
         for (r, rp) in pairs:
             for (s, sp) in pairs:
                 if r == rp and s == sp:
@@ -204,28 +228,32 @@ class FellBundle:
                 if rs != rpsp and not sg.leq(rs, rpsp):
                     return ValidationReport.failed(
                         "order-multiplication", (sg.name(r), sg.name(s)))
+                up_r, up_s, down = columns[(rp, r)], columns[(sp, s)], columns[(rpsp, rs)]
                 for i in range(self.fiber_dim(r)):
-                    a = unit_vector(f, self.fiber_dim(r), i)
                     for j in range(self.fiber_dim(s)):
-                        b = unit_vector(f, self.fiber_dim(s), j)
-                        upper = self.mu_apply(rp, sp, self.include(rp, r, a), self.include(sp, s, b))
-                        lower = self.include(rpsp, rs, self.mu_apply(r, s, a, b))
+                        upper = sparse_combination(
+                            f, [(f.mul(a, b), self.mu_terms(rp, sp, x, y))
+                                for x, a in up_r[i] for y, b in up_s[j]])
+                        lower = sparse_combination(
+                            f, [(c, down[m]) for m, c in self.mu_terms(r, s, i, j)])
                         if upper != lower:
                             return ValidationReport.failed(
                                 "inclusion-multiplicative",
                                 (sg.name(r), sg.name(rp), sg.name(s), sg.name(sp)))
         return ValidationReport.passed()
 
-    def _combine(self, s: int, t: int, terms, fixed: int, *, left_slot: bool) -> tuple:
-        """Sum of c * mu_{s,t}(m, fixed) or mu_{s,t}(fixed, m) over (m, c)."""
+    def _inclusion_columns(self) -> dict:
+        """{(t, s): columns} for every order pair s <= t and every s = t,
+        where columns[i] lists the nonzero entries ((row, entry), ...) of
+        j_{t,s} applied to the i-th basis vector of B_s."""
         f = self.field
-        target = self.semigroup.product(s, t)
-        out = [f.zero] * self.fiber_dim(target)
-        for m, c in terms:
-            pair = (m, fixed) if left_slot else (fixed, m)
-            for k, d in self.mu.get((s, t), {}).get(pair, ()):
-                out[k] = f.add(out[k], f.mul(c, d))
-        return tuple(out)
+        columns = {(s, s): tuple(((i, f.one),) for i in range(self.fiber_dim(s)))
+                   for s in range(self.semigroup.size)}
+        for (t, s), m in self.order_maps.items():
+            columns[(t, s)] = tuple(
+                tuple((r, row[c]) for r, row in enumerate(m) if not f.is_zero(row[c]))
+                for c in range(self.fiber_dim(s)))
+        return columns
 
 
 def _order_with_diagonal(sg: InverseSemigroup):
@@ -234,11 +262,16 @@ def _order_with_diagonal(sg: InverseSemigroup):
     return pairs
 
 
-def sum_terms(field: Field, terms):
-    acc = field.zero
-    for t in terms:
-        acc = field.add(acc, t)
-    return acc
+def _nonzero(field: Field, v) -> tuple:
+    return tuple((j, a) for j, a in enumerate(v) if not field.is_zero(a))
+
+
+def _sparse_product(algebra: FiniteAlgebra, u, v) -> dict:
+    """u v for vectors given by their nonzero entries ((index, entry), ...),
+    as {k: entry} with zero entries dropped."""
+    f = algebra.field
+    return sparse_combination(
+        f, [(f.mul(a, b), algebra.products.get((i, j), ())) for i, a in u for j, b in v])
 
 
 # ---------------------------------------------------------------------------
@@ -277,27 +310,44 @@ class AlgebraAction:
         for e in sg.idempotents:
             if not is_ideal(alg, self.domains[e]):
                 return ValidationReport.failed("domain-ideal", (sg.name(e),))
+        ranges = [self.range_space(s) for s in range(sg.size)]
         for s in range(sg.size):
             target = self.domains[sg.product(s, sg.inv(s))]
-            image = self.range_space(s)
-            if image != target or image.dim != self.domains[s].dim:
+            if ranges[s] != target or ranges[s].dim != self.domains[s].dim:
                 return ValidationReport.failed("map-bijection", (sg.name(s),))
+        # alpha_s(u v) = alpha_s(u) alpha_s(v) on basis pairs of the domain,
+        # from the nonzero entries alone; u v has its domain coordinates at
+        # the pivots, and its residue after them must vanish
         for s in range(sg.size):
-            basis = self.domains[s].basis
-            for u in basis:
-                for v in basis:
-                    lhs = self.apply(s, alg.mul(u, v))
-                    rhs = alg.mul(self.apply(s, u), self.apply(s, v))
-                    if lhs != rhs:
+            domain = self.domains[s]
+            basis = [_nonzero(f, u) for u in domain.basis]
+            images = [_nonzero(f, w) for w in self.maps[s]]
+            for a, u in enumerate(basis):
+                for b, v in enumerate(basis):
+                    uv = _sparse_product(alg, u, v)
+                    coords = [(uv[p], c) for c, p in enumerate(domain.pivots) if p in uv]
+                    residue = sparse_combination(
+                        f, [(f.one, tuple(uv.items()))]
+                        + [(f.neg(x), basis[c]) for x, c in coords])
+                    if residue:
+                        raise ValueError("vector not in subspace")
+                    lhs = sparse_combination(f, [(x, images[c]) for x, c in coords])
+                    if lhs != _sparse_product(alg, images[a], images[b]):
                         return ValidationReport.failed("map-multiplicative", (sg.name(s),))
         for s in range(sg.size):
             for u in self.domains[s].basis:
                 if self.apply(sg.inv(s), self.apply(s, u)) != u:
                     return ValidationReport.failed("map-inverse", (sg.name(s),))
+        # dom(s) and ran(t) are the ideals of s* s and t t*, so the same
+        # pair of subspaces recurs; each intersection is formed once
+        overlaps = {}
         for s in range(sg.size):
             for t in range(sg.size):
                 st = sg.product(s, t)
-                overlap = subspace_intersect(self.domains[s], self.range_space(t))
+                pair = (self.domains[s], ranges[t])
+                if pair not in overlaps:
+                    overlaps[pair] = subspace_intersect(*pair)
+                overlap = overlaps[pair]
                 pulled = Subspace.span(f, alg.dim,
                                        [self.apply(sg.inv(t), v) for v in overlap.basis])
                 if pulled != self.domains[st]:
@@ -366,8 +416,9 @@ def semidirect_bundle(action: AlgebraAction,
 # cross-sectional algebra
 
 class CrossSectionalAlgebra:
-    """Direct sum of the fibers with the bundle multiplication, the
-    redundancy ideal N, and the quotient by N.
+    """Direct sum of the fibers with the bundle multiplication (the
+    bundle's own total algebra, built and checked once), the redundancy
+    ideal N, and the quotient by N.
 
     The quotient basis consists of the cosets of the basis labels that are
     not pivotal in N's reduced basis (the canonical complement)."""
@@ -375,21 +426,10 @@ class CrossSectionalAlgebra:
     def __init__(self, bundle: FellBundle):
         self.bundle = bundle
         sg, f = bundle.semigroup, bundle.field
-        self.offsets = []
-        labels = []
-        self.label_pairs = []
-        for s in range(sg.size):
-            self.offsets.append(len(labels))
-            for i, lbl in enumerate(bundle.fiber_labels[s]):
-                labels.append(lbl)
-                self.label_pairs.append((s, i))
-        products = {}
-        for (s, t), entries in bundle.mu.items():
-            st = sg.product(s, t)
-            for (i, j), terms in entries.items():
-                gi, gj = self.offsets[s] + i, self.offsets[t] + j
-                products[(gi, gj)] = tuple((self.offsets[st] + k, c) for k, c in terms)
-        self.total = FiniteAlgebra(f, labels, products)
+        self.offsets = bundle.offsets
+        self.label_pairs = bundle.label_pairs
+        self.total = bundle.total
+        labels = self.total.labels
         gens = []
         for (s, t) in sg.order_pairs():
             for i in range(bundle.fiber_dim(s)):
@@ -413,6 +453,8 @@ class CrossSectionalAlgebra:
         qproducts = {}
         for a, ga in enumerate(self.qmap.coset_positions):
             for b, gb in enumerate(self.qmap.coset_positions):
+                if (ga, gb) not in self.total.products:
+                    continue  # a zero product projects to zero
                 prod = self.total.basis_product(ga, gb)
                 terms = tuple(
                     (k, c) for k, c in enumerate(self.qmap.project(prod))

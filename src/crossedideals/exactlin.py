@@ -27,6 +27,16 @@ class StructureError(ValueError):
         super().__init__(message or f"{rule}: witness {witness!r}")
 
 
+class AssociativityError(StructureError):
+    """An associativity failure at the basis triple indices = (i, j, k).
+    The witness holds the labels of the triple; the indices stay exact
+    where labels repeat."""
+
+    def __init__(self, indices: tuple, labels: Sequence):
+        self.indices = indices
+        super().__init__("associativity", tuple(labels[m] for m in indices))
+
+
 class GuardError(ValueError):
     """A size guard was exceeded; the offending size is in the message."""
 
@@ -499,7 +509,9 @@ class FiniteAlgebra:
 
     products maps a basis index pair (i, j) to a sparse vector
     ((k, coeff), ...); omitted pairs multiply to zero.  Associativity is
-    checked on every basis triple at construction.
+    checked on every basis triple at construction, by one kernel over the
+    nonzero structure constants; a failure raises AssociativityError,
+    which carries the failing triple by index as well as by label.
     """
 
     def __init__(self, field: Field, labels: Sequence, products):
@@ -616,9 +628,18 @@ class FiniteAlgebra:
         two sides are sum c_m (e_m e_k) and sum d_m (e_i e_m), formed from
         the nonzero structure constants alone.  A side is zero at every k
         outside the rows e_m e_* it sums, so only the k in those rows can
-        fail; every other triple is equal, both sides being zero."""
-        f = self.field
+        fail; every other triple is equal, both sides being zero.
+
+        When every constant is one term with coefficient one (a monomial
+        table, as for K^X, group, groupoid and crossed-product algebras),
+        each side is zero or a single basis vector, so the same triples are
+        compared as basis indices with no field arithmetic."""
         products = self.products
+        rows = _index_rows(self.field, self.dim, products)
+        if rows is not None:
+            self._check_index_associativity(rows)
+            return
+        f = self.field
         row_support = [set() for _ in range(self.dim)]
         for i, j in products:
             row_support[i].add(j)
@@ -629,19 +650,42 @@ class FiniteAlgebra:
                 for m, _ in pij:
                     ks |= row_support[m]
                 for k in sorted(ks):
-                    left = _sparse_combination(
+                    left = sparse_combination(
                         f, [(c, products.get((m, k), ())) for m, c in pij])
-                    right = _sparse_combination(
+                    right = sparse_combination(
                         f, [(d, products.get((i, m), ()))
                             for m, d in products.get((j, k), ())])
                     if left != right:
-                        raise StructureError(
-                            "associativity",
-                            (self.labels[i], self.labels[j], self.labels[k]),
-                        )
+                        raise AssociativityError((i, j, k), self.labels)
+
+    def _check_index_associativity(self, rows):
+        """The monomial branch: rows[i][j] = k for e_i e_j = e_k.  Visits
+        the triples and k-sets of the general branch, in the same order."""
+        for i in range(self.dim):
+            row_i = rows[i]
+            for j in range(self.dim):
+                row_j = rows[j]
+                ij = row_i.get(j)
+                row_ij = rows[ij] if ij is not None else {}
+                for k in sorted(row_j.keys() | row_ij.keys()):
+                    jk = row_j.get(k)
+                    if row_ij.get(k) != (None if jk is None else row_i.get(jk)):
+                        raise AssociativityError((i, j, k), self.labels)
 
 
-def _sparse_combination(field: Field, scaled) -> dict:
+def _index_rows(field: Field, dim: int, products) -> list | None:
+    """rows[i] = {j: k} when every structure constant is the single term
+    e_i e_j = 1 * e_k, else None."""
+    one = field.one
+    rows = [{} for _ in range(dim)]
+    for (i, j), terms in products.items():
+        if len(terms) != 1 or terms[0][1] != one:
+            return None
+        rows[i][j] = terms[0][0]
+    return rows
+
+
+def sparse_combination(field: Field, scaled) -> dict:
     """sum c * terms over the (c, terms) pairs, where terms is a structure
     constant ((k, coeff), ...), as {k: entry} with zero entries dropped."""
     acc = {}

@@ -3,13 +3,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossedideals import (
     GF,
     QQ,
+    AlgebraAction,
+    AmpleSystem,
     CovariantRep,
     FellBundle,
+    FiniteAlgebra,
+    InverseSemigroup,
     NotAFellBundle,
+    PartialBijection,
     Representation,
     StructureError,
     Subspace,
@@ -26,7 +33,7 @@ from crossedideals import (
     unitization_isomorphism,
 )
 from crossedideals import bundles
-from crossedideals.exactlin import mat_mul, unit_vector, zero_vector
+from crossedideals.exactlin import lincomb, mat_from_columns, mat_mul, rref, unit_vector, zero_vector
 from crossedideals.fixtures import (
     FIXTURES,
     brandt_system,
@@ -36,9 +43,10 @@ from crossedideals.fixtures import (
     trivial_system,
 )
 
-from util import corrupt_hom_check
+from util import corrupt_hom_check, dense_fiber_associativity, matrix_units_algebra
 
 F2 = GF(2)
+F3 = GF(3)
 
 
 def flip_bundle(field=F2):
@@ -78,6 +86,209 @@ def test_zero_inclusion_map_fails_injectivity():
     assert not report.ok
     assert report.rule == "inclusion-injective"
     assert report.witness == ("e", "1")
+
+
+# ---------------------------------------------------------------------------
+# every bundle and action rule fails closed on a corrupted input
+
+def corrupted_bundle(bundle, mu_changes=(), order_maps=None, fiber_labels=None):
+    """A copy of the bundle with mu[(s, t)][(i, j)] set to the given terms
+    (None removes the constant), and optionally new inclusions or labels."""
+    mu = {key: dict(entries) for key, entries in bundle.mu.items()}
+    for (s, t, i, j), terms in mu_changes:
+        if terms is None:
+            mu[(s, t)].pop((i, j), None)
+        else:
+            mu.setdefault((s, t), {})[(i, j)] = terms
+    return FellBundle(bundle.semigroup, bundle.field,
+                      fiber_labels or bundle.fiber_labels, mu,
+                      bundle.order_maps if order_maps is None else order_maps)
+
+
+# Two fibers of dimension 2: the bundle's (r, s, t, i, j, k) order and the
+# total algebra's (r, i, s, j, t, k) order find different first triples.
+# The witness is the total algebra's, mapped back to (r, s, t, i, j, k).
+FLIP_ASSOCIATIVITY_CORRUPTIONS = [
+    # b|g a|1 = 2 b|g: one term, coefficient 2 (the general kernel branch)
+    ((1, 0, 1, 0), ((1, 2),), ("g", "g", "1", 0, 1, 0), ("g", "1", "1", 1, 0, 0)),
+    # b|g a|1 = 0: still monomial (the index branch)
+    ((1, 0, 1, 0), None, ("g", "g", "1", 0, 1, 0), ("g", "1", "g", 1, 0, 0)),
+    # a|1 b|1 = b|1 added
+    ((0, 0, 0, 1), ((1, 1),), ("1", "1", "g", 0, 1, 1), ("1", "1", "1", 1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("change, terms, witness, bundle_order_witness",
+                         FLIP_ASSOCIATIVITY_CORRUPTIONS)
+def test_fiber_associativity_witness_follows_the_total_algebra(
+        change, terms, witness, bundle_order_witness):
+    bundle = corrupted_bundle(flip_bundle(F3), [(change, terms)])
+    report = bundle.validate()
+    assert (report.ok, report.rule, report.witness) == (False, "fiber-associativity", witness)
+    assert dense_fiber_associativity(bundle, total_order=True) == witness
+    assert dense_fiber_associativity(bundle, total_order=False) == bundle_order_witness
+
+
+def test_fiber_associativity_witness_is_mapped_back_by_index():
+    change, terms, witness, _ = FLIP_ASSOCIATIVITY_CORRUPTIONS[0]
+    bundle = corrupted_bundle(flip_bundle(F3), [(change, terms)],
+                              fiber_labels=[("x", "x"), ("x", "x")])
+    report = bundle.validate()
+    assert (report.rule, report.witness) == ("fiber-associativity", witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_corrupted_bundles_fail_at_the_reference_triple(data):
+    field = data.draw(st.sampled_from((F2, F3)))
+    system = data.draw(st.sampled_from(sorted(FIXTURES)))
+    bundle = semidirect_bundle(function_action(FIXTURES[system](), field))
+    sg = bundle.semigroup
+    changes = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        s, t = data.draw(st.integers(0, sg.size - 1)), data.draw(st.integers(0, sg.size - 1))
+        dims = bundle.fiber_dim(s), bundle.fiber_dim(t), bundle.fiber_dim(sg.product(s, t))
+        if 0 in dims:
+            continue
+        i, j = data.draw(st.integers(0, dims[0] - 1)), data.draw(st.integers(0, dims[1] - 1))
+        terms = data.draw(st.lists(st.tuples(st.integers(0, dims[2] - 1),
+                                             st.integers(0, field.p - 1)), max_size=2))
+        changes.append(((s, t, i, j), tuple(terms)))
+    corrupted = corrupted_bundle(bundle, changes)
+    report = corrupted.validate()
+    expected = dense_fiber_associativity(corrupted, total_order=True)
+    if expected is None:
+        assert report.rule != "fiber-associativity"
+    else:
+        assert (report.rule, report.witness) == ("fiber-associativity", expected)
+
+
+def test_fiber_span_failure_names_the_deficient_fiber():
+    # y|1 y|1 = 0 leaves B_1 B_1 B_1 = span{x|1}, rank 1 of 2
+    bundle = corrupted_bundle(semidirect_bundle(function_action(semilattice_system(), F2)),
+                              [((0, 0, 1, 1), None)])
+    report = bundle.validate()
+    assert (report.ok, report.rule, report.witness) == (False, "fiber-span", ("1", 1))
+
+
+def test_inclusion_multiplicative_failure_names_both_order_pairs():
+    # j(b) = 2b for e <= 1 over F3: injective, but j(a) j(b) = 4ab != 2ab
+    bundle = semidirect_bundle(function_action(semilattice_system(), F3))
+    (key,) = bundle.order_maps
+    doubled = {key: tuple(tuple(F3.mul(2, a) for a in row) for row in bundle.order_maps[key])}
+    report = corrupted_bundle(bundle, order_maps=doubled).validate()
+    assert (report.ok, report.rule, report.witness) == (
+        False, "inclusion-multiplicative", ("e", "e", "e", "1"))
+
+
+def test_action_map_multiplicative_failure():
+    # alpha_g: a -> a + b, b -> b is a bijection of K^2 but not multiplicative
+    action = function_action(flip_system(), F3)
+    maps = list(action.maps)
+    maps[1] = ((1, 1), (0, 1))
+    report = AlgebraAction(action.semigroup, action.algebra, action.domains, maps).validate()
+    assert (report.ok, report.rule, report.witness) == (False, "map-multiplicative", ("g",))
+
+
+def test_action_composition_domain_failure():
+    # e and f restrict K^{x, y} to x and to y; their product z must then
+    # act on dom(e) cap dom(f) = 0, but is given dom(z) = span{x}
+    sg = InverseSemigroup(((0, 2, 2), (2, 1, 2), (2, 2, 2)), (0, 1, 2), ("e", "f", "z"))
+    assert sg.validate().ok
+    algebra = FiniteAlgebra.from_monomial_table(F3, ("x", "y"), ((0, None), (None, 1)))
+    x, y = unit_vector(F3, 2, 0), unit_vector(F3, 2, 1)
+    domains = [Subspace.span(F3, 2, [v]) for v in (x, y, x)]
+    report = AlgebraAction(sg, algebra, domains, ((x,), (y,), (x,))).validate()
+    assert (report.ok, report.rule, report.witness) == (False, "composition-domain", ("e", "f"))
+
+
+def rebased_bundle(bundle, rng):
+    """The same bundle in a new basis f_a = sum_b P[a][b] e_b of every fiber,
+    P unit upper triangular with random entries, so that its mu constants
+    have several terms and its inclusions are no longer 0/1 columns."""
+    f, sg = bundle.field, bundle.semigroup
+    change, inverse = [], []
+    for s in range(sg.size):
+        d = bundle.fiber_dim(s)
+        p = [tuple(f.one if b == a else f.of(rng.randrange(3)) if b > a else f.zero
+                   for b in range(d)) for a in range(d)]
+        change.append(p)
+        inverse.append([row[d:] for row in rref(f, [p[a] + unit_vector(f, d, a)
+                                                    for a in range(d)])[0]])
+
+    def new_coords(s, v):  # v = sum_a c_a f_a in old coordinates -> c
+        return lincomb(f, v, inverse[s], bundle.fiber_dim(s))
+
+    mu = {}
+    for s in range(sg.size):
+        for t in range(sg.size):
+            st = sg.product(s, t)
+            for a, u in enumerate(change[s]):
+                for b, v in enumerate(change[t]):
+                    w = new_coords(st, bundle.mu_apply(s, t, u, v))
+                    terms = tuple((k, c) for k, c in enumerate(w) if not f.is_zero(c))
+                    if terms:
+                        mu.setdefault((s, t), {})[(a, b)] = terms
+    order_maps = {
+        (t, s): mat_from_columns(f, [new_coords(t, bundle.include(t, s, u))
+                                     for u in change[s]], bundle.fiber_dim(t))
+        for (t, s) in bundle.order_maps}
+    return FellBundle(sg, f, bundle.fiber_labels, mu, order_maps)
+
+
+def wide_semilattice_system():
+    """{1, e} on three points, e restricting to two: B_e has dimension 2."""
+    sg = InverseSemigroup(((0, 1), (1, 1)), (0, 1), ("1", "e"))
+    theta = (PartialBijection.identity([0, 1, 2]), PartialBijection.identity([0, 1]))
+    return AmpleSystem(sg, 3, theta, ("x", "y", "z"))
+
+
+REBASED_SYSTEMS = {**FIXTURES, "wide-semilattice": wide_semilattice_system}
+
+
+@pytest.mark.parametrize("system", sorted(REBASED_SYSTEMS))
+def test_rebased_bundles_validate_and_fail_closed(system):
+    bundle = rebased_bundle(
+        semidirect_bundle(function_action(REBASED_SYSTEMS[system](), F3)),
+        random.Random(system))
+    assert bundle.validate().ok
+    if any(bundle.fiber_dim(s) for (_, s) in bundle.order_maps):
+        doubled = {key: tuple(tuple(F3.mul(2, a) for a in row) for row in m)
+                   for key, m in bundle.order_maps.items()}
+        report = corrupted_bundle(bundle, order_maps=doubled).validate()
+        assert report.rule == "inclusion-multiplicative"
+
+
+def test_action_map_multiplicative_failure_on_a_noncommutative_algebra():
+    # transposition of M_2 is a bijection that reverses products
+    algebra = matrix_units_algebra(F3)
+    sg = InverseSemigroup(((0,),), (0,), ("e",))
+    transpose = [unit_vector(F3, 4, k) for k in (0, 2, 1, 3)]
+    action = AlgebraAction(sg, algebra, (Subspace.full(F3, 4),), (transpose,))
+    report = action.validate()
+    assert (report.ok, report.rule, report.witness) == (False, "map-multiplicative", ("e",))
+
+
+# ---------------------------------------------------------------------------
+# one associativity check per algebra
+
+def test_crossed_product_checks_associativity_once_per_algebra(monkeypatch):
+    checked = []
+    check = FiniteAlgebra._check_associativity
+
+    def recording(self):
+        checked.append(self)
+        return check(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "_check_associativity", recording)
+    cp = crossed_product(flip_system(), F2)
+    assert [alg.dim for alg in checked] == [2, 4, 4]
+    function_alg, total, quotient = checked
+    assert function_alg.labels == ("a", "b")
+    assert total is cp.bundle.total is cp.sections.total
+    assert quotient is cp.algebra
+    assert cp.bundle.validate().ok
+    assert len(checked) == 3  # a second validate reuses the checked total
 
 
 # ---------------------------------------------------------------------------

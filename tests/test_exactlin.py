@@ -40,6 +40,7 @@ from crossedideals.exactlin import (
 )
 
 from util import (
+    MATRIX_UNIT_POSITIONS,
     basis_multiples_reference,
     brute_force_ideals,
     dense_check_associativity,
@@ -387,6 +388,142 @@ def test_perturbed_associative_tables_fail_at_the_reference_witness(field, data)
     extra = data.draw(st.tuples(index, scalars(field)))
     products[pair] = products[pair] + (extra,)
     assert_same_associativity_verdict(field, n, products)
+
+
+# ---------------------------------------------------------------------------
+# the index branch of the associativity kernel
+
+def _cyclic(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def _brandt_two():
+    """B_2 with zero 0 and e11, e12, e21, e22 at 1..4."""
+    table = [[0] * 5 for _ in range(5)]
+    for (a, b), i in MATRIX_UNIT_POSITIONS.items():
+        for (c, d), j in MATRIX_UNIT_POSITIONS.items():
+            if b == c:
+                table[i + 1][j + 1] = MATRIX_UNIT_POSITIONS[(a, d)] + 1
+    return table
+
+
+def _z2_and_pair_groupoid():
+    """The disjoint union of Z/2 (at 0, 1) and the pair groupoid on two
+    points (matrix units at 2..5): a partial table."""
+    table = [[None] * 6 for _ in range(6)]
+    for a in range(2):
+        for b in range(2):
+            table[a][b] = a ^ b
+    for i, row in enumerate(matrix_units_table()):
+        for j, k in enumerate(row):
+            if k is not None:
+                table[i + 2][j + 2] = k + 2
+    return table
+
+
+# Semigroup tables (every product defined) and groupoid tables (partial).
+ASSOCIATIVE_INDEX_TABLES = (
+    *(_cyclic(n) for n in range(1, 5)),
+    [[a] * 3 for a in range(3)],                        # left zero
+    [[0] * 3 for _ in range(3)],                        # null, zero at 0
+    [[min(a, b) for b in range(4)] for a in range(4)],  # chain semilattice
+    [[a ^ b for b in range(4)] for a in range(4)],      # Z/2 x Z/2
+    _brandt_two(),
+    matrix_units_table(),                               # pair groupoid
+    _z2_and_pair_groupoid(),
+)
+
+
+@st.composite
+def index_tables(draw):
+    """A random partial index table on 1-4 elements, or an associative
+    table above with its basis permuted, perturbed at one entry or not."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        entry = st.one_of(st.none(), st.integers(0, n - 1))
+        return [[draw(entry) for _ in range(n)] for _ in range(n)]
+    source = draw(st.sampled_from(ASSOCIATIVE_INDEX_TABLES))
+    n = len(source)
+    perm = draw(st.permutations(range(n)))
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            k = source[i][j]
+            table[perm[i]][perm[j]] = None if k is None else perm[k]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    return table
+
+
+def monomial_products(field, table):
+    return {(i, j): ((k, field.one),)
+            for i, row in enumerate(table) for j, k in enumerate(row) if k is not None}
+
+
+def kernel_outcome(field, n, products, *, no_arithmetic=False):
+    """(verdict, whether the index branch ran) of FiniteAlgebra's
+    associativity check; with no_arithmetic, field add and mul raise."""
+    branch = []
+    check = FiniteAlgebra._check_index_associativity
+
+    def spy(self, rows):
+        branch.append(True)
+        return check(self, rows)
+
+    def arithmetic(self, a, b):
+        raise RuntimeError("field arithmetic called")
+
+    labels = tuple(f"b{i}" for i in range(n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FiniteAlgebra, "_check_index_associativity", spy)
+        if no_arithmetic:
+            mp.setattr(type(field), "add", arithmetic)
+            mp.setattr(type(field), "mul", arithmetic)
+        verdict = associativity_outcome(lambda: FiniteAlgebra(field, labels, products))
+    return verdict, bool(branch)
+
+
+def reference_outcome(field, n, products):
+    labels = tuple(f"b{i}" for i in range(n))
+    return associativity_outcome(lambda: dense_check_associativity(field, labels, products))
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_index_tables_are_checked_without_arithmetic_at_the_reference_witness(field, data):
+    table = data.draw(index_tables())
+    n, products = len(table), monomial_products(field, table)
+    verdict, index_branch = kernel_outcome(field, n, products, no_arithmetic=True)
+    assert index_branch
+    assert verdict == reference_outcome(field, n, products)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@pytest.mark.parametrize("table", ASSOCIATIVE_INDEX_TABLES, ids=len)
+def test_semigroup_and_groupoid_tables_are_associative(field, table):
+    products = monomial_products(field, table)
+    assert reference_outcome(field, len(table), products) is None
+    assert kernel_outcome(field, len(table), products, no_arithmetic=True) == (None, True)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_near_monomial_tables_take_the_general_branch(field, data):
+    table = data.draw(index_tables())
+    n, products = len(table), monomial_products(field, table)
+    index = st.integers(0, n - 1)
+    pair = data.draw(st.sampled_from(sorted(products)) if products else st.tuples(index, index))
+    k = products[pair][0][0] if pair in products else data.draw(index)
+    if field == F3 and data.draw(st.booleans()):
+        products[pair] = ((k, 2),)
+    else:
+        products[pair] = ((k, field.one), (data.draw(index), field.one))
+    verdict, index_branch = kernel_outcome(field, n, products)
+    assert not index_branch
+    assert verdict == reference_outcome(field, n, products)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,13 @@ from crossedideals import (
 from crossedideals.exactlin import mat_vec, unit_vector, zero_vector
 from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
 
-from util import MATRIX_UNIT_POSITIONS, corrupt_hom_check, matrix_units_algebra, z2_algebra
+from util import (
+    MATRIX_UNIT_POSITIONS,
+    corrupt_hom_check,
+    matrix_units_algebra,
+    rotation_system,
+    z2_algebra,
+)
 
 F2 = GF(2)
 
@@ -212,6 +218,19 @@ def test_convolution_algebras_check_associativity_without_products(monkeypatch):
 
     monkeypatch.setattr(FiniteAlgebra, "mul", product)
     assert steinberg_algebra(pair_groupoid(), F2).dim == 4
+
+
+@pytest.mark.parametrize("field", (F2, GF(3), QQ), ids=str)
+def test_monomial_algebras_build_without_field_arithmetic(monkeypatch, field):
+    def arithmetic(self, a, b):
+        raise RuntimeError("field arithmetic called")
+
+    # a monomial table is checked for associativity as a table of indices
+    group = rotation_system(12, 1).isotropy_group(0)
+    monkeypatch.setattr(type(field), "add", arithmetic)
+    monkeypatch.setattr(type(field), "mul", arithmetic)
+    assert group.algebra(field).dim == 12
+    assert steinberg_algebra(pair_groupoid(), field).dim == 4
 
 
 # ---------------------------------------------------------------------------

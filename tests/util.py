@@ -1,5 +1,7 @@
 """Shared constructions for the test suite."""
 
+import itertools
+
 from crossedideals import (
     AmpleSystem,
     FiniteAlgebra,
@@ -136,3 +138,41 @@ def corrupt_hom_check(monkeypatch, module, rule):
         return check(src, dst, images, called_rule)
 
     monkeypatch.setattr(module, "check_algebra_hom", corrupted)
+
+
+def dense_fiber_associativity(bundle, total_order: bool):
+    """Reference fiber associativity: mu(mu(a, b), c) against mu(a, mu(b, c))
+    on every triple of fiber basis vectors a in B_r, b in B_s, c in B_t,
+    with dense products.  Triples are visited in (r, s, t, i, j, k) order,
+    or in the total algebra's (r, i, s, j, t, k) order when total_order
+    is set.  Returns (name r, name s, name t, i, j, k) for the first triple
+    that differs, or None."""
+    sg, f = bundle.semigroup, bundle.field
+
+    def mul(s, t, u, v):
+        out = [f.zero] * bundle.fiber_dim(sg.product(s, t))
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                for k, c in bundle.mu_terms(s, t, i, j):
+                    out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
+        return tuple(out)
+
+    def unit(s, i):
+        return tuple(f.one if m == i else f.zero for m in range(bundle.fiber_dim(s)))
+
+    triples = [
+        (r, s, t, i, j, k)
+        for r, s, t in itertools.product(range(sg.size), repeat=3)
+        for i, j, k in itertools.product(range(bundle.fiber_dim(r)),
+                                         range(bundle.fiber_dim(s)),
+                                         range(bundle.fiber_dim(t)))
+    ]
+    if total_order:
+        triples.sort(key=lambda x: (x[0], x[3], x[1], x[4], x[2], x[5]))
+    for r, s, t, i, j, k in triples:
+        a, b, c = unit(r, i), unit(s, j), unit(t, k)
+        left = mul(sg.product(r, s), t, mul(r, s, a, b), c)
+        right = mul(r, sg.product(s, t), a, mul(s, t, b, c))
+        if left != right:
+            return (sg.name(r), sg.name(s), sg.name(t), i, j, k)
+    return None
