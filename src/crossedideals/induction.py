@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bundles import CrossedProduct, disintegrate
-from .dynsys import Germ
 from .exactlin import (
     QuotientMap,
     Representation,
@@ -63,7 +62,14 @@ def induction_context(cp: CrossedProduct, x: int) -> "InductionContext":
 
 class InductionContext:
     """Everything anchored at one base point: the germ module, the
-    bilinear form, the restriction map, induced ideals and modules."""
+    bilinear form, the restriction map, induced ideals and modules.
+
+    The germ module is held as an index map, built once per context.  A
+    section delta_y at s sends a germ to one germ with coefficient one or
+    to zero, so moves[i][l] is the germ that basis section i sends germ l
+    to, or None.  The form sends a pair of germs to one isotropy germ or
+    to zero, so pair_index[k][t] is the isotropy index of [k* t], or None.
+    """
 
     def __init__(self, cp: CrossedProduct, x: int):
         self.cp = cp
@@ -77,7 +83,14 @@ class InductionContext:
         self.group_algebra = self.iso.algebra(cp.field)
         self.transversal = sys.orbit_transversal(x)
         self.orbit = sys.orbit(x)
-        self._action = tuple(self._act_matrix_for_basis(i) for i in range(cp.dim))
+        sections = cp.sections
+        # one entry per basis label (s, i) of the sections, i.e. per (s, y)
+        self._section_moves = tuple(self._moves(s, cp._fiber_points[s][i])
+                                    for s, i in sections.label_pairs)
+        self.moves = tuple(self._section_moves[g] for g in sections.qmap.coset_positions)
+        self.pair_index = tuple(
+            tuple(self._pair_target(k, t) for t in range(self.module_dim))
+            for k in range(self.module_dim))
         self._check_well_defined()
 
     # -- the germ module ----------------------------------------------------
@@ -86,32 +99,38 @@ class InductionContext:
     def module_dim(self) -> int:
         return len(self.germs)
 
-    def _act_on_germ(self, s: int, y: int, germ: Germ):
-        """Index of the germ of (s t) when the section delta_y at s moves
-        the germ of t, else None."""
-        sys, sg = self.system, self.system.semigroup
-        st = sg.product(s, germ.element)
-        if not sys.theta[st].defined_at(self.point):
-            return None
-        if sys.theta[st].apply(self.point) != y:
-            return None
-        return self.germ_index[sys.germ_of(st, self.point)]
-
-    def _act_matrix_for_basis(self, i: int) -> tuple:
-        f = self.field
-        y, s = self.cp.basis_pair(i)
-        cols = []
+    def _moves(self, s: int, y: int) -> tuple:
+        """For each germ [t] at x, the index of the germ [s t] when the
+        section delta_y at s moves it, else None."""
+        sys, sg, x = self.system, self.system.semigroup, self.point
+        out = []
         for germ in self.germs:
-            col = [f.zero] * self.module_dim
-            target = self._act_on_germ(s, y, germ)
-            if target is not None:
-                col[target] = f.one
-            cols.append(tuple(col))
-        return mat_from_columns(f, cols, self.module_dim)
+            st = sg.product(s, germ.element)
+            pb = sys.theta[st]
+            hit = pb.defined_at(x) and pb.apply(x) == y
+            out.append(self.germ_index[sys.germ_of(st, x)] if hit else None)
+        return tuple(out)
+
+    def _pair_target(self, k: int, t: int):
+        """Isotropy index of [k* t] when k* t fixes x, else None."""
+        sys, sg, x = self.system, self.system.semigroup, self.point
+        kt = sg.product(sg.inv(self.germs[k].element), self.germs[t].element)
+        pb = sys.theta[kt]
+        if pb.defined_at(x) and pb.apply(x) == x:
+            return self.iso.member_index(sys.germ_of(kt, x))
+        return None
 
     def act(self, b) -> tuple:
         """Matrix of b acting on the germ module."""
-        return mat_lincomb(self.field, b, self._action, self.module_dim)
+        f, n = self.field, self.module_dim
+        out = [[f.zero] * n for _ in range(n)]
+        for c, move in zip(b, self.moves, strict=True):
+            if f.is_zero(c):
+                continue
+            for l, r in enumerate(move):
+                if r is not None:
+                    out[r][l] = f.add(out[r][l], c)
+        return tuple(tuple(row) for row in out)
 
     def right_translate(self, germ_i: int, iso_i: int) -> int:
         """delta_[s] . delta_[g] = delta_[s g] for an isotropy germ g."""
@@ -142,7 +161,7 @@ class InductionContext:
         sections = self.cp.sections
         for n_vec in sections.redundancy.basis:
             rest = [f.zero] * self.iso.size
-            act = [[f.zero] * self.module_dim for _ in range(self.module_dim)]
+            act = {}
             for g, c in enumerate(n_vec):
                 if f.is_zero(c):
                     continue
@@ -152,13 +171,12 @@ class InductionContext:
                 if pb.defined_at(self.point) and pb.apply(self.point) == self.point and y == self.point:
                     idx = self.iso.member_index(self.system.germ_of(s, self.point))
                     rest[idx] = f.add(rest[idx], c)
-                for gi, germ in enumerate(self.germs):
-                    target = self._act_on_germ(s, y, germ)
+                for gi, target in enumerate(self._section_moves[g]):
                     if target is not None:
-                        act[target][gi] = f.add(act[target][gi], c)
+                        act[target, gi] = f.add(act.get((target, gi), f.zero), c)
             if not vec_is_zero(f, rest):
                 raise StructureError("restriction-ill-defined", (self.point,))
-            if any(not vec_is_zero(f, row) for row in act):
+            if not vec_is_zero(f, act.values()):
                 raise StructureError("module-action-ill-defined", (self.point,))
 
     # -- restriction and induction ------------------------------------------
@@ -177,20 +195,29 @@ class InductionContext:
 
     def induced_ideal(self, ideal: Subspace) -> Subspace:
         """{b : <delta_[k], b delta_[l]> lies in the ideal for all germs k, l},
-        by one exact kernel computation; verified two-sided."""
+        by one exact kernel computation; verified two-sided.
+
+        Every germ k is [r g] for the transversal germ r with the same
+        target and an isotropy germ g, and <delta_[r g], m> = g^-1
+        <delta_[r], m>.  An ideal is closed under left multiplication, so
+        the rows for r in the transversal and every l have the whole
+        kernel; that is why the input is verified to be an ideal."""
         if ideal.ambient_dim != self.iso.size:
             raise ValueError("ideal does not live in the isotropy group algebra")
+        if not is_ideal(self.group_algebra, ideal):
+            raise ValueError("subspace is not an ideal of the isotropy group algebra")
         f = self.field
         qm = QuotientMap.of(ideal)
+        # entry (r, l, i) is the class of the isotropy unit at [r* s_i l]
+        cols = [qm.project(unit_vector(f, self.iso.size, h)) for h in range(self.iso.size)]
+        zero = (f.zero,) * qm.dim
         rows = []
-        for k in range(self.module_dim):
+        for r in self.transversal:
+            by_germ = [zero if h is None else cols[h]
+                       for h in self.pair_index[self.germ_index[r]]]
             for l in range(self.module_dim):
-                images = []
-                for i in range(self.cp.dim):
-                    col = tuple(self._action[i][r][l] for r in range(self.module_dim))
-                    images.append(qm.project(self.pair(k, col)))
-                for coord in range(qm.dim):
-                    rows.append(tuple(images[i][coord] for i in range(self.cp.dim)))
+                images = [zero if move[l] is None else by_germ[move[l]] for move in self.moves]
+                rows.extend(zip(*images))
         basis = nullspace(f, rows, self.cp.dim)
         out = Subspace(f, self.cp.dim, basis)
         if not is_ideal(self.cp.algebra, out):

@@ -1,10 +1,20 @@
 """Induction contexts, discretization, and the ideal-intersection
 certificates anchored at orbit representatives."""
 
+import functools
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossedideals import (
     GF,
+    QQ,
+    AmpleSystem,
+    PartialBijection,
+    QuotientMap,
     Representation,
     StructureError,
     Subspace,
@@ -12,16 +22,41 @@ from crossedideals import (
     decompose_ideal,
     discretize,
     enumerate_ideals,
+    ideal_generate,
     induction_context,
     induction_equivalence,
     intersect_all,
     left_regular_mod,
 )
-from crossedideals.exactlin import mat_mul, rref, unit_vector, zero_vector
-from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
+from crossedideals.exactlin import lincomb, mat_lincomb, mat_mul, nullspace, rref, unit_vector
+from crossedideals.fixtures import FIXTURES, brandt_system, flip_system, semilattice_system
 from crossedideals.induction import InductionContext
 
+from util import (
+    dense_action_matrix,
+    dense_induced_ideal,
+    klein_four_system,
+    rotation_system,
+)
+
 F2 = GF(2)
+F3 = GF(3)
+
+# every fixture, rotations with orbits of two and three points and
+# nontrivial isotropy, and the Klein four group on a point
+SYSTEMS = {
+    **FIXTURES,
+    "rot4on2": lambda: rotation_system(4, 2),
+    "rot6on2": lambda: rotation_system(6, 2),
+    "rot6on3": lambda: rotation_system(6, 3),
+    "rot8on2": lambda: rotation_system(8, 2),
+    "klein4": klein_four_system,
+}
+
+
+@functools.cache
+def system_product(name, field):
+    return crossed_product(SYSTEMS[name](), field)
 
 
 def fixture_products():
@@ -178,8 +213,8 @@ def test_bracket_bridge_between_restriction_and_module_action():
 
 
 def test_both_induced_ideal_definitions_agree():
-    from crossedideals.exactlin import QuotientMap, nullspace
-    for cp in fixture_products().values():
+    for field, make in itertools.product([F2, F3], FIXTURES.values()):
+        cp = crossed_product(make(), field)
         for x in cp.system.orbit_representatives():
             ctx = induction_context(cp, x)
             for ideal in enumerate_ideals(ctx.group_algebra):
@@ -196,8 +231,179 @@ def test_both_induced_ideal_definitions_agree():
                         for coord in range(qm.dim):
                             rows.append(tuple(images[b][coord]
                                               for b in range(cp.dim)))
-                brute = Subspace.span(F2, cp.dim, nullspace(F2, rows, cp.dim))
+                brute = Subspace.span(field, cp.dim, nullspace(field, rows, cp.dim))
                 assert brute == ctx.induced_ideal(ideal)
+
+
+# ---------------------------------------------------------------------------
+# the germ module as an index map, against the dense reference
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_induced_ideal_matches_the_dense_row_system(name, field):
+    cp = system_product(name, field)
+    for x in range(cp.system.space_size):
+        ctx = induction_context(cp, x)
+        for ideal in enumerate_ideals(ctx.group_algebra):
+            assert ctx.induced_ideal(ideal) == dense_induced_ideal(ctx, ideal)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_induced_ideal_matches_the_dense_row_system_over_q(data):
+    cp = system_product(data.draw(st.sampled_from(sorted(SYSTEMS))), QQ)
+    ctx = induction_context(cp, data.draw(st.integers(0, cp.system.space_size - 1)))
+    coeffs = st.integers(-2, 2).map(QQ.of)
+    gens = data.draw(st.lists(st.tuples(*[coeffs] * ctx.iso.size), max_size=2))
+    ideal = ideal_generate(ctx.group_algebra, gens)
+    assert ctx.induced_ideal(ideal) == dense_induced_ideal(ctx, ideal)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+def test_module_action_matches_the_dense_matrices(field):
+    rng = random.Random(7)
+    for name in sorted(SYSTEMS):
+        cp = system_product(name, field)
+        for x in range(cp.system.space_size):
+            ctx = induction_context(cp, x)
+            n = ctx.module_dim
+            mats = [dense_action_matrix(ctx, i) for i in range(cp.dim)]
+            for i in range(cp.dim):
+                assert ctx.act(cp.algebra.basis_vector(i)) == mats[i]
+            for _ in range(3):
+                b = tuple(field.of(rng.randint(-2, 2)) for _ in range(cp.dim))
+                got, want = ctx.act(b), mat_lincomb(field, b, mats, n)
+                assert got == want
+                assert [type(a) for row in got for a in row] == \
+                    [type(a) for row in want for a in row]
+            with pytest.raises(ValueError):
+                ctx.act(b + (field.one,))
+
+
+def test_pair_index_agrees_with_the_form():
+    for name in sorted(SYSTEMS):
+        cp = system_product(name, F3)
+        for x in range(cp.system.space_size):
+            ctx = induction_context(cp, x)
+            n = ctx.module_dim
+            for k in range(n):
+                for t in range(n):
+                    h = ctx.pair_index[k][t]
+                    want = (F3.zero,) * ctx.iso.size if h is None \
+                        else unit_vector(F3, ctx.iso.size, h)
+                    assert ctx.pair(k, unit_vector(F3, n, t)) == want
+
+
+def test_induced_ideal_rejects_a_subspace_that_is_not_an_ideal():
+    cp = crossed_product(FIXTURES["FIX-Z2FIX"](), F2)
+    ctx = induction_context(cp, 0)
+    with pytest.raises(ValueError, match="not an ideal"):
+        ctx.induced_ideal(Subspace.span(F2, 2, [(F2.one, F2.zero)]))
+
+
+@pytest.mark.parametrize("n, d", [(7, 1), (14, 2)])
+@pytest.mark.parametrize("taps", [(0, 1, 3), (0, 2, 3)])
+def test_induced_ideal_tells_an_ideal_from_its_antipode(n, d, taps):
+    # x^7 - 1 = (x + 1)(x^3 + x + 1)(x^3 + x^2 + 1) over F2, and g -> g^-1
+    # swaps the two cubic factors, so reading [t* k] for [k* t] would
+    # induce from the other ideal; every smaller test group has ideals
+    # fixed by g -> g^-1
+    cp = crossed_product(rotation_system(n, d), F2)
+    ctx = induction_context(cp, 0)
+    assert ctx.iso.size == 7
+    ideal = ideal_generate(ctx.group_algebra,
+                           [tuple(F2.one if h in taps else F2.zero for h in range(7))])
+    assert ideal.dim == 4
+    induced = ctx.induced_ideal(ideal)
+    assert induced == dense_induced_ideal(ctx, ideal)
+    assert ctx.gamma_image(induced) == ideal
+
+
+def test_decompose_reads_the_row_system_without_the_form(monkeypatch):
+    cp = crossed_product(rotation_system(12, 1), F3)
+    ideal = ideal_generate(cp.algebra, [lincomb(F3, [F3.one, F3.of(-1)],
+                                               [cp.term(0, 0), cp.term(0, 4)], cp.dim)])
+    assert 0 < ideal.dim < cp.dim
+    with monkeypatch.context() as m:
+        m.setattr(InductionContext, "induced_ideal", dense_induced_ideal)
+        want = decompose_ideal(cp, ideal)
+
+    def no_pair(self, k, m_vec):
+        raise AssertionError("induced_ideal evaluated the form")
+
+    projections = [0]
+    per_call = []
+    project = QuotientMap.project
+    induced_ideal = InductionContext.induced_ideal
+
+    def counted_project(self, v):
+        projections[0] += 1
+        return project(self, v)
+
+    def counted_induced_ideal(self, ideal):
+        before = projections[0]
+        out = induced_ideal(self, ideal)
+        per_call.append(projections[0] - before)
+        return out
+
+    cp.induction_contexts.clear()  # build the context under the patches too
+    monkeypatch.setattr(InductionContext, "pair", no_pair)
+    monkeypatch.setattr(QuotientMap, "project", counted_project)
+    monkeypatch.setattr(InductionContext, "induced_ideal", counted_induced_ideal)
+    got = decompose_ideal(cp, ideal)
+    assert got == want
+    assert got.exact and got.intersection == ideal
+    size = induction_context(cp, 0).iso.size
+    assert len(per_call) == 1 and per_call[0] <= size
+
+
+# ---------------------------------------------------------------------------
+# well-definedness on the redundancy ideal, fail-closed
+
+def test_restriction_must_vanish_on_the_redundancy_ideal(monkeypatch):
+    cp = crossed_product(semilattice_system(), F3)
+    (n_vec,) = cp.sections.redundancy.basis
+    x_e = cp.sections.total.labels.index("x:e")
+    outside = unit_vector(F3, cp.sections.total.dim, x_e)
+    assert not cp.sections.redundancy.contains(outside)
+    monkeypatch.setattr(cp.sections, "redundancy",
+                        Subspace(F3, len(n_vec), (n_vec, outside)))
+    InductionContext(cp, 1)  # delta_x at e is zero near y
+    with pytest.raises(StructureError) as err:
+        InductionContext(cp, 0)
+    assert err.value.rule == "restriction-ill-defined"
+    assert err.value.witness == (0,)
+
+
+def unitized_brandt_system():
+    """FIX-BRANDT with a unit acting as the identity on both points: its
+    redundancy ideal has dim 2 and its one orbit has two points."""
+    system = brandt_system()
+    return AmpleSystem(system.semigroup.unitize(), system.space_size,
+                       tuple(system.theta) + (PartialBijection.identity([0, 1]),),
+                       system.point_names)
+
+
+@pytest.mark.parametrize("x, moving, unit", [(0, "b:s", "b:1+"), (1, "a:s*", "a:1+")])
+def test_module_action_must_vanish_on_the_redundancy_ideal(monkeypatch, x, moving, unit):
+    # in FIX-SEMILAT every section that moves a germ at x also restricts
+    # to x, so the restriction rule would fire first there.  Here
+    # delta_moving - delta_unit restricts to zero at x, and both sections
+    # move a germ at x onto the same germ, from different germs.
+    cp = crossed_product(unitized_brandt_system(), F3)
+    labels = cp.sections.total.labels
+    n_basis = cp.sections.redundancy.basis
+    assert len(n_basis) == 2
+    outside = lincomb(F3, [F3.one, F3.of(-1)],
+                      [unit_vector(F3, len(labels), labels.index(moving)),
+                       unit_vector(F3, len(labels), labels.index(unit))], len(labels))
+    assert not cp.sections.redundancy.contains(outside)
+    monkeypatch.setattr(cp.sections, "redundancy",
+                        Subspace(F3, len(labels), n_basis + (outside,)))
+    with pytest.raises(StructureError) as err:
+        InductionContext(cp, x)
+    assert err.value.rule == "module-action-ill-defined"
+    assert err.value.witness == (x,)
 
 
 # ---------------------------------------------------------------------------

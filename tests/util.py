@@ -7,9 +7,11 @@ from crossedideals import (
     FiniteAlgebra,
     InverseSemigroup,
     PartialBijection,
+    QuotientMap,
     StructureError,
     Subspace,
     enumerate_subspaces,
+    nullspace,
 )
 
 
@@ -176,3 +178,38 @@ def dense_fiber_associativity(bundle, total_order: bool):
         if left != right:
             return (sg.name(r), sg.name(s), sg.name(t), i, j, k)
     return None
+
+
+def dense_action_matrix(ctx, i):
+    """The matrix of basis section i on the germ module at ctx.point, built
+    from the system: for the basis pair (y, s), column l has a one at the
+    germ [s t] when the section delta_y at s moves the germ [t] = germ l,
+    that is when s t is defined at the point and sends it to y."""
+    sys, f, x, n = ctx.system, ctx.field, ctx.point, ctx.module_dim
+    y, s = ctx.cp.basis_pair(i)
+    m = [[f.zero] * n for _ in range(n)]
+    for l, germ in enumerate(ctx.germs):
+        st = sys.semigroup.product(s, germ.element)
+        pb = sys.theta[st]
+        if pb.defined_at(x) and pb.apply(x) == y:
+            m[ctx.germ_index[sys.germ_of(st, x)]][l] = f.one
+    return tuple(tuple(row) for row in m)
+
+
+def dense_induced_ideal(ctx, ideal) -> Subspace:
+    """Reference induced ideal: the kernel of the rows of
+    project(<delta_[k], column l of the matrix of b_i>) over every pair of
+    germs k, l and every basis section b_i, from dense action matrices,
+    InductionContext.pair and the quotient map.  No transversal is used
+    and the result is not checked to be an ideal."""
+    f, n, dim = ctx.field, ctx.module_dim, ctx.cp.dim
+    qm = QuotientMap.of(ideal)
+    mats = [dense_action_matrix(ctx, i) for i in range(dim)]
+    rows = []
+    for k in range(n):
+        for l in range(n):
+            images = [qm.project(ctx.pair(k, tuple(m[r][l] for r in range(n))))
+                      for m in mats]
+            for coord in range(qm.dim):
+                rows.append(tuple(img[coord] for img in images))
+    return Subspace(f, dim, nullspace(f, rows, dim))
