@@ -26,18 +26,19 @@ from .exactlin import (
     AssociativityError,
     Field,
     FiniteAlgebra,
+    HomomorphismError,
     QuotientMap,
     Representation,
     StructureError,
     Subspace,
     check_algebra_hom,
-    ideal_generate,
     is_ideal,
     lincomb,
     mat_from_columns,
     mat_lincomb,
     mat_mul,
     mat_vec,
+    nonzero_entries,
     rref,
     sparse_combination,
     subspace_intersect,
@@ -121,29 +122,6 @@ class FellBundle:
     def mu_terms(self, s: int, t: int, i: int, j: int) -> tuple:
         return self.mu.get((s, t), {}).get((i, j), ())
 
-    def mu_vector(self, s: int, t: int, i: int, j: int) -> tuple:
-        st = self.semigroup.product(s, t)
-        v = [self.field.zero] * self.fiber_dim(st)
-        for k, c in self.mu_terms(s, t, i, j):
-            v[k] = self.field.add(v[k], c)
-        return tuple(v)
-
-    def mu_apply(self, s: int, t: int, u, v) -> tuple:
-        """mu_{s,t} on arbitrary fiber vectors."""
-        f = self.field
-        st = self.semigroup.product(s, t)
-        out = [f.zero] * self.fiber_dim(st)
-        for i, a in enumerate(u):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(v):
-                if f.is_zero(b):
-                    continue
-                ab = f.mul(a, b)
-                for k, c in self.mu_terms(s, t, i, j):
-                    out[k] = f.add(out[k], f.mul(ab, c))
-        return tuple(out)
-
     def include(self, t: int, s: int, v) -> tuple:
         """j_{t,s} applied to a vector of B_s (s <= t)."""
         if s == t:
@@ -170,7 +148,8 @@ class FellBundle:
         of the total algebra, checked by FiniteAlgebra when total is first
         built.  That check visits basis triples in (r, i, s, j, t, k) order;
         its first failing triple is mapped back by global index and
-        reported as (r, s, t, i, j, k)."""
+        reported as (r, s, t, i, j, k).  "fiber-span" then multiplies in
+        the total algebra, which is built and checked by that point."""
         sg, f = self.semigroup, self.field
         n = sg.size
         # inclusions are injective
@@ -186,16 +165,19 @@ class FellBundle:
             (r, i), (s, j), (t, k) = (self.label_pairs[g] for g in err.indices)
             return ValidationReport.failed(
                 "fiber-associativity", (sg.name(r), sg.name(s), sg.name(t), i, j, k))
-        # B_s B_{s*} B_s spans B_s
+        # B_s B_{s*} B_s spans B_s: (e_i e_j) e_k for basis vectors of
+        # B_s, B_{s*} and B_s lies in B_{s s* s} = B_s
+        total = self.total
+        fibers = [range(o, o + self.fiber_dim(s)) for s, o in enumerate(self.offsets)]
         for s in range(n):
-            sstar = sg.inv(s)
-            ss = sg.product(s, sstar)
+            fiber = fibers[s]
             vectors = []
-            for i in range(self.fiber_dim(s)):
-                for j in range(self.fiber_dim(sstar)):
-                    mid = self.mu_vector(s, sstar, i, j)
-                    for k in range(self.fiber_dim(s)):
-                        vectors.append(self.mu_apply(ss, s, mid, unit_vector(f, self.fiber_dim(s), k)))
+            for gi in fiber:
+                for gj in fibers[sg.inv(s)]:
+                    mid = total.products.get((gi, gj), ())
+                    for gk in fiber:
+                        prod = total.sparse_mul(mid, ((gk, f.one),))
+                        vectors.append(tuple(prod.get(g, f.zero) for g in fiber))
             _, rank = rref(f, vectors)
             if rank != self.fiber_dim(s):
                 return ValidationReport.failed("fiber-span", (sg.name(s), rank))
@@ -250,9 +232,8 @@ class FellBundle:
         columns = {(s, s): tuple(((i, f.one),) for i in range(self.fiber_dim(s)))
                    for s in range(self.semigroup.size)}
         for (t, s), m in self.order_maps.items():
-            columns[(t, s)] = tuple(
-                tuple((r, row[c]) for r, row in enumerate(m) if not f.is_zero(row[c]))
-                for c in range(self.fiber_dim(s)))
+            columns[(t, s)] = tuple(nonzero_entries(f, (row[c] for row in m))
+                                    for c in range(self.fiber_dim(s)))
         return columns
 
 
@@ -260,18 +241,6 @@ def _order_with_diagonal(sg: InverseSemigroup):
     pairs = [(s, s) for s in range(sg.size)]
     pairs.extend(sg.order_pairs())
     return pairs
-
-
-def _nonzero(field: Field, v) -> tuple:
-    return tuple((j, a) for j, a in enumerate(v) if not field.is_zero(a))
-
-
-def _sparse_product(algebra: FiniteAlgebra, u, v) -> dict:
-    """u v for vectors given by their nonzero entries ((index, entry), ...),
-    as {k: entry} with zero entries dropped."""
-    f = algebra.field
-    return sparse_combination(
-        f, [(f.mul(a, b), algebra.products.get((i, j), ())) for i, a in u for j, b in v])
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +289,11 @@ class AlgebraAction:
         # the pivots, and its residue after them must vanish
         for s in range(sg.size):
             domain = self.domains[s]
-            basis = [_nonzero(f, u) for u in domain.basis]
-            images = [_nonzero(f, w) for w in self.maps[s]]
+            basis = [nonzero_entries(f, u) for u in domain.basis]
+            images = [nonzero_entries(f, w) for w in self.maps[s]]
             for a, u in enumerate(basis):
                 for b, v in enumerate(basis):
-                    uv = _sparse_product(alg, u, v)
+                    uv = alg.sparse_mul(u, v)
                     coords = [(uv[p], c) for c, p in enumerate(domain.pivots) if p in uv]
                     residue = sparse_combination(
                         f, [(f.one, tuple(uv.items()))]
@@ -332,7 +301,7 @@ class AlgebraAction:
                     if residue:
                         raise ValueError("vector not in subspace")
                     lhs = sparse_combination(f, [(x, images[c]) for x, c in coords])
-                    if lhs != _sparse_product(alg, images[a], images[b]):
+                    if lhs != alg.sparse_mul(images[a], images[b]):
                         return ValidationReport.failed("map-multiplicative", (sg.name(s),))
         for s in range(sg.size):
             for u in self.domains[s].basis:
@@ -396,9 +365,7 @@ def semidirect_bundle(action: AlgebraAction,
                 pulled = action.apply(sg.inv(s), u)
                 for j, v in enumerate(coeff[t].basis):
                     w = action.apply(s, alg.mul(pulled, v))
-                    terms = tuple(
-                        (k, c) for k, c in enumerate(coeff[st].coordinates(w))
-                        if not f.is_zero(c))
+                    terms = nonzero_entries(f, coeff[st].coordinates(w))
                     if terms:
                         entries[(i, j)] = terms
             if entries:
@@ -440,13 +407,10 @@ class CrossSectionalAlgebra:
                     v[self.offsets[t] + k] = f.sub(v[self.offsets[t] + k], c)
                 gens.append(tuple(v))
         span = Subspace.span(f, self.total.dim, gens)
+        # a two-sided ideal spanned by gens is the ideal that gens generate
         if not is_ideal(self.total, span):
             raise StructureError("redundancy-not-ideal", None,
                                  "the redundancy span fails to be two-sided")
-        closed = ideal_generate(self.total, gens)
-        if closed != span:
-            raise StructureError("redundancy-not-closed", None,
-                                 "redundancy span is a proper subset of the ideal it generates")
         self.redundancy = span
         self.qmap = QuotientMap.of(span)
         coset_labels = tuple(labels[k] for k in self.qmap.coset_positions)
@@ -456,9 +420,7 @@ class CrossSectionalAlgebra:
                 if (ga, gb) not in self.total.products:
                     continue  # a zero product projects to zero
                 prod = self.total.basis_product(ga, gb)
-                terms = tuple(
-                    (k, c) for k, c in enumerate(self.qmap.project(prod))
-                    if not f.is_zero(c))
+                terms = nonzero_entries(f, self.qmap.project(prod))
                 if terms:
                     qproducts[(a, b)] = terms
         self.quotient = FiniteAlgebra(f, coset_labels, qproducts)
@@ -763,32 +725,28 @@ def extend_representation(sections: CrossSectionalAlgebra, target: FiniteAlgebra
     vector of B_s.  Raises unless the family is multiplicative across mu
     and constant along the inclusions (exactly the condition for killing
     the redundancy ideal); returns the matrix of the induced map on the
-    quotient basis and verifies it is a homomorphism."""
+    quotient basis and verifies it is a homomorphism.  Multiplicativity
+    across mu is a homomorphism check on the total algebra, which visits
+    basis pairs in (s, i, t, j) order; its first failure is reported as
+    (s, t, i, j)."""
     bundle = sections.bundle
     sg, f = bundle.semigroup, bundle.field
     fiber_images = tuple(tuple(tuple(v) for v in per) for per in fiber_images)
     for s in range(sg.size):
         if len(fiber_images[s]) != bundle.fiber_dim(s):
             raise ValueError(f"wrong number of images for fiber {sg.name(s)}")
-    for s in range(sg.size):
-        for t in range(sg.size):
-            st = sg.product(s, t)
-            for i in range(bundle.fiber_dim(s)):
-                for j in range(bundle.fiber_dim(t)):
-                    want = target.mul(fiber_images[s][i], fiber_images[t][j])
-                    terms = bundle.mu_terms(s, t, i, j)
-                    got = lincomb(f, [c for _, c in terms],
-                                  [fiber_images[st][k] for k, _ in terms], target.dim)
-                    if got != want:
-                        raise StructureError("pre-representation",
-                                             (sg.name(s), sg.name(t), i, j))
+    per_label = [fiber_images[s][i] for s, i in sections.label_pairs]
+    try:
+        check_algebra_hom(sections.total, target, per_label, "pre-representation")
+    except HomomorphismError as err:
+        (s, i), (t, j) = (sections.label_pairs[g] for g in err.indices)
+        raise StructureError("pre-representation", (sg.name(s), sg.name(t), i, j)) from None
     for (s, t) in sg.order_pairs():
         for i in range(bundle.fiber_dim(s)):
             image = bundle.include(t, s, unit_vector(f, bundle.fiber_dim(s), i))
             via = lincomb(f, image, fiber_images[t], target.dim)
             if via != fiber_images[s][i]:
                 raise StructureError("inclusion-compatibility", (sg.name(s), sg.name(t), i))
-    per_label = [fiber_images[s][i] for s, i in sections.label_pairs]
     for v in sections.redundancy.basis:
         if not vec_is_zero(f, lincomb(f, v, per_label, target.dim)):
             raise StructureError("redundancy-not-killed", None)

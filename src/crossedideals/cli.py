@@ -334,12 +334,20 @@ def _dispatch(args) -> tuple:
     return run(target, field_override or field, guard, generators)
 
 
-def _emit(args, body, text_lines) -> None:
-    for line in text_lines:
-        print(line)
+def _emit(args, body, text_lines, code: int) -> int:
+    """Write the JSON report, then print the text; returns code, or 2 with
+    a message when the report cannot be written."""
     if args.json_out:
         payload = json.dumps(body, sort_keys=True, indent=2) + "\n"
-        Path(args.json_out).write_text(payload, encoding="utf-8")
+        try:
+            Path(args.json_out).write_text(payload, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.json_out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
+    for line in text_lines:
+        print(line)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,17 +393,14 @@ def main(argv=None) -> int:
     try:
         body, text = _dispatch(args)
     except CommandFailure as exc:
-        _emit(args, exc.report, [f"FAILED: {exc}"])
-        return 1
+        return _emit(args, exc.report, [f"FAILED: {exc}"], 1)
     except StructureError as exc:
-        _emit(args, {"ok": False, "rule": exc.rule, "witness": str(exc.witness)},
-              [f"FAILED: {exc}"])
-        return 1
+        return _emit(args, {"ok": False, "rule": exc.rule, "witness": str(exc.witness)},
+                     [f"FAILED: {exc}"], 1)
     except (ParseError, GuardError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, body, text)
-    return 0
+    return _emit(args, body, text, 0)
 
 
 if __name__ == "__main__":

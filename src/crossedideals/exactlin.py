@@ -37,18 +37,38 @@ class AssociativityError(StructureError):
         super().__init__("associativity", tuple(labels[m] for m in indices))
 
 
+class HomomorphismError(StructureError):
+    """A multiplicativity failure at the source basis pair indices = (i, j),
+    with the labels of the pair as the witness."""
+
+    def __init__(self, rule: str, indices: tuple, labels: Sequence):
+        self.indices = indices
+        super().__init__(rule, tuple(labels[m] for m in indices))
+
+
 class GuardError(ValueError):
     """A size guard was exceeded; the offending size is in the message."""
 
 
+_PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_TEST_BOUND = 318665857834031151167461  # least strong pseudoprime to them all
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin on the witnesses 2, ..., 37, which is exact below
+    _PRIME_TEST_BOUND; raises ValueError from there on."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"characteristic {n} is too large: primality is decided "
+                         f"exactly only below {_PRIME_TEST_BOUND}")
+    if n < 2 or any(n % a == 0 for a in _PRIME_WITNESSES):
+        return n in _PRIME_WITNESSES
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _PRIME_WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2 ** m, n) != n - 1 for m in range(r)):
             return False
-        d += 1
     return True
 
 
@@ -222,6 +242,11 @@ def vec_is_zero(field: Field, v) -> bool:
     return all(field.is_zero(a) for a in v)
 
 
+def nonzero_entries(field: Field, v) -> tuple:
+    """The nonzero entries of v as ((index, entry), ...), in index order."""
+    return tuple((j, a) for j, a in enumerate(v) if not field.is_zero(a))
+
+
 def lincomb(field: Field, coeffs, vectors, dim: int) -> tuple:
     """The sum of c * v over aligned coefficients and vectors of length
     dim, skipping zero coefficients and zero entries."""
@@ -389,11 +414,7 @@ class Subspace:
     def _sparse_rows(self) -> tuple:
         """Each basis row as its ((column, entry), ...) nonzero entries;
         the first entry sits at the row's pivot."""
-        f = self.field
-        return tuple(
-            tuple((j, a) for j, a in enumerate(row) if not f.is_zero(a))
-            for row in self.basis
-        )
+        return tuple(nonzero_entries(self.field, row) for row in self.basis)
 
     @cached_property
     def pivots(self) -> tuple:
@@ -555,21 +576,21 @@ class FiniteAlgebra:
             v[k] = self.field.add(v[k], c)
         return tuple(v)
 
-    def mul(self, u, v) -> tuple:
+    def sparse_mul(self, u, v) -> dict:
+        """u v for vectors given by their nonzero entries ((index, entry),
+        ...), as {k: entry} with zero entries dropped: the one product
+        kernel, over the nonzero structure constants alone."""
         f = self.field
         products = self.products
-        out = [f.zero] * self.dim
-        live = [(j, b) for j, b in enumerate(v) if not f.is_zero(b)]
-        for i, a in enumerate(u):
-            if f.is_zero(a):
-                continue
-            for j, b in live:
-                terms = products.get((i, j))
-                if terms:
-                    ab = f.mul(a, b)
-                    for k, c in terms:
-                        out[k] = f.add(out[k], f.mul(ab, c))
-        return tuple(out)
+        return sparse_combination(
+            f, [(f.mul(a, b), products[i, j])
+                for i, a in u for j, b in v if (i, j) in products])
+
+    def mul(self, u, v) -> tuple:
+        """u v for dense vectors, by sparse_mul."""
+        f = self.field
+        prod = self.sparse_mul(nonzero_entries(f, u), nonzero_entries(f, v))
+        return tuple(prod.get(k, f.zero) for k in range(self.dim))
 
     @cached_property
     def _constants_by_factor(self) -> tuple:
@@ -697,21 +718,24 @@ def sparse_combination(field: Field, scaled) -> dict:
 
 def check_algebra_hom(src: FiniteAlgebra, dst: FiniteAlgebra, images: Sequence, rule: str):
     """Verify that the linear map sending the i-th basis vector of src to
-    images[i] is multiplicative: for every basis pair (i, j) the image of
-    e_i e_j, summed over its nonzero structure constants, must equal
-    images[i] * images[j] in dst.  Raises StructureError(rule, (label_i,
-    label_j)) at the first pair that fails."""
+    images[i] is multiplicative: for every basis pair (i, j), in (i, j)
+    order, the image of e_i e_j, summed over its nonzero structure
+    constants, must equal images[i] * images[j] in dst.  Both sides are
+    formed from the nonzero entries of the images alone.  Raises
+    HomomorphismError(rule, (i, j), src.labels), whose witness is
+    (label_i, label_j), at the first pair that fails."""
     f = src.field
     if dst.field != f:
         raise ValueError("algebras over different fields")
     if len(images) != src.dim or any(len(v) != dst.dim for v in images):
         raise ValueError("one image of length dst.dim per basis element required")
+    entries = [nonzero_entries(f, v) for v in images]
     for i in range(src.dim):
         for j in range(src.dim):
-            terms = src.products.get((i, j), ())
-            lhs = lincomb(f, [c for _, c in terms], [images[k] for k, _ in terms], dst.dim)
-            if lhs != dst.mul(images[i], images[j]):
-                raise StructureError(rule, (src.labels[i], src.labels[j]))
+            lhs = sparse_combination(
+                f, [(c, entries[k]) for k, c in src.products.get((i, j), ())])
+            if lhs != dst.sparse_mul(entries[i], entries[j]):
+                raise HomomorphismError(rule, (i, j), src.labels)
 
 
 def is_ideal(algebra: FiniteAlgebra, space: Subspace) -> bool:
@@ -751,7 +775,7 @@ def ideal_generate(algebra: FiniteAlgebra, generators: Iterable) -> Subspace:
             continue
         inv = f.inv(v[lead])
         row = tuple(f.mul(inv, a) for a in v)
-        rows[lead] = (row, tuple((j, a) for j, a in enumerate(row) if not f.is_zero(a)))
+        rows[lead] = (row, nonzero_entries(f, row))
         left, right = algebra.basis_multiples(row)
         for w in left + right:
             if w not in seen:
@@ -784,6 +808,12 @@ class Representation:
         self._check_multiplicative()
 
     def _check_multiplicative(self):
+        """images[i] images[j] against the image of e_i e_j on every basis
+        pair.  This stays a loop of its own rather than a check_algebra_hom
+        into M_d(K): the product here is a d x d matrix product, d reaches
+        the dimension of the algebra (left_regular_mod), and realising
+        M_d(K) as a FiniteAlgebra would take d^2 basis elements and an
+        associativity check over them."""
         f = self.algebra.field
         n = self.algebra.dim
         for i in range(n):

@@ -184,11 +184,14 @@ class InductionContext:
     def restrict(self, b) -> tuple:
         return isotropy_restriction(self.cp, self.point, b)
 
+    def _restriction_span(self, ideal: Subspace) -> Subspace:
+        return Subspace.span(self.field, self.iso.size,
+                             [self.restrict(v) for v in ideal.basis])
+
     def gamma_image(self, ideal: Subspace) -> Subspace:
         """Image of an ideal under the restriction map; verified to be an
         ideal of the isotropy group algebra."""
-        image = Subspace.span(self.field, self.iso.size,
-                              [self.restrict(v) for v in ideal.basis])
+        image = self._restriction_span(ideal)
         if not is_ideal(self.group_algebra, image):
             raise StructureError("restriction-image-not-ideal", (self.point,))
         return image
@@ -513,8 +516,11 @@ def decompose_ideal(cp: CrossedProduct, ideal: Subspace) -> IntersectionCertific
         ctx = induction_context(cp, x)
         gamma = ctx.gamma_image(ideal)
         induced = ctx.induced_ideal(gamma)
-        admissible = ctx.gamma_image(induced) == gamma
+        # a restriction equal to gamma is an ideal already verified; one
+        # that differs is verified before it is reported as inadmissible
+        admissible = ctx._restriction_span(induced) == gamma
         if not admissible:
+            ctx.gamma_image(induced)
             raise StructureError("restriction-not-admissible",
                                  (cp.system.point_name(x),))
         if not induced.contains_space(ideal):

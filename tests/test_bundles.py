@@ -1,5 +1,6 @@
 """Fell bundles, cross-sectional algebras, crossed products, covariant pairs."""
 
+import itertools
 import random
 
 import pytest
@@ -43,7 +44,12 @@ from crossedideals.fixtures import (
     trivial_system,
 )
 
-from util import corrupt_hom_check, dense_fiber_associativity, matrix_units_algebra
+from util import (
+    corrupt_hom_check,
+    dense_fiber_associativity,
+    dense_pre_representation,
+    matrix_units_algebra,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -219,13 +225,24 @@ def rebased_bundle(bundle, rng):
     def new_coords(s, v):  # v = sum_a c_a f_a in old coordinates -> c
         return lincomb(f, v, inverse[s], bundle.fiber_dim(s))
 
+    total = bundle.total
+
+    def fiber_product(s, t, u, v):  # mu_{s,t}(u, v), formed in the total algebra
+        def placed(r, w):
+            out = [f.zero] * total.dim
+            out[bundle.offsets[r]:bundle.offsets[r] + bundle.fiber_dim(r)] = w
+            return out
+        st = sg.product(s, t)
+        return total.mul(placed(s, u), placed(t, v))[
+            bundle.offsets[st]:bundle.offsets[st] + bundle.fiber_dim(st)]
+
     mu = {}
     for s in range(sg.size):
         for t in range(sg.size):
             st = sg.product(s, t)
             for a, u in enumerate(change[s]):
                 for b, v in enumerate(change[t]):
-                    w = new_coords(st, bundle.mu_apply(s, t, u, v))
+                    w = new_coords(st, fiber_product(s, t, u, v))
                     terms = tuple((k, c) for k, c in enumerate(w) if not f.is_zero(c))
                     if terms:
                         mu.setdefault((s, t), {})[(a, b)] = terms
@@ -552,6 +569,43 @@ def test_section_terms_form_a_conforming_family():
     ident = tuple(tuple(F2.one if r == c else F2.zero for c in range(cp.dim))
                   for r in range(cp.dim))
     assert matrix == ident
+
+
+def summed_images(cp, target, source):
+    """The universal images with the image of basis vector source = (t, j)
+    added to that of target = (s, i)."""
+    images = [list(per) for per in universal_images(cp)]
+    (s, i), (t, j) = target, source
+    images[s][i] = tuple(cp.field.add(a, b) for a, b in zip(images[s][i], images[t][j]))
+    return tuple(map(tuple, images))
+
+
+@pytest.mark.parametrize("name", ["FIX-FLIP", "FIX-BRANDT"])
+def test_pre_representation_fails_at_the_reference_pair(name):
+    cp = crossed_product(FIXTURES[name](), F3)
+    bundle = cp.sections.bundle
+    assert dense_pre_representation(bundle, cp.algebra, universal_images(cp), True) is None
+    slots = [(s, i) for s in range(cp.system.semigroup.size)
+             for i in range(bundle.fiber_dim(s))]
+    for target, source in itertools.permutations(slots, 2):
+        images = summed_images(cp, target, source)
+        want = dense_pre_representation(bundle, cp.algebra, images, True)
+        assert want is not None
+        with pytest.raises(StructureError) as err:
+            extend_representation(cp.sections, cp.algebra, images)
+        assert (err.value.rule, err.value.witness) == ("pre-representation", want)
+
+
+def test_pre_representation_witness_follows_the_total_algebra_order():
+    # B_1 and B_g of FIX-FLIP have dimension 2, so the total algebra's
+    # (s, i, t, j) order and the fiberwise (s, t, i, j) order part ways
+    cp = crossed_product(flip_system(), F3)
+    images = summed_images(cp, (0, 0), (1, 1))
+    with pytest.raises(StructureError) as err:
+        extend_representation(cp.sections, cp.algebra, images)
+    assert (err.value.rule, err.value.witness) == ("pre-representation", ("1", "g", 0, 0))
+    fiberwise = dense_pre_representation(cp.sections.bundle, cp.algebra, images, False)
+    assert fiberwise == ("1", "1", 1, 0)
 
 
 def test_extension_reports_a_non_multiplicative_image_list(monkeypatch):

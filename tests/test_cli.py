@@ -87,6 +87,25 @@ def test_failure_report_is_written_as_json(capsys, tmp_path):
     assert body["witness"]
 
 
+def test_unwritable_json_report_exits_2_without_a_traceback(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    code, out, err = run(capsys, ["validate", FLIP, "--json-out", str(missing)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+    assert not missing.parent.exists()
+
+
+def test_json_report_to_a_directory_exits_2_on_both_paths(capsys, tmp_path):
+    bad = tmp_path / "bad.system"
+    bad.write_text(Path(FLIP).read_text().replace("    1 g\n", "    g g\n"))
+    for path in (FLIP, str(bad)):  # the success path, then the FAILED path
+        code, out, err = run(capsys, ["validate", path, "--json-out", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # build
 
@@ -450,6 +469,27 @@ def test_bad_field_override(capsys):
     code, out, err = run(capsys, ["build", FLIP, "--field", "F 4"])
     assert code == 2
     assert "not prime" in err
+
+
+def test_large_prime_characteristic_is_decided_quickly(capsys, tmp_path):
+    big = "F 1000000000000000003"  # 10^18 + 3 is prime
+    code, out, err = run(capsys, ["validate", FLIP, "--field", big])
+    assert (code, err) == (0, "")
+    assert out == "valid system: 2 elements acting on 2 points over F 1000000000000000003\n"
+    in_file = tmp_path / "big.system"
+    in_file.write_text(Path(FLIP).read_text().replace("field: F 2", f"field: {big}"))
+    code, out, err = run(capsys, ["validate", str(in_file)])
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, ["validate", FLIP, "--field", "F 1000000000000000001"])
+    assert code == 2
+    assert "not prime" in err
+
+
+def test_characteristic_beyond_the_exact_primality_bound_exits_2(capsys):
+    code, out, err = run(capsys, ["validate", FLIP, "--field", f"F {10 ** 24 + 7}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too large" in err
 
 
 def test_command_kind_mismatch(capsys):

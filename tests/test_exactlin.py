@@ -1,6 +1,7 @@
 """Exact fields, canonical subspaces, finite algebras, ideals, representations."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,11 +30,13 @@ from crossedideals import (
 )
 from crossedideals import crossed_product, exactlin
 from crossedideals.exactlin import (
+    HomomorphismError,
     check_algebra_hom,
     lincomb,
     mat_from_columns,
     mat_lincomb,
     mat_mul,
+    nonzero_entries,
     unit_vector,
     vec_add,
     zero_vector,
@@ -66,6 +69,30 @@ def test_prime_field_rejects_composite_modulus():
         GF(4)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_primality_matches_trial_division_and_rejects_strong_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 5000) if exactlin._is_prime(n)] == \
+        [n for n in range(-3, 5000) if trial(n)]
+    # the least strong pseudoprimes to the bases 2, 2..3, 2..5, 2..7, 2..11, 2..13,
+    # 2..17 and 2..23, and two Carmichael numbers
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 561, 1105):
+        assert not exactlin._is_prime(n)
+
+
+def test_large_prime_characteristics_are_decided_quickly():
+    start = time.perf_counter()
+    for p in (10 ** 18 + 3, 2 ** 61 - 1):
+        assert GF(p).mul(GF(p).inv(2), 2) == 1
+    with pytest.raises(ValueError, match="not prime"):
+        GF(10 ** 18 + 1)  # (10^6 + 1)(10^12 - 10^6 + 1)
+    assert time.perf_counter() - start < 5  # trial division takes minutes
+    for too_large in (exactlin._PRIME_TEST_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            GF(too_large)
 
 
 def test_prime_field_arithmetic_is_modular():
@@ -375,7 +402,10 @@ def test_associative_tables_multiply_like_the_reference(field, data):
     alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
     vectors = st.tuples(*[scalars(field)] * n)
     u, v = data.draw(vectors), data.draw(vectors)
-    assert alg.mul(u, v) == dense_mul(field, products, n, u, v)
+    want = dense_mul(field, products, n, u, v)
+    assert alg.mul(u, v) == want
+    assert alg.sparse_mul(nonzero_entries(field, u), nonzero_entries(field, v)) \
+        == dict(nonzero_entries(field, want))
 
 
 @pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
@@ -620,6 +650,45 @@ def test_transpose_on_matrix_units_is_rejected_with_the_callers_rule():
         check_algebra_hom(alg, alg, transpose, "my-bridge-multiplicative")
     assert err.value.rule == "my-bridge-multiplicative"
     assert err.value.witness == ("e11", "e12")
+    assert err.value.indices == (0, 1)
+
+
+def dense_hom_failure(src, dst, images):
+    """Reference homomorphism check: the first basis pair (i, j), in (i, j)
+    order, at which the image of e_i e_j differs from images[i] images[j]
+    formed with dense_mul; None if there is none."""
+    f = src.field
+    for i in range(src.dim):
+        for j in range(src.dim):
+            terms = src.products.get((i, j), ())
+            image = lincomb(f, [c for _, c in terms], [images[k] for k, _ in terms], dst.dim)
+            if image != dense_mul(f, dst.products, dst.dim, images[i], images[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_homomorphism_check_fails_at_the_reference_pair(field, data):
+    n, products = data.draw(associative_tables(field))
+    labels = tuple(f"b{i}" for i in range(n))
+    alg = FiniteAlgebra(field, labels, products)
+    images = [list(alg.basis_vector(i)) for i in range(n)]
+    for _ in range(data.draw(st.integers(0, 2))):  # perturb a few images
+        k = data.draw(st.integers(0, n - 1))
+        w = data.draw(st.tuples(*[scalars(field)] * n))
+        images[k] = [field.add(a, b) for a, b in zip(images[k], w)]
+    images = [tuple(v) for v in images]
+    want = dense_hom_failure(alg, alg, images)
+    if want is None:
+        check_algebra_hom(alg, alg, images, "r")
+        return
+    with pytest.raises(HomomorphismError) as err:
+        check_algebra_hom(alg, alg, images, "r")
+    assert err.value.rule == "r"
+    assert err.value.indices == want
+    assert err.value.witness == (labels[want[0]], labels[want[1]])
 
 
 def test_homomorphism_check_rejects_wrong_image_shapes():

@@ -36,6 +36,7 @@ from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
 
 from util import (
     MATRIX_UNIT_POSITIONS,
+    brandt_k_system,
     corrupt_hom_check,
     matrix_units_algebra,
     rotation_system,
@@ -264,6 +265,19 @@ def test_isomorphism_reports_a_non_multiplicative_image_list(monkeypatch):
         steinberg_isomorphism(cp)
     assert err.value.rule == "not-multiplicative"
     assert set(err.value.witness) <= set(cp.algebra.labels)
+
+
+@pytest.mark.parametrize("system", [rotation_system(6, 6), brandt_k_system(6)],
+                         ids=["rot6on6", "brandt6"])
+def test_isomorphism_is_verified_without_dense_products(monkeypatch, system):
+    cp = crossed_product(system, F2)
+
+    def dense_mul_called(self, u, v):
+        raise AssertionError("dense FiniteAlgebra.mul called")
+
+    monkeypatch.setattr(FiniteAlgebra, "mul", dense_mul_called)
+    iso = steinberg_isomorphism(cp)
+    assert cp.dim == 36 and sorted(iso.targets) == list(range(36))
 
 
 def test_restrictions_commute_with_the_isomorphism():

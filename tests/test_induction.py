@@ -30,6 +30,7 @@ from crossedideals import (
 )
 from crossedideals.exactlin import lincomb, mat_lincomb, mat_mul, nullspace, rref, unit_vector
 from crossedideals.fixtures import FIXTURES, brandt_system, flip_system, semilattice_system
+from crossedideals import induction
 from crossedideals.induction import InductionContext
 
 from util import (
@@ -766,6 +767,44 @@ def test_foreign_ambient_ideals_are_rejected():
     cp = crossed_product(flip_system(), F2)
     with pytest.raises(ValueError):
         decompose_ideal(cp, Subspace.zero(F2, 3))
+
+
+def test_decompose_verifies_each_isotropy_subspace_once(monkeypatch):
+    # gamma_image(ideal) and the input check of induced_ideal; the
+    # restriction of the induced ideal equals gamma and is not re-verified
+    cp = crossed_product(rotation_system(12, 1), F3)
+    ideal = ideal_generate(cp.algebra, [lincomb(F3, [F3.one, F3.of(-1)],
+                                               [cp.term(0, 0), cp.term(0, 4)], cp.dim)])
+    group_algebra = induction_context(cp, 0).group_algebra
+    checked = []
+    is_ideal = induction.is_ideal
+
+    def counted(algebra, space):
+        if algebra is group_algebra:
+            checked.append(space)
+        return is_ideal(algebra, space)
+
+    monkeypatch.setattr(induction, "is_ideal", counted)
+    cert = decompose_ideal(cp, ideal)
+    assert cert.exact
+    assert checked == [cert.points[0].gamma_ideal] * 2
+
+
+@pytest.mark.parametrize("induced_basis, rule, witness", [
+    ([(1, 0)], "restriction-image-not-ideal", (0,)),  # span{1} is not an ideal
+    ([(1, 1)], "restriction-not-admissible", ("x",)),  # span{1 + g} is, but is not gamma
+    ([(1, 0), (0, 1)], "restriction-not-admissible", ("x",)),
+])
+def test_inadmissible_restrictions_keep_their_rule_order(monkeypatch, induced_basis,
+                                                         rule, witness):
+    # the zero ideal of F2[Z/2] restricts to gamma = 0; an induced ideal whose
+    # restriction differs is checked to be an ideal before it is reported
+    cp = crossed_product(FIXTURES["FIX-Z2FIX"](), F2)
+    monkeypatch.setattr(InductionContext, "induced_ideal",
+                        lambda self, ideal: Subspace.span(F2, cp.dim, induced_basis))
+    with pytest.raises(StructureError) as err:
+        decompose_ideal(cp, Subspace.zero(F2, cp.dim))
+    assert (err.value.rule, err.value.witness) == (rule, witness)
 
 
 def test_certificates_serialize_with_named_points():

@@ -83,6 +83,24 @@ def rotation_system(n: int, d: int) -> AmpleSystem:
     return AmpleSystem(sg, d, theta, [f"p{x}" for x in range(d)])
 
 
+def brandt_k_system(k: int) -> AmpleSystem:
+    """Brandt B_k = {z} + {E_ij} on k points: E_ij E_jl = E_il, every other
+    product z, and E_ij sends point j to point i.  Its crossed product has
+    dimension k^2 and trivial isotropy."""
+    units = [(i, j) for i in range(k) for j in range(k)]
+    index = {u: 1 + t for t, u in enumerate(units)}
+    mult = [[0] * (1 + len(units)) for _ in range(1 + len(units))]
+    for (i, j) in units:
+        for (a, b) in units:
+            if j == a:
+                mult[index[(i, j)]][index[(a, b)]] = index[(i, b)]
+    sg = InverseSemigroup(tuple(map(tuple, mult)),
+                          (0,) + tuple(index[(j, i)] for (i, j) in units),
+                          ["z"] + [f"e{i}_{j}" for (i, j) in units])
+    theta = [PartialBijection({})] + [PartialBijection({j: i}) for (i, j) in units]
+    return AmpleSystem(sg, k, theta, [f"q{x}" for x in range(k)])
+
+
 def klein_four_system() -> AmpleSystem:
     """Z/2 x Z/2 fixing one point; over F2 its crossed product, the group
     algebra, has an ideal that is not principal."""
@@ -177,6 +195,34 @@ def dense_fiber_associativity(bundle, total_order: bool):
         right = mul(r, sg.product(s, t), a, mul(s, t, b, c))
         if left != right:
             return (sg.name(r), sg.name(s), sg.name(t), i, j, k)
+    return None
+
+
+def dense_pre_representation(bundle, target, fiber_images, total_order: bool):
+    """Reference pre-representation check: the image of mu_{s,t}(a, b)
+    against image(a) image(b), formed with dense_mul, for every pair of
+    fiber basis vectors a = e_i in B_s and b = e_j in B_t.  Pairs are
+    visited in (s, t, i, j) order, or in the total algebra's (s, i, t, j)
+    order when total_order is set.  Returns (name s, name t, i, j) for the
+    first pair that differs, or None."""
+    sg, f = bundle.semigroup, bundle.field
+    pairs = [
+        (s, t, i, j)
+        for s, t in itertools.product(range(sg.size), repeat=2)
+        for i, j in itertools.product(range(bundle.fiber_dim(s)), range(bundle.fiber_dim(t)))
+    ]
+    if total_order:
+        pairs.sort(key=lambda x: (x[0], x[2], x[1], x[3]))
+    for s, t, i, j in pairs:
+        st = sg.product(s, t)
+        image = [f.zero] * target.dim
+        for k, c in bundle.mu_terms(s, t, i, j):
+            for m, a in enumerate(fiber_images[st][k]):
+                image[m] = f.add(image[m], f.mul(c, a))
+        product = dense_mul(f, target.products, target.dim,
+                            fiber_images[s][i], fiber_images[t][j])
+        if tuple(image) != product:
+            return (sg.name(s), sg.name(t), i, j)
     return None
 
 
