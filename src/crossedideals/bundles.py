@@ -181,16 +181,14 @@ class FellBundle:
             _, rank = rref(f, vectors)
             if rank != self.fiber_dim(s):
                 return ValidationReport.failed("fiber-span", (sg.name(s), rank))
-        # inclusions compose transitively
+        # inclusions compose transitively, over the chains r < s < t of
+        # strict order pairs in (r, s, t) order
+        above = [[] for _ in range(n)]
+        for s, t in sg.order_pairs():
+            above[s].append(t)
         for r in range(n):
-            for s in range(n):
-                if r != s and not sg.leq(r, s):
-                    continue
-                for t in range(n):
-                    if s != t and not sg.leq(s, t):
-                        continue
-                    if r == s or s == t:
-                        continue
+            for s in above[r]:
+                for t in above[s]:
                     for i in range(self.fiber_dim(r)):
                         e = unit_vector(f, self.fiber_dim(r), i)
                         via = self.include(t, s, self.include(s, r, e))
@@ -266,6 +264,24 @@ class AlgebraAction:
         coords = self.domains[s].coordinates(v)
         return lincomb(self.algebra.field, coords, self.maps[s], self.algebra.dim)
 
+    @cached_property
+    def moves(self) -> tuple | None:
+        """The action as partial maps of basis indices: moves[s] = {p: q}
+        when every RREF basis row of every domain is a unit vector e_p
+        whose image row is a unit vector e_q, both with coefficient one
+        (as for K^X, where alpha_s moves point masses); else None."""
+        f = self.algebra.field
+        moves = []
+        for domain, images in zip(self.domains, self.maps):
+            move = {}
+            for row, image in zip(domain.basis, images):
+                row, image = nonzero_entries(f, row), nonzero_entries(f, image)
+                if len(row) != 1 or len(image) != 1 or image[0][1] != f.one:
+                    return None
+                move[row[0][0]] = image[0][0]
+            moves.append(move)
+        return tuple(moves)
+
     def range_space(self, s: int) -> Subspace:
         return Subspace.span(self.algebra.field, self.algebra.dim, self.maps[s])
 
@@ -303,6 +319,22 @@ class AlgebraAction:
                     lhs = sparse_combination(f, [(x, images[c]) for x, c in coords])
                     if lhs != alg.sparse_mul(images[a], images[b]):
                         return ValidationReport.failed("map-multiplicative", (sg.name(s),))
+        moves = self.moves
+        failure = (self._dense_composition_failure(ranges) if moves is None
+                   else self._index_composition_failure(moves))
+        if failure is not None:
+            return failure
+        total = Subspace.zero(f, alg.dim)
+        for e in sg.idempotents:
+            total = Subspace.span(f, alg.dim, list(total.basis) + list(self.domains[e].basis))
+        if total.dim != alg.dim:
+            return ValidationReport.failed("domain-span", (total.dim,))
+        return ValidationReport.passed()
+
+    def _dense_composition_failure(self, ranges) -> ValidationReport | None:
+        """The rules map-inverse, composition-domain and composition-values
+        for any action, by apply and subspace arithmetic."""
+        sg, f, n = self.semigroup, self.algebra.field, self.algebra.dim
         for s in range(sg.size):
             for u in self.domains[s].basis:
                 if self.apply(sg.inv(s), self.apply(s, u)) != u:
@@ -317,7 +349,7 @@ class AlgebraAction:
                 if pair not in overlaps:
                     overlaps[pair] = subspace_intersect(*pair)
                 overlap = overlaps[pair]
-                pulled = Subspace.span(f, alg.dim,
+                pulled = Subspace.span(f, n,
                                        [self.apply(sg.inv(t), v) for v in overlap.basis])
                 if pulled != self.domains[st]:
                     return ValidationReport.failed(
@@ -326,12 +358,29 @@ class AlgebraAction:
                     if self.apply(st, v) != self.apply(s, self.apply(t, v)):
                         return ValidationReport.failed(
                             "composition-values", (sg.name(s), sg.name(t)))
-        total = Subspace.zero(f, alg.dim)
-        for e in sg.idempotents:
-            total = Subspace.span(f, alg.dim, list(total.basis) + list(self.domains[e].basis))
-        if total.dim != alg.dim:
-            return ValidationReport.failed("domain-span", (total.dim,))
-        return ValidationReport.passed()
+        return None
+
+    def _index_composition_failure(self, moves) -> ValidationReport | None:
+        """The same three rules, in the same (s, t) order and with the same
+        witnesses, read off the index maps.  Every domain is spanned by
+        unit vectors, so alpha_t* (dom s cap ran t) is spanned by the e_x
+        with x in dom t and t(x) in dom s, once map-inverse has shown that
+        moves[t*] inverts moves[t]."""
+        sg = self.semigroup
+        for s in range(sg.size):
+            back = moves[sg.inv(s)]
+            if any(back.get(q) != p for p, q in moves[s].items()):
+                return ValidationReport.failed("map-inverse", (sg.name(s),))
+        for s in range(sg.size):
+            for t in range(sg.size):
+                ms, mt, mst = moves[s], moves[t], moves[sg.product(s, t)]
+                if mst.keys() != {x for x, y in mt.items() if y in ms}:
+                    return ValidationReport.failed(
+                        "composition-domain", (sg.name(s), sg.name(t)))
+                if any(q != ms[mt[x]] for x, q in mst.items()):
+                    return ValidationReport.failed(
+                        "composition-values", (sg.name(s), sg.name(t)))
+        return None
 
 
 def semidirect_bundle(action: AlgebraAction,
@@ -347,8 +396,15 @@ def semidirect_bundle(action: AlgebraAction,
     sg, alg = action.semigroup, action.algebra
     f = alg.field
     coeff = [action.domains[sg.product(s, sg.inv(s))] for s in range(sg.size)]
+    rows = None if action.moves is None else alg.index_rows
     for s in range(sg.size):
         ideal = coeff[s]
+        # with index maps and a monomial table the ideal is spanned by the
+        # e_p at its pivots, and it is idempotent when every one of them is
+        # a product e_p' e_p''; else the span decides
+        if rows is not None and set(ideal.pivots) <= {
+                rows[p].get(q) for p in ideal.pivots for q in ideal.pivots}:
+            continue
         products = [alg.mul(u, v) for u in ideal.basis for v in ideal.basis]
         span = Subspace.span(f, alg.dim, products)
         if span != ideal:
@@ -356,6 +412,21 @@ def semidirect_bundle(action: AlgebraAction,
     if labeler is None:
         labeler = lambda s, p: f"{alg.labels[p]}|{sg.name(s)}"
     fiber_labels = [tuple(labeler(s, p) for p in coeff[s].pivots) for s in range(sg.size)]
+    if rows is None:
+        mu, order_maps = _dense_constants(action, coeff)
+    else:
+        mu, order_maps = _index_constants(action, coeff, rows)
+    bundle = FellBundle(sg, f, fiber_labels, mu, order_maps)
+    bundle.validate().require("semidirect product bundle")
+    return bundle
+
+
+def _dense_constants(action: AlgebraAction, coeff) -> tuple:
+    """(mu, order_maps) of the semidirect bundle for any action: each
+    constant of e_i in B_s times e_j in B_t is the B_st coordinates of
+    alpha_s(alpha_s*(e_i) e_j), formed densely."""
+    sg, alg = action.semigroup, action.algebra
+    f = alg.field
     mu = {}
     for s in range(sg.size):
         for t in range(sg.size):
@@ -374,9 +445,48 @@ def semidirect_bundle(action: AlgebraAction,
     for (s, t) in sg.order_pairs():
         cols = [coeff[t].coordinates(u) for u in coeff[s].basis]
         order_maps[(t, s)] = mat_from_columns(f, cols, coeff[t].dim)
-    bundle = FellBundle(sg, f, fiber_labels, mu, order_maps)
-    bundle.validate().require("semidirect product bundle")
-    return bundle
+    return mu, order_maps
+
+
+def _index_constants(action: AlgebraAction, coeff, rows) -> tuple:
+    """The same (mu, order_maps), read by lookup when the action has index
+    maps and the algebra a monomial table (rows[a][z] = c for e_a e_z =
+    e_c), as for K^X.  Each fiber basis vector is then the unit vector at
+    one of its pivots, so alpha_s*(e_y) = e_a with a = moves[s*][y], each
+    nonzero e_a e_z = e_c with z a pivot of B_t gives alpha_s(e_c) =
+    e_moves[s][c], and the constant is e_k for the position k of that
+    index among the pivots of B_st.  Constants are inserted in (s, t, i,
+    j) order, as the dense loop inserts them."""
+    sg, moves = action.semigroup, action.moves
+    f = action.algebra.field
+    pivots = [space.pivots for space in coeff]
+    position = [{p: k for k, p in enumerate(piv)} for piv in pivots]
+    holders = [[] for _ in range(action.algebra.dim)]   # z -> [(t, j)]
+    for t, piv in enumerate(pivots):
+        for j, z in enumerate(piv):
+            holders[z].append((t, j))
+    term = [((k, f.one),) for k in range(action.algebra.dim)]
+    mu = {}
+    for s in range(sg.size):
+        back, forth = moves[sg.inv(s)], moves[s]
+        by_t = {}
+        for i, y in enumerate(pivots[s]):
+            for z, c in rows[back[y]].items():
+                for t, j in holders[z]:
+                    k = position[sg.product(s, t)].get(forth.get(c))
+                    if k is None:
+                        raise ValueError("vector not in subspace")
+                    by_t.setdefault(t, {})[(i, j)] = term[k]
+        for t in sorted(by_t):
+            mu[(s, t)] = dict(sorted(by_t[t].items()))
+    order_maps = {}
+    for (s, t) in sg.order_pairs():
+        ks = [position[t].get(y) for y in pivots[s]]
+        if None in ks:
+            raise ValueError("vector not in subspace")
+        order_maps[(t, s)] = tuple(tuple(f.one if k == r else f.zero for k in ks)
+                                   for r in range(len(pivots[t])))
+    return mu, order_maps
 
 
 # ---------------------------------------------------------------------------

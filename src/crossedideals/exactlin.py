@@ -96,14 +96,8 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero
-
-    def from_text(self, text: str):
-        return self.of(Fraction(text.strip()))
 
     def to_text(self, a) -> str:
         raise NotImplementedError
@@ -625,15 +619,6 @@ class FiniteAlgebra:
                         out[k] = f.add(out[k], f.mul(b, c))
         return tuple(map(tuple, left)), tuple(map(tuple, right))
 
-    def full_space(self) -> Subspace:
-        return Subspace.full(self.field, self.dim)
-
-    def zero_space(self) -> Subspace:
-        return Subspace.zero(self.field, self.dim)
-
-    def label_index(self, label) -> int:
-        return self.labels.index(label)
-
     def element_to_text(self, v) -> str:
         f = self.field
         terms = [
@@ -642,6 +627,18 @@ class FiniteAlgebra:
             if not f.is_zero(c)
         ]
         return " + ".join(terms) if terms else "0"
+
+    @cached_property
+    def index_rows(self) -> list | None:
+        """rows[i] = {j: k} when every structure constant is the single term
+        e_i e_j = 1 * e_k (a monomial table), else None."""
+        one = self.field.one
+        rows = [{} for _ in range(self.dim)]
+        for (i, j), terms in self.products.items():
+            if len(terms) != 1 or terms[0][1] != one:
+                return None
+            rows[i][j] = terms[0][0]
+        return rows
 
     def _check_associativity(self):
         """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple, in (i, j, k)
@@ -656,7 +653,7 @@ class FiniteAlgebra:
         each side is zero or a single basis vector, so the same triples are
         compared as basis indices with no field arithmetic."""
         products = self.products
-        rows = _index_rows(self.field, self.dim, products)
+        rows = self.index_rows
         if rows is not None:
             self._check_index_associativity(rows)
             return
@@ -692,18 +689,6 @@ class FiniteAlgebra:
                     jk = row_j.get(k)
                     if row_ij.get(k) != (None if jk is None else row_i.get(jk)):
                         raise AssociativityError((i, j, k), self.labels)
-
-
-def _index_rows(field: Field, dim: int, products) -> list | None:
-    """rows[i] = {j: k} when every structure constant is the single term
-    e_i e_j = 1 * e_k, else None."""
-    one = field.one
-    rows = [{} for _ in range(dim)]
-    for (i, j), terms in products.items():
-        if len(terms) != 1 or terms[0][1] != one:
-            return None
-        rows[i][j] = terms[0][0]
-    return rows
 
 
 def sparse_combination(field: Field, scaled) -> dict:
@@ -907,6 +892,13 @@ def enumerate_subspaces(field: Field, n: int):
                 yield Subspace(field, n, tuple(tuple(row) for row in rows))
 
 
+# The oracle makes one ideal_generate per line of K^n.  This caps their
+# number, (p^n - 1)/(p - 1), so that a large characteristic is refused at
+# once instead of running for hours; the cap admits F5 at dim 6 (3,906
+# lines), F3 at dim 9 and F2 at dim 13.
+LINE_LIMIT = 10_000
+
+
 def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
     """Exhaustive oracle: every two-sided ideal, in the order of
     enumerate_subspaces (by dimension, then pivot columns, then basis
@@ -917,14 +909,20 @@ def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
     (ideal, principal ideal) pair: far less than filtering every subspace
     when the ideal lattice is small, as for the crossed products the
     oracle runs on, but more when most subspaces are ideals (zero
-    multiplication).  Guarded to small prime-field algebras."""
+    multiplication).  Guarded to small prime-field algebras: to dim <=
+    dim_limit and to at most LINE_LIMIT lines."""
     f, n = algebra.field, algebra.dim
     if not isinstance(f, PrimeField):
         raise GuardError("ideal enumeration needs a prime field")
     if n > dim_limit:
         raise GuardError(
             f"ideal enumeration guarded to dim <= {dim_limit}, got dim {n}")
-    lines = itertools.islice(enumerate_subspaces(f, n), 1, (f.p ** n - 1) // (f.p - 1) + 1)
+    count = (f.p ** n - 1) // (f.p - 1)
+    if count > LINE_LIMIT:
+        raise GuardError(
+            f"ideal enumeration guarded to {LINE_LIMIT} lines, got {count} "
+            f"(p = {f.p}, dim {n})")
+    lines = itertools.islice(enumerate_subspaces(f, n), 1, count + 1)
     principal = list(dict.fromkeys(ideal_generate(algebra, line.basis) for line in lines))
     found = {Subspace.zero(f, n), *principal}
     frontier = list(principal)

@@ -209,6 +209,11 @@ class InductionContext:
             raise ValueError("ideal does not live in the isotropy group algebra")
         if not is_ideal(self.group_algebra, ideal):
             raise ValueError("subspace is not an ideal of the isotropy group algebra")
+        return self._induce(ideal)
+
+    def _induce(self, ideal: Subspace) -> Subspace:
+        """The kernel behind induced_ideal, for an ideal of the isotropy
+        group algebra that the caller has verified already."""
         f = self.field
         qm = QuotientMap.of(ideal)
         # entry (r, l, i) is the class of the isotropy unit at [r* s_i l]
@@ -515,7 +520,7 @@ def decompose_ideal(cp: CrossedProduct, ideal: Subspace) -> IntersectionCertific
     for x in cp.system.orbit_representatives():
         ctx = induction_context(cp, x)
         gamma = ctx.gamma_image(ideal)
-        induced = ctx.induced_ideal(gamma)
+        induced = ctx._induce(gamma)   # gamma_image verified gamma an ideal
         # a restriction equal to gamma is an ideal already verified; one
         # that differs is verified before it is reported as inadmissible
         admissible = ctx._restriction_span(induced) == gamma

@@ -65,18 +65,20 @@ class InverseSemigroup:
     def idempotents(self) -> tuple:
         return tuple(e for e in range(self.size) if self.mult[e][e] == e)
 
+    @cached_property
+    def _leq_pairs(self) -> frozenset:
+        """Every (s, t) with s <= t, from one walk of t e over the
+        idempotents e."""
+        return frozenset((self.mult[t][e], t)
+                         for t in range(self.size) for e in self.idempotents)
+
     def leq(self, s: int, t: int) -> bool:
         """Natural partial order: s <= t iff s = t e for some idempotent e."""
-        return any(self.mult[t][e] == s for e in self.idempotents)
+        return (s, t) in self._leq_pairs
 
     @cached_property
     def _order_pairs(self) -> tuple:
-        return tuple(
-            (s, t)
-            for s in range(self.size)
-            for t in range(self.size)
-            if s != t and self.leq(s, t)
-        )
+        return tuple(sorted((s, t) for s, t in self._leq_pairs if s != t))
 
     def order_pairs(self) -> tuple:
         """All strictly comparable pairs (s, t) with s <= t, s != t,

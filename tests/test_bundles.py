@@ -1,5 +1,6 @@
 """Fell bundles, cross-sectional algebras, crossed products, covariant pairs."""
 
+import functools
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from crossedideals import (
     AlgebraAction,
     AmpleSystem,
     CovariantRep,
+    CrossSectionalAlgebra,
     FellBundle,
     FiniteAlgebra,
     InverseSemigroup,
@@ -43,12 +45,18 @@ from crossedideals.fixtures import (
     semilattice_system,
     trivial_system,
 )
+from crossedideals.validation import ValidationReport
 
 from util import (
+    brandt_k_system,
     corrupt_hom_check,
+    dense_action_validate,
     dense_fiber_associativity,
     dense_pre_representation,
+    dense_semidirect_bundle,
+    klein_four_system,
     matrix_units_algebra,
+    rotation_system,
 )
 
 F2 = GF(2)
@@ -187,6 +195,27 @@ def test_inclusion_multiplicative_failure_names_both_order_pairs():
         False, "inclusion-multiplicative", ("e", "e", "e", "1"))
 
 
+def chain_system():
+    """The chain 1 > e > f > z of idempotents restricting four points to
+    their first 4, 3, 2 and 1."""
+    sg = InverseSemigroup(tuple(tuple(max(a, b) for b in range(4)) for a in range(4)),
+                          range(4), ("1", "e", "f", "z"))
+    theta = [PartialBijection.identity(range(4 - a)) for a in range(4)]
+    return AmpleSystem(sg, 4, theta)
+
+
+def test_inclusion_transitivity_failure_names_the_first_chain():
+    # j_{1,z} retargeted: the chains z < e < 1 and z < f < 1 both fail,
+    # and the first in (r, s, t) element order is reported
+    bundle = semidirect_bundle(function_action(chain_system(), F2))
+    assert bundle.validate().ok
+    order_maps = dict(bundle.order_maps)
+    order_maps[(0, 3)] = ((0,), (1,), (0,), (0,))
+    report = corrupted_bundle(bundle, order_maps=order_maps).validate()
+    assert (report.ok, report.rule, report.witness) == (
+        False, "inclusion-transitivity", ("z", "e", "1"))
+
+
 def test_action_map_multiplicative_failure():
     # alpha_g: a -> a + b, b -> b is a bijection of K^2 but not multiplicative
     action = function_action(flip_system(), F3)
@@ -284,6 +313,129 @@ def test_action_map_multiplicative_failure_on_a_noncommutative_algebra():
     action = AlgebraAction(sg, algebra, (Subspace.full(F3, 4),), (transpose,))
     report = action.validate()
     assert (report.ok, report.rule, report.witness) == (False, "map-multiplicative", ("e",))
+
+
+# ---------------------------------------------------------------------------
+# the index-form action against the dense references
+
+INDEX_SYSTEMS = {
+    **FIXTURES,
+    "wide-semilattice": wide_semilattice_system,
+    "klein-four": klein_four_system,
+    **{f"rot{n}on{d}": functools.partial(rotation_system, n, d)
+       for n, d in ((3, 1), (4, 2), (3, 3), (4, 4))},
+    **{f"brandt{k}": functools.partial(brandt_k_system, k) for k in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+@pytest.mark.parametrize("name", sorted(INDEX_SYSTEMS))
+def test_index_constants_match_the_dense_loop(name, field):
+    action = function_action(INDEX_SYSTEMS[name](), field)
+    assert action.moves is not None
+    bundle = semidirect_bundle(action)
+    mu, order_maps = dense_semidirect_bundle(action)
+    assert [(key, list(entries.items())) for key, entries in bundle.mu.items()] == \
+        [(key, list(entries.items())) for key, entries in mu.items()]
+    assert bundle.order_maps == order_maps
+
+
+def unit_triangular(field, n, rng):
+    """A random unit upper triangular n x n matrix with a one above the
+    diagonal at (0, 1), and its inverse."""
+    u = [[field.one if b == a else field.of(rng.randrange(3)) if b > a else field.zero
+          for b in range(n)] for a in range(n)]
+    u[0][1] = field.one
+    inverse = [row[n:] for row in rref(field, [tuple(u[a]) + unit_vector(field, n, a)
+                                               for a in range(n)])[0]]
+    return u, inverse
+
+
+def rebased_function_action(system, field, rng):
+    """The action on K^X in the basis b_a = sum_y U[a][y] delta_y, U unit
+    upper triangular: a valid action whose structure constants, domains
+    and maps are not unit vectors, so it has no index maps."""
+    n = system.space_size
+    u, inverse = unit_triangular(field, n, rng)
+    to_old = lambda v: lincomb(field, v, u, n)
+    to_new = lambda v: lincomb(field, v, inverse, n)
+    products = {}
+    for a in range(n):
+        for b in range(n):
+            w = to_new([field.mul(x, y) for x, y in zip(u[a], u[b])])
+            products[(a, b)] = tuple((k, c) for k, c in enumerate(w) if not field.is_zero(c))
+    algebra = FiniteAlgebra(field, [f"b{a}" for a in range(n)], products)
+    domains, maps = [], []
+    for pb in system.theta:
+        domain = Subspace.span(field, n, [to_new(unit_vector(field, n, y)) for y in pb.domain()])
+        images = []
+        for row in domain.basis:
+            old, moved = to_old(row), [field.zero] * n
+            for y, z in pb.pairs:
+                moved[z] = old[y]
+            images.append(to_new(moved))
+        domains.append(domain)
+        maps.append(images)
+    return AlgebraAction(system.semigroup, algebra, domains, maps)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=str)
+@pytest.mark.parametrize("name", ["FIX-BRANDT", "FIX-FLIP", "FIX-SEMILAT",
+                                  "rot4on2", "wide-semilattice"])
+def test_a_non_monomial_action_builds_through_the_general_path(name, field):
+    system = INDEX_SYSTEMS[name]()
+    action = rebased_function_action(system, field, random.Random(name))
+    assert action.moves is None
+    assert action.validate() == dense_action_validate(action) == ValidationReport.passed()
+    bundle = semidirect_bundle(action)
+    mu, order_maps = dense_semidirect_bundle(action)
+    assert bundle.mu == mu and bundle.order_maps == order_maps
+    sections = CrossSectionalAlgebra(bundle)
+    assert sections.quotient.dim == crossed_product(system, field).dim
+
+
+def corrupted_thetas(pb, n):
+    """Every partial bijection one cell of pb's 0/1 matrix away, then every
+    one with the images of two points of pb swapped."""
+    cells = set(pb.pairs)
+    for cell in itertools.product(range(n), repeat=2):
+        try:
+            yield PartialBijection(sorted(cells ^ {cell}))
+        except ValueError:
+            pass
+    for (x, y), (z, w) in itertools.combinations(pb.pairs, 2):
+        yield PartialBijection({**dict(pb.pairs), x: w, z: y})
+
+
+def test_index_composition_witnesses_match_the_dense_reference():
+    rules = set()
+    for name in ("FIX-FLIP", "FIX-SEMILAT", "FIX-BRANDT", "rot3on3"):
+        system = INDEX_SYSTEMS[name]()
+        for s, pb in enumerate(system.theta):
+            for corrupted in corrupted_thetas(pb, system.space_size):
+                theta = list(system.theta)
+                theta[s] = corrupted
+                action = function_action(
+                    AmpleSystem(system.semigroup, system.space_size, theta), F2)
+                assert action.moves is not None
+                report = action.validate()
+                assert report == dense_action_validate(action), (name, s, corrupted)
+                rules.add(report.rule)
+    assert {"map-inverse", "composition-domain", "composition-values"} <= rules
+
+
+def test_crossed_products_build_without_apply_or_coordinates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense action path taken")
+
+    want = {name: crossed_product(system, F2).algebra.products
+            for name, system in (("rot6on6", rotation_system(6, 6)),
+                                 ("brandt6", brandt_k_system(6)))}
+    monkeypatch.setattr(AlgebraAction, "apply", refuse)
+    monkeypatch.setattr(Subspace, "coordinates", refuse)
+    for name, system in (("rot6on6", rotation_system(6, 6)),
+                         ("brandt6", brandt_k_system(6))):
+        assert crossed_product(system, F2).algebra.products == want[name], name
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ kinds, fixture mode, JSON reports, exit codes, and output determinism."""
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import crossedideals
@@ -354,6 +355,16 @@ def test_oracle_needs_prime_field(capsys):
     code, out, err = run(capsys, ["oracle", Z2FIX, "--field", "Q"])
     assert code == 2
     assert "error: the exhaustive oracle needs a prime field" in err
+
+
+def test_oracle_guards_the_line_count(capsys):
+    # dim 2 over F_1000003 has 1,000,004 lines, one ideal_generate each
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["oracle", Z2FIX, "--field", "F 1000003"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: ideal enumeration guarded to 10000 lines, "
+                   "got 1000004 (p = 1000003, dim 2)\n")
 
 
 def test_oracle_json_report(capsys, tmp_path):

@@ -731,6 +731,9 @@ def test_enumeration_guards():
         enumerate_ideals(matrix_units_algebra(F2), dim_limit=3)
     with pytest.raises(GuardError):
         enumerate_ideals(z2_algebra(QQ))
+    assert exactlin.LINE_LIMIT < 10008
+    with pytest.raises(GuardError, match="10008"):  # p + 1 lines of K^2
+        enumerate_ideals(z2_algebra(GF(10007)))
     with pytest.raises(GuardError):
         list(enumerate_subspaces(QQ, 2))
 

@@ -326,7 +326,7 @@ def test_decompose_reads_the_row_system_without_the_form(monkeypatch):
                                                [cp.term(0, 0), cp.term(0, 4)], cp.dim)])
     assert 0 < ideal.dim < cp.dim
     with monkeypatch.context() as m:
-        m.setattr(InductionContext, "induced_ideal", dense_induced_ideal)
+        m.setattr(InductionContext, "_induce", dense_induced_ideal)
         want = decompose_ideal(cp, ideal)
 
     def no_pair(self, k, m_vec):
@@ -335,22 +335,22 @@ def test_decompose_reads_the_row_system_without_the_form(monkeypatch):
     projections = [0]
     per_call = []
     project = QuotientMap.project
-    induced_ideal = InductionContext.induced_ideal
+    induce = InductionContext._induce
 
     def counted_project(self, v):
         projections[0] += 1
         return project(self, v)
 
-    def counted_induced_ideal(self, ideal):
+    def counted_induce(self, ideal):
         before = projections[0]
-        out = induced_ideal(self, ideal)
+        out = induce(self, ideal)
         per_call.append(projections[0] - before)
         return out
 
     cp.induction_contexts.clear()  # build the context under the patches too
     monkeypatch.setattr(InductionContext, "pair", no_pair)
     monkeypatch.setattr(QuotientMap, "project", counted_project)
-    monkeypatch.setattr(InductionContext, "induced_ideal", counted_induced_ideal)
+    monkeypatch.setattr(InductionContext, "_induce", counted_induce)
     got = decompose_ideal(cp, ideal)
     assert got == want
     assert got.exact and got.intersection == ideal
@@ -740,13 +740,13 @@ def test_every_semilattice_ideal_decomposes():
 
 def test_decompose_induces_once_per_orbit_representative(monkeypatch):
     calls = []
-    induced_ideal = InductionContext.induced_ideal
+    induce = InductionContext._induce
 
     def counted(self, ideal):
         calls.append(self.point)
-        return induced_ideal(self, ideal)
+        return induce(self, ideal)
 
-    monkeypatch.setattr(InductionContext, "induced_ideal", counted)
+    monkeypatch.setattr(InductionContext, "_induce", counted)
     for make in FIXTURES.values():
         cp = crossed_product(make(), F2)
         for ideal in enumerate_ideals(cp.algebra):
@@ -770,8 +770,9 @@ def test_foreign_ambient_ideals_are_rejected():
 
 
 def test_decompose_verifies_each_isotropy_subspace_once(monkeypatch):
-    # gamma_image(ideal) and the input check of induced_ideal; the
-    # restriction of the induced ideal equals gamma and is not re-verified
+    # gamma_image(ideal) verifies gamma, and decompose induces from it with
+    # the kernel behind induced_ideal; the restriction of the induced ideal
+    # equals gamma and is not re-verified
     cp = crossed_product(rotation_system(12, 1), F3)
     ideal = ideal_generate(cp.algebra, [lincomb(F3, [F3.one, F3.of(-1)],
                                                [cp.term(0, 0), cp.term(0, 4)], cp.dim)])
@@ -787,7 +788,32 @@ def test_decompose_verifies_each_isotropy_subspace_once(monkeypatch):
     monkeypatch.setattr(induction, "is_ideal", counted)
     cert = decompose_ideal(cp, ideal)
     assert cert.exact
+    assert checked == [cert.points[0].gamma_ideal]
+    # the public induced_ideal still verifies its input
+    induction_context(cp, 0).induced_ideal(cert.points[0].gamma_ideal)
     assert checked == [cert.points[0].gamma_ideal] * 2
+
+
+@pytest.mark.parametrize("name, system", [
+    ("semilattice", semilattice_system()), ("brandt", brandt_system()),
+    ("rot4on2", rotation_system(4, 2)), ("klein", klein_four_system())])
+def test_decompose_checks_one_isotropy_ideal_per_orbit_point(monkeypatch, name, system):
+    cp = crossed_product(system, F2)
+    reps = cp.system.orbit_representatives()
+    algebras = {id(induction_context(cp, x).group_algebra): x for x in reps}
+    is_ideal = induction.is_ideal
+    for ideal in enumerate_ideals(cp.algebra, dim_limit=8):
+        points = []
+
+        def counted(algebra, space):
+            if id(algebra) in algebras:
+                points.append(algebras[id(algebra)])
+            return is_ideal(algebra, space)
+
+        monkeypatch.setattr(induction, "is_ideal", counted)
+        decompose_ideal(cp, ideal)
+        monkeypatch.undo()
+        assert points == list(reps), name
 
 
 @pytest.mark.parametrize("induced_basis, rule, witness", [
@@ -800,7 +826,7 @@ def test_inadmissible_restrictions_keep_their_rule_order(monkeypatch, induced_ba
     # the zero ideal of F2[Z/2] restricts to gamma = 0; an induced ideal whose
     # restriction differs is checked to be an ideal before it is reported
     cp = crossed_product(FIXTURES["FIX-Z2FIX"](), F2)
-    monkeypatch.setattr(InductionContext, "induced_ideal",
+    monkeypatch.setattr(InductionContext, "_induce",
                         lambda self, ideal: Subspace.span(F2, cp.dim, induced_basis))
     with pytest.raises(StructureError) as err:
         decompose_ideal(cp, Subspace.zero(F2, cp.dim))

@@ -5,7 +5,7 @@ import pytest
 from crossedideals import InverseSemigroup
 from crossedideals.fixtures import FIXTURES, brandt_system
 
-from util import z2_semigroup
+from util import brandt_k_system, z2_semigroup
 
 
 def brandt_semigroup() -> InverseSemigroup:
@@ -114,6 +114,20 @@ def test_leq_is_antisymmetric_and_transitive():
                 for u in range(sg.size):
                     if sg.leq(s, t) and sg.leq(t, u):
                         assert sg.leq(s, u)
+
+
+def test_leq_and_order_pairs_follow_the_definition():
+    semigroups = all_fixture_semigroups() + [brandt_k_system(3).semigroup]
+    semigroups += [sg.unitize() for sg in semigroups]
+    for sg in semigroups:
+        strict = []
+        for s in range(sg.size):
+            for t in range(sg.size):
+                below = any(sg.mult[t][e] == s for e in range(sg.size) if sg.mult[e][e] == e)
+                assert sg.leq(s, t) == below
+                if below and s != t:
+                    strict.append((s, t))
+        assert sg.order_pairs() == tuple(strict)
 
 
 def test_order_is_compatible_with_involution():

@@ -11,8 +11,11 @@ from crossedideals import (
     StructureError,
     Subspace,
     enumerate_subspaces,
+    is_ideal,
     nullspace,
 )
+from crossedideals.exactlin import mat_from_columns, nonzero_entries, subspace_intersect
+from crossedideals.validation import ValidationReport
 
 
 def z2_semigroup() -> InverseSemigroup:
@@ -259,3 +262,78 @@ def dense_induced_ideal(ctx, ideal) -> Subspace:
             for coord in range(qm.dim):
                 rows.append(tuple(img[coord] for img in images))
     return Subspace(f, dim, nullspace(f, rows, dim))
+
+
+def dense_semidirect_bundle(action):
+    """Reference structure constants of the semidirect bundle: (mu,
+    order_maps), with each mu constant of e_i in B_s times e_j in B_t the
+    B_st coordinates of alpha_s(alpha_s*(e_i) e_j), formed with dense
+    products, AlgebraAction.apply and Subspace.coordinates, and inserted in
+    (s, t, i, j) order."""
+    sg, alg = action.semigroup, action.algebra
+    f = alg.field
+    coeff = [action.domains[sg.product(s, sg.inv(s))] for s in range(sg.size)]
+    mu = {}
+    for s in range(sg.size):
+        for t in range(sg.size):
+            st = sg.product(s, t)
+            entries = {}
+            for i, u in enumerate(coeff[s].basis):
+                pulled = action.apply(sg.inv(s), u)
+                for j, v in enumerate(coeff[t].basis):
+                    w = action.apply(s, dense_mul(f, alg.products, alg.dim, pulled, v))
+                    terms = nonzero_entries(f, coeff[st].coordinates(w))
+                    if terms:
+                        entries[(i, j)] = terms
+            if entries:
+                mu[(s, t)] = entries
+    order_maps = {}
+    for (s, t) in sg.order_pairs():
+        cols = [coeff[t].coordinates(u) for u in coeff[s].basis]
+        order_maps[(t, s)] = mat_from_columns(f, cols, coeff[t].dim)
+    return mu, order_maps
+
+
+def dense_action_validate(action):
+    """Reference AlgebraAction.validate: every rule in the library's order,
+    with "map-multiplicative" by dense products and "map-inverse",
+    "composition-domain" and "composition-values" by AlgebraAction.apply
+    and subspace arithmetic, for any action."""
+    sg, alg = action.semigroup, action.algebra
+    f, n = alg.field, alg.dim
+    domains = action.domains
+    for s in range(sg.size):
+        if domains[s] != domains[sg.product(sg.inv(s), s)]:
+            return ValidationReport.failed("domain-consistency", (sg.name(s),))
+    for e in sg.idempotents:
+        if not is_ideal(alg, domains[e]):
+            return ValidationReport.failed("domain-ideal", (sg.name(e),))
+    ranges = [action.range_space(s) for s in range(sg.size)]
+    for s in range(sg.size):
+        if ranges[s] != domains[sg.product(s, sg.inv(s))] or ranges[s].dim != domains[s].dim:
+            return ValidationReport.failed("map-bijection", (sg.name(s),))
+    for s in range(sg.size):
+        for u in domains[s].basis:
+            for v in domains[s].basis:
+                lhs = action.apply(s, dense_mul(f, alg.products, n, u, v))
+                rhs = dense_mul(f, alg.products, n, action.apply(s, u), action.apply(s, v))
+                if lhs != rhs:
+                    return ValidationReport.failed("map-multiplicative", (sg.name(s),))
+    for s in range(sg.size):
+        for u in domains[s].basis:
+            if action.apply(sg.inv(s), action.apply(s, u)) != u:
+                return ValidationReport.failed("map-inverse", (sg.name(s),))
+    for s in range(sg.size):
+        for t in range(sg.size):
+            st = sg.product(s, t)
+            overlap = subspace_intersect(domains[s], ranges[t])
+            pulled = Subspace.span(f, n, [action.apply(sg.inv(t), v) for v in overlap.basis])
+            if pulled != domains[st]:
+                return ValidationReport.failed("composition-domain", (sg.name(s), sg.name(t)))
+            for v in domains[st].basis:
+                if action.apply(st, v) != action.apply(s, action.apply(t, v)):
+                    return ValidationReport.failed("composition-values", (sg.name(s), sg.name(t)))
+    total = Subspace.span(f, n, [v for e in sg.idempotents for v in domains[e].basis])
+    if total.dim != n:
+        return ValidationReport.failed("domain-span", (total.dim,))
+    return ValidationReport.passed()
