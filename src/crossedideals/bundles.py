@@ -498,7 +498,9 @@ class CrossSectionalAlgebra:
     ideal N, and the quotient by N.
 
     The quotient basis consists of the cosets of the basis labels that are
-    not pivotal in N's reduced basis (the canonical complement)."""
+    not pivotal in N's reduced basis (the canonical complement).  When N
+    is 0 every label is its own coset and the quotient is the total
+    algebra itself, already built and checked."""
 
     def __init__(self, bundle: FellBundle):
         self.bundle = bundle
@@ -506,7 +508,6 @@ class CrossSectionalAlgebra:
         self.offsets = bundle.offsets
         self.label_pairs = bundle.label_pairs
         self.total = bundle.total
-        labels = self.total.labels
         gens = []
         for (s, t) in sg.order_pairs():
             for i in range(bundle.fiber_dim(s)):
@@ -523,7 +524,9 @@ class CrossSectionalAlgebra:
                                  "the redundancy span fails to be two-sided")
         self.redundancy = span
         self.qmap = QuotientMap.of(span)
-        coset_labels = tuple(labels[k] for k in self.qmap.coset_positions)
+        if span.dim == 0:
+            self.quotient = self.total
+            return
         qproducts = {}
         for a, ga in enumerate(self.qmap.coset_positions):
             for b, gb in enumerate(self.qmap.coset_positions):
@@ -533,6 +536,7 @@ class CrossSectionalAlgebra:
                 terms = nonzero_entries(f, self.qmap.project(prod))
                 if terms:
                     qproducts[(a, b)] = terms
+        coset_labels = tuple(self.total.labels[k] for k in self.qmap.coset_positions)
         self.quotient = FiniteAlgebra(f, coset_labels, qproducts)
 
     def global_index(self, s: int, i: int) -> int:
@@ -540,19 +544,6 @@ class CrossSectionalAlgebra:
 
     def project(self, total_vector) -> tuple:
         return self.qmap.project(total_vector)
-
-    def lift(self, quotient_vector) -> tuple:
-        return self.qmap.lift(quotient_vector)
-
-    def lift_pairs(self, quotient_vector):
-        """Canonical lift as [(s, fiber_index, coeff)] with nonzero coeff."""
-        f = self.bundle.field
-        lifted = self.lift(quotient_vector)
-        return [
-            (*self.label_pairs[g], c)
-            for g, c in enumerate(lifted)
-            if not f.is_zero(c)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +603,15 @@ class CrossedProduct:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def basis_pair(self, coset_index: int) -> tuple:
-        """(point, element) of the canonical representative of a coset."""
-        g = self.sections.qmap.coset_positions[coset_index]
+    def section_pair(self, g: int) -> tuple:
+        """(point, element) of the section delta_y at s that is the g-th
+        basis label of the cross-sectional algebra."""
         s, i = self.sections.label_pairs[g]
         return self._fiber_points[s][i], s
+
+    def basis_pair(self, coset_index: int) -> tuple:
+        """(point, element) of the canonical representative of a coset."""
+        return self.section_pair(self.sections.qmap.coset_positions[coset_index])
 
     def term(self, y: int, s: int) -> tuple:
         """Coset coordinates of the single section delta_y at element s."""
@@ -635,15 +630,16 @@ class CrossedProduct:
 
     def lift_terms(self, b):
         """Canonical lift of a coset vector, grouped per element:
-        [(s, function vector over X)] with nonzero functions only."""
+        [(s, function vector over X)] with nonzero functions only, read
+        by basis_pair: coset (y, s) holds the value at y of the one at s."""
         f = self.field
+        if len(b) != self.dim:
+            raise ValueError(f"vector of length {len(b)} in a crossed product of dim {self.dim}")
         per_elem = {}
-        for s, i, c in self.sections.lift_pairs(b):
-            fn = per_elem.setdefault(s, [f.zero] * self.system.space_size)
-            y = self._fiber_points[s][i]
-            fn[y] = f.add(fn[y], c)
-        return [(s, tuple(fn)) for s, fn in sorted(per_elem.items())
-                if not vec_is_zero(f, fn)]
+        for a, c in nonzero_entries(f, b):
+            y, s = self.basis_pair(a)
+            per_elem.setdefault(s, [f.zero] * self.system.space_size)[y] = c
+        return [(s, tuple(fn)) for s, fn in sorted(per_elem.items())]
 
     def embed(self, f_vec) -> tuple:
         """Embed a function on X, greedily partitioning its support by the
@@ -677,13 +673,10 @@ class CrossedProduct:
         if not terms:
             return zero_vector(f, self.dim)
         sg = self.system.semigroup
-        support = {}
-        pulled = {}
-        for s, fn in terms:
-            supp = frozenset(y for y in range(self.system.space_size)
-                             if not f.is_zero(fn[y]))
-            support[s] = supp
-            pulled[s] = frozenset(self.system.theta[sg.inv(s)].apply(y) for y in supp)
+        support = {s: frozenset(y for y, c in enumerate(fn) if not f.is_zero(c))
+                   for s, fn in terms}
+        pulled = {s: frozenset(map(self.system.theta[sg.inv(s)].apply, supp))
+                  for s, supp in support.items()}
         elems = sorted(support)
         space = frozenset(range(self.system.space_size))
         pieces = []

@@ -509,6 +509,8 @@ class QuotientMap:
         return tuple(r[j] for j in self.coset_positions)
 
     def lift(self, w) -> tuple:
+        if len(w) != self.dim:
+            raise ValueError(f"coset vector of length {len(w)} in a quotient of dim {self.dim}")
         f = self.subspace.field
         v = [f.zero] * self.subspace.ambient_dim
         for j, c in zip(self.coset_positions, w):
@@ -583,6 +585,8 @@ class FiniteAlgebra:
     def mul(self, u, v) -> tuple:
         """u v for dense vectors, by sparse_mul."""
         f = self.field
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError(f"vector lengths {len(u)}, {len(v)} in an algebra of dim {self.dim}")
         prod = self.sparse_mul(nonzero_entries(f, u), nonzero_entries(f, v))
         return tuple(prod.get(k, f.zero) for k in range(self.dim))
 

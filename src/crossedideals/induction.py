@@ -31,6 +31,7 @@ from .exactlin import (
     mat_lincomb,
     mat_mul,
     mat_vec,
+    nonzero_entries,
     nullspace,
     rref,
     unit_vector,
@@ -40,16 +41,33 @@ from .exactlin import (
 
 def isotropy_restriction(cp: CrossedProduct, x: int, b) -> tuple:
     """Coefficients of b along the isotropy germs at x, as a vector over
-    the isotropy group algebra basis."""
-    iso = cp.system.isotropy_group(x)
+    the isotropy group algebra basis, read off b's coset coordinates."""
+    if len(b) != cp.dim:
+        raise ValueError(f"vector of length {len(b)} in a crossed product of dim {cp.dim}")
+    positions = cp.sections.qmap.coset_positions
+    return _restrict(cp, x, [(positions[a], c) for a, c in nonzero_entries(cp.field, b)])
+
+
+def _restrict(cp: CrossedProduct, x: int, terms) -> tuple:
+    """The restriction rule over terms (g, c), each c times the g-th
+    section label delta_y at s: it adds c at the germ [s@x] exactly when
+    y = x and theta_s fixes x, and nothing otherwise."""
     f = cp.field
-    out = [f.zero] * iso.size
-    for s, fn in cp.lift_terms(b):
-        pb = cp.system.theta[s]
-        if pb.defined_at(x) and pb.apply(x) == x and not f.is_zero(fn[x]):
-            idx = iso.member_index(cp.system.germ_of(s, x))
-            out[idx] = f.add(out[idx], fn[x])
+    out = [f.zero] * cp.system.isotropy_group(x).size
+    for g, c in terms:
+        y, s = cp.section_pair(g)
+        idx = _fixed_germ(cp, x, s) if y == x else None
+        if idx is not None:
+            out[idx] = f.add(out[idx], c)
     return tuple(out)
+
+
+def _fixed_germ(cp: CrossedProduct, x: int, s: int):
+    """Isotropy index of the germ [s@x] when theta_s fixes x, else None."""
+    pb = cp.system.theta[s]
+    if pb.defined_at(x) and pb.apply(x) == x:
+        return cp.system.isotropy_group(x).member_index(cp.system.germ_of(s, x))
+    return None
 
 
 def induction_context(cp: CrossedProduct, x: int) -> "InductionContext":
@@ -84,9 +102,9 @@ class InductionContext:
         self.transversal = sys.orbit_transversal(x)
         self.orbit = sys.orbit(x)
         sections = cp.sections
-        # one entry per basis label (s, i) of the sections, i.e. per (s, y)
-        self._section_moves = tuple(self._moves(s, cp._fiber_points[s][i])
-                                    for s, i in sections.label_pairs)
+        # one entry per basis label of the sections, i.e. per section (y, s)
+        self._section_moves = tuple(self._moves(*cp.section_pair(g))
+                                    for g in range(sections.total.dim))
         self.moves = tuple(self._section_moves[g] for g in sections.qmap.coset_positions)
         self.pair_index = tuple(
             tuple(self._pair_target(k, t) for t in range(self.module_dim))
@@ -99,7 +117,7 @@ class InductionContext:
     def module_dim(self) -> int:
         return len(self.germs)
 
-    def _moves(self, s: int, y: int) -> tuple:
+    def _moves(self, y: int, s: int) -> tuple:
         """For each germ [t] at x, the index of the germ [s t] when the
         section delta_y at s moves it, else None."""
         sys, sg, x = self.system, self.system.semigroup, self.point
@@ -113,12 +131,9 @@ class InductionContext:
 
     def _pair_target(self, k: int, t: int):
         """Isotropy index of [k* t] when k* t fixes x, else None."""
-        sys, sg, x = self.system, self.system.semigroup, self.point
+        sg = self.system.semigroup
         kt = sg.product(sg.inv(self.germs[k].element), self.germs[t].element)
-        pb = sys.theta[kt]
-        if pb.defined_at(x) and pb.apply(x) == x:
-            return self.iso.member_index(sys.germ_of(kt, x))
-        return None
+        return _fixed_germ(self.cp, self.point, kt)
 
     def act(self, b) -> tuple:
         """Matrix of b acting on the germ module."""
@@ -141,16 +156,11 @@ class InductionContext:
 
     def pair(self, k: int, m_vec) -> tuple:
         """The KG_x-valued form <delta_[k], m> = sum [k* t isotropy] m_t delta_[k* t]."""
-        sys, sg, f = self.system, self.system.semigroup, self.field
-        kstar = sg.inv(self.germs[k].element)
+        f = self.field
         out = [f.zero] * self.iso.size
         for t, c in enumerate(m_vec):
-            if f.is_zero(c):
-                continue
-            kt = sg.product(kstar, self.germs[t].element)
-            pb = sys.theta[kt]
-            if pb.defined_at(self.point) and pb.apply(self.point) == self.point:
-                idx = self.iso.member_index(sys.germ_of(kt, self.point))
+            idx = None if f.is_zero(c) else self._pair_target(k, t)
+            if idx is not None:
                 out[idx] = f.add(out[idx], c)
         return tuple(out)
 
@@ -158,19 +168,11 @@ class InductionContext:
         """The term-level formulas must kill every basis vector of the
         redundancy ideal; checked exhaustively, not sampled."""
         f = self.field
-        sections = self.cp.sections
-        for n_vec in sections.redundancy.basis:
-            rest = [f.zero] * self.iso.size
+        for n_vec in self.cp.sections.redundancy.basis:
+            terms = nonzero_entries(f, n_vec)
+            rest = _restrict(self.cp, self.point, terms)
             act = {}
-            for g, c in enumerate(n_vec):
-                if f.is_zero(c):
-                    continue
-                s, i = sections.label_pairs[g]
-                y = self.cp._fiber_points[s][i]
-                pb = self.system.theta[s]
-                if pb.defined_at(self.point) and pb.apply(self.point) == self.point and y == self.point:
-                    idx = self.iso.member_index(self.system.germ_of(s, self.point))
-                    rest[idx] = f.add(rest[idx], c)
+            for g, c in terms:
                 for gi, target in enumerate(self._section_moves[g]):
                     if target is not None:
                         act[target, gi] = f.add(act.get((target, gi), f.zero), c)

@@ -441,7 +441,9 @@ def test_crossed_products_build_without_apply_or_coordinates(monkeypatch):
 # ---------------------------------------------------------------------------
 # one associativity check per algebra
 
-def test_crossed_product_checks_associativity_once_per_algebra(monkeypatch):
+@pytest.fixture
+def checked_algebras(monkeypatch):
+    """Every FiniteAlgebra whose associativity is checked, in order."""
     checked = []
     check = FiniteAlgebra._check_associativity
 
@@ -450,14 +452,32 @@ def test_crossed_product_checks_associativity_once_per_algebra(monkeypatch):
         return check(self)
 
     monkeypatch.setattr(FiniteAlgebra, "_check_associativity", recording)
+    return checked
+
+
+def test_crossed_product_checks_associativity_once_per_algebra(checked_algebras):
+    # N = 0: the quotient is the checked total algebra itself
     cp = crossed_product(flip_system(), F2)
-    assert [alg.dim for alg in checked] == [2, 4, 4]
-    function_alg, total, quotient = checked
+    assert cp.sections.redundancy.dim == 0
+    assert [alg.dim for alg in checked_algebras] == [2, 4]
+    function_alg, total = checked_algebras
     assert function_alg.labels == ("a", "b")
     assert total is cp.bundle.total is cp.sections.total
-    assert quotient is cp.algebra
+    assert cp.algebra is cp.sections.quotient is cp.sections.total
     assert cp.bundle.validate().ok
-    assert len(checked) == 3  # a second validate reuses the checked total
+    assert len(checked_algebras) == 2  # a second validate reuses the checked total
+
+
+def test_a_nonzero_redundancy_ideal_builds_and_checks_the_quotient(checked_algebras):
+    cp = crossed_product(semilattice_system(), F2)
+    assert cp.sections.redundancy.dim == 1
+    assert [alg.dim for alg in checked_algebras] == [2, 3, 2]
+    function_alg, total, quotient = checked_algebras
+    assert function_alg.labels == ("x", "y")
+    assert total is cp.bundle.total is cp.sections.total
+    assert quotient is cp.algebra is cp.sections.quotient
+    assert quotient is not total
+    assert quotient.labels == ("y:1", "x:e")
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +577,31 @@ def test_embed_is_multiplicative_and_injective():
                 assert prod == (images[y] if y == z else zero_vector(F2, cp.dim))
 
 
+def test_algebra_mul_rejects_vectors_of_the_wrong_length():
+    alg = crossed_product(flip_system(), F2).algebra
+    assert alg.dim == 4
+    for u, v in [((1, 0, 0, 0, 1), (1, 0, 0, 0)), ((1, 0), (1, 0, 0, 0)),
+                 ((1, 0, 0, 0), (1, 0, 0, 0, 0))]:
+        with pytest.raises(ValueError, match="length"):
+            alg.mul(u, v)
+    assert alg.mul((1, 0, 0, 0), (1, 0, 0, 0)) == (1, 0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # local units
 
 def test_local_unit_of_zero_is_zero():
     cp = crossed_product(flip_system(), F2)
     assert cp.local_unit(zero_vector(F2, 4)) == zero_vector(F2, 4)
+
+
+@pytest.mark.parametrize("b", [(1, 0, 0, 0, 1), (1,)])
+def test_lift_terms_and_local_unit_reject_a_vector_of_the_wrong_length(b):
+    cp = crossed_product(flip_system(), F2)
+    for read in (cp.lift_terms, cp.local_unit):
+        with pytest.raises(ValueError, match="length") as info:
+            read(b)
+        assert not isinstance(info.value, StructureError)
 
 
 def test_local_units_exist_for_every_basis_element():

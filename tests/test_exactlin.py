@@ -251,6 +251,13 @@ def test_quotient_map_sections_the_projection():
     assert qm.project((1, 1, 0)) == (0, 0)
 
 
+def test_quotient_map_lift_rejects_a_coset_vector_of_the_wrong_length():
+    qm = QuotientMap.of(Subspace.span(F2, 3, [(1, 1, 0)]))
+    for w in ((1,), (1, 0, 1)):
+        with pytest.raises(ValueError, match="length"):
+            qm.lift(w)
+
+
 # ---------------------------------------------------------------------------
 # algebras and ideals
 

@@ -31,11 +31,14 @@ from crossedideals import (
 from crossedideals.exactlin import lincomb, mat_lincomb, mat_mul, nullspace, rref, unit_vector
 from crossedideals.fixtures import FIXTURES, brandt_system, flip_system, semilattice_system
 from crossedideals import induction
-from crossedideals.induction import InductionContext
+from crossedideals.induction import InductionContext, isotropy_restriction
 
 from util import (
+    brandt_k_system,
     dense_action_matrix,
     dense_induced_ideal,
+    dense_isotropy_restriction,
+    dense_lift_terms,
     klein_four_system,
     rotation_system,
 )
@@ -64,6 +67,15 @@ def fixture_products():
     return {name: crossed_product(make(), F2) for name, make in FIXTURES.items()}
 
 
+# SYSTEMS and the Brandt semigroups B_2 and B_3, whose crossed products
+# have trivial isotropy and no redundancy
+RESTRICTION_SYSTEMS = {
+    **SYSTEMS,
+    "brandt2": lambda: brandt_k_system(2),
+    "brandt3": lambda: brandt_k_system(3),
+}
+
+
 # ---------------------------------------------------------------------------
 # the restriction map
 
@@ -73,6 +85,31 @@ def test_restriction_reads_isotropy_coefficients():
     b = tuple(F2.add(u, v) for u, v in zip(cp.indicator_term(0),
                                            cp.indicator_term(1)))
     assert ctx.restrict(b) == (F2.one, F2.one)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+@pytest.mark.parametrize("name", sorted(RESTRICTION_SYSTEMS))
+def test_restriction_by_basis_pair_matches_the_lift_round_trip(name, field):
+    """Direct reads of the coset coordinates against the reference that
+    lifts to the total space and regroups per element, on every basis
+    vector and on seeded random vectors, at every point."""
+    cp = crossed_product(RESTRICTION_SYSTEMS[name](), field)
+    rng = random.Random(f"{name}/{field}")
+    values = [field.of(k) for k in (-2, -1, 0, 0, 1, 2, 3)]
+    vectors = [cp.algebra.basis_vector(i) for i in range(cp.dim)]
+    vectors += [tuple(rng.choice(values) for _ in range(cp.dim)) for _ in range(8)]
+    for b in vectors:
+        assert cp.lift_terms(b) == dense_lift_terms(cp, b)
+        for x in range(cp.system.space_size):
+            assert isotropy_restriction(cp, x, b) == dense_isotropy_restriction(cp, x, b)
+
+
+def test_restriction_rejects_a_vector_of_the_wrong_length():
+    cp = crossed_product(flip_system(), F2)
+    for b in ((1, 0, 0, 0, 1), (1,)):
+        with pytest.raises(ValueError, match="length") as info:
+            isotropy_restriction(cp, 0, b)
+        assert not isinstance(info.value, StructureError)
 
 
 def test_induction_contexts_are_built_once_per_point():

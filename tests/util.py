@@ -229,6 +229,37 @@ def dense_pre_representation(bundle, target, fiber_images, total_order: bool):
     return None
 
 
+def dense_lift_terms(cp, b):
+    """CrossedProduct.lift_terms by the round trip through the total
+    space: lift b to its canonical representative, then regroup the
+    nonzero entries into one function on X per element."""
+    f, sys = cp.field, cp.system
+    per_elem = {}
+    for g, c in enumerate(cp.sections.qmap.lift(b)):
+        if f.is_zero(c):
+            continue
+        s, i = cp.sections.label_pairs[g]
+        fn = per_elem.setdefault(s, [f.zero] * sys.space_size)
+        y = sys.theta[s].image()[i]
+        fn[y] = f.add(fn[y], c)
+    return [(s, tuple(fn)) for s, fn in sorted(per_elem.items())
+            if any(not f.is_zero(c) for c in fn)]
+
+
+def dense_isotropy_restriction(cp, x, b) -> tuple:
+    """isotropy_restriction by the round trip: read every per-element
+    function of the lift at x, keeping the elements whose theta fixes x."""
+    f, sys = cp.field, cp.system
+    iso = sys.isotropy_group(x)
+    out = [f.zero] * iso.size
+    for s, fn in dense_lift_terms(cp, b):
+        pb = sys.theta[s]
+        if pb.defined_at(x) and pb.apply(x) == x and not f.is_zero(fn[x]):
+            idx = iso.member_index(sys.germ_of(s, x))
+            out[idx] = f.add(out[idx], fn[x])
+    return tuple(out)
+
+
 def dense_action_matrix(ctx, i):
     """The matrix of basis section i on the germ module at ctx.point, built
     from the system: for the basis pair (y, s), column l has a one at the
