@@ -12,6 +12,11 @@ The crossed product of the function algebra K^X by an ample system is the
 cross-sectional algebra of the semidirect product bundle of the induced
 action alpha_s(f) = f o theta_{s*}; its basis is labeled by pairs
 (point y, element s) with y in the range of theta_s.
+
+An AlgebraAction is held in index form: the algebra must be monomial
+(every structure constant a single basis vector, as for K^X), and each
+alpha_s is a partial permutation of its basis, alpha_s(e_p) = e_q, so the
+action rules and the semidirect bundle's constants are lookups.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from .dynsys import AmpleSystem, PartialBijection
 from .exactlin import (
@@ -41,7 +46,6 @@ from .exactlin import (
     nonzero_entries,
     rref,
     sparse_combination,
-    subspace_intersect,
     unit_vector,
     vec_is_zero,
     zero_vector,
@@ -245,128 +249,68 @@ def _order_with_diagonal(sg: InverseSemigroup):
 # algebra actions and the semidirect product bundle
 
 class AlgebraAction:
-    """Inverse semigroup action on a finite algebra by isomorphisms between
-    two-sided ideals; dom(alpha_s) is the ideal attached to s* s."""
+    """Inverse semigroup action on a monomial algebra (every structure
+    constant a single basis vector, rows[a][z] = c for e_a e_z = e_c, as
+    for K^X) by partial permutations of its basis: moves[s] = {p: q} means
+    alpha_s(e_p) = e_q, and dom(alpha_s) = span{e_p : p in moves[s]} is
+    the ideal attached to s* s.  On a finite space the induced action
+    alpha_s(f) = f o theta_{s*} has this form: it sends point masses to
+    point masses."""
 
-    def __init__(self, semigroup: InverseSemigroup, algebra: FiniteAlgebra,
-                 domains: Sequence[Subspace], maps: Sequence):
+    def __init__(self, semigroup: InverseSemigroup, algebra: FiniteAlgebra, moves):
+        if algebra.index_rows is None:
+            raise ValueError("an action needs an algebra with a monomial table")
         self.semigroup = semigroup
         self.algebra = algebra
-        self.domains = tuple(domains)
-        self.maps = tuple(tuple(tuple(v) for v in m) for m in maps)
-        if len(self.domains) != semigroup.size or len(self.maps) != semigroup.size:
-            raise ValueError("one domain and one map per element required")
-        for s in range(semigroup.size):
-            if len(self.maps[s]) != self.domains[s].dim:
-                raise ValueError(f"map {s} has wrong number of rows")
-
-    def apply(self, s: int, v) -> tuple:
-        coords = self.domains[s].coordinates(v)
-        return lincomb(self.algebra.field, coords, self.maps[s], self.algebra.dim)
-
-    @cached_property
-    def moves(self) -> tuple | None:
-        """The action as partial maps of basis indices: moves[s] = {p: q}
-        when every RREF basis row of every domain is a unit vector e_p
-        whose image row is a unit vector e_q, both with coefficient one
-        (as for K^X, where alpha_s moves point masses); else None."""
-        f = self.algebra.field
-        moves = []
-        for domain, images in zip(self.domains, self.maps):
-            move = {}
-            for row, image in zip(domain.basis, images):
-                row, image = nonzero_entries(f, row), nonzero_entries(f, image)
-                if len(row) != 1 or len(image) != 1 or image[0][1] != f.one:
-                    return None
-                move[row[0][0]] = image[0][0]
-            moves.append(move)
-        return tuple(moves)
-
-    def range_space(self, s: int) -> Subspace:
-        return Subspace.span(self.algebra.field, self.algebra.dim, self.maps[s])
+        self.moves = tuple(dict(move) for move in moves)
+        if len(self.moves) != semigroup.size:
+            raise ValueError("one map per element required")
+        basis = range(algebra.dim)
+        for s, move in enumerate(self.moves):
+            if not all(p in basis and q in basis for p, q in move.items()):
+                raise ValueError(f"map {s} moves an index outside the basis")
 
     def validate(self) -> ValidationReport:
-        sg, alg = self.semigroup, self.algebra
-        f = alg.field
+        """Check the action axioms in a fixed order, returning the first
+        failure with its witness.  Every domain is spanned by the unit
+        vectors at its keys, so each rule is a lookup in the index maps
+        and the monomial table."""
+        sg, moves = self.semigroup, self.moves
+        rows = self.algebra.index_rows
         for s in range(sg.size):
-            ss = sg.product(sg.inv(s), s)
-            if self.domains[s] != self.domains[ss]:
+            if moves[s].keys() != moves[sg.product(sg.inv(s), s)].keys():
                 return ValidationReport.failed("domain-consistency", (sg.name(s),))
+        # a product e_a e_z = e_c with a factor in the domain lands in it
         for e in sg.idempotents:
-            if not is_ideal(alg, self.domains[e]):
+            domain = moves[e].keys()
+            if any(c not in domain for a, row in enumerate(rows)
+                   for z, c in row.items() if a in domain or z in domain):
                 return ValidationReport.failed("domain-ideal", (sg.name(e),))
-        ranges = [self.range_space(s) for s in range(sg.size)]
         for s in range(sg.size):
-            target = self.domains[sg.product(s, sg.inv(s))]
-            if ranges[s] != target or ranges[s].dim != self.domains[s].dim:
+            images = set(moves[s].values())
+            if moves[sg.product(s, sg.inv(s))].keys() != images or len(images) != len(moves[s]):
                 return ValidationReport.failed("map-bijection", (sg.name(s),))
-        # alpha_s(u v) = alpha_s(u) alpha_s(v) on basis pairs of the domain,
-        # from the nonzero entries alone; u v has its domain coordinates at
-        # the pivots, and its residue after them must vanish
+        # alpha_s(e_p e_p') = alpha_s(e_p) alpha_s(e_p') on basis pairs of
+        # the domain, which holds e_p e_p' by the ideal rule
         for s in range(sg.size):
-            domain = self.domains[s]
-            basis = [nonzero_entries(f, u) for u in domain.basis]
-            images = [nonzero_entries(f, w) for w in self.maps[s]]
-            for a, u in enumerate(basis):
-                for b, v in enumerate(basis):
-                    uv = alg.sparse_mul(u, v)
-                    coords = [(uv[p], c) for c, p in enumerate(domain.pivots) if p in uv]
-                    residue = sparse_combination(
-                        f, [(f.one, tuple(uv.items()))]
-                        + [(f.neg(x), basis[c]) for x, c in coords])
-                    if residue:
-                        raise ValueError("vector not in subspace")
-                    lhs = sparse_combination(f, [(x, images[c]) for x, c in coords])
-                    if lhs != alg.sparse_mul(images[a], images[b]):
-                        return ValidationReport.failed("map-multiplicative", (sg.name(s),))
-        moves = self.moves
-        failure = (self._dense_composition_failure(ranges) if moves is None
-                   else self._index_composition_failure(moves))
+            move = moves[s]
+            if any(move.get(rows[p].get(pp)) != rows[q].get(qq)
+                   for p, q in move.items() for pp, qq in move.items()):
+                return ValidationReport.failed("map-multiplicative", (sg.name(s),))
+        failure = self._composition_failure()
         if failure is not None:
             return failure
-        total = Subspace.zero(f, alg.dim)
-        for e in sg.idempotents:
-            total = Subspace.span(f, alg.dim, list(total.basis) + list(self.domains[e].basis))
-        if total.dim != alg.dim:
-            return ValidationReport.failed("domain-span", (total.dim,))
+        covered = set().union(*(moves[e].keys() for e in sg.idempotents))
+        if len(covered) != self.algebra.dim:
+            return ValidationReport.failed("domain-span", (len(covered),))
         return ValidationReport.passed()
 
-    def _dense_composition_failure(self, ranges) -> ValidationReport | None:
-        """The rules map-inverse, composition-domain and composition-values
-        for any action, by apply and subspace arithmetic."""
-        sg, f, n = self.semigroup, self.algebra.field, self.algebra.dim
-        for s in range(sg.size):
-            for u in self.domains[s].basis:
-                if self.apply(sg.inv(s), self.apply(s, u)) != u:
-                    return ValidationReport.failed("map-inverse", (sg.name(s),))
-        # dom(s) and ran(t) are the ideals of s* s and t t*, so the same
-        # pair of subspaces recurs; each intersection is formed once
-        overlaps = {}
-        for s in range(sg.size):
-            for t in range(sg.size):
-                st = sg.product(s, t)
-                pair = (self.domains[s], ranges[t])
-                if pair not in overlaps:
-                    overlaps[pair] = subspace_intersect(*pair)
-                overlap = overlaps[pair]
-                pulled = Subspace.span(f, n,
-                                       [self.apply(sg.inv(t), v) for v in overlap.basis])
-                if pulled != self.domains[st]:
-                    return ValidationReport.failed(
-                        "composition-domain", (sg.name(s), sg.name(t)))
-                for v in self.domains[st].basis:
-                    if self.apply(st, v) != self.apply(s, self.apply(t, v)):
-                        return ValidationReport.failed(
-                            "composition-values", (sg.name(s), sg.name(t)))
-        return None
-
-    def _index_composition_failure(self, moves) -> ValidationReport | None:
-        """The same three rules, in the same (s, t) order and with the same
-        witnesses, read off the index maps.  Every domain is spanned by
-        unit vectors, so alpha_t* (dom s cap ran t) is spanned by the e_x
+    def _composition_failure(self) -> ValidationReport | None:
+        """The rules map-inverse, composition-domain and composition-values,
+        in (s, t) order.  alpha_t* (dom s cap ran t) is spanned by the e_x
         with x in dom t and t(x) in dom s, once map-inverse has shown that
         moves[t*] inverts moves[t]."""
-        sg = self.semigroup
+        sg, moves = self.semigroup, self.moves
         for s in range(sg.size):
             back = moves[sg.inv(s)]
             if any(back.get(q) != p for p, q in moves[s].items()):
@@ -391,75 +335,39 @@ def semidirect_bundle(action: AlgebraAction,
     ideal raises NotAFellBundle naming the offending element and the
     deficient product span.  The resulting bundle is re-validated against
     the full axiom list before being returned.
-    """
+
+    The fiber B_s is the coefficient ideal of s s*, with the unit vectors
+    at its sorted indices as basis."""
     action.validate().require("algebra action")
-    sg, alg = action.semigroup, action.algebra
-    f = alg.field
-    coeff = [action.domains[sg.product(s, sg.inv(s))] for s in range(sg.size)]
-    rows = None if action.moves is None else alg.index_rows
-    for s in range(sg.size):
-        ideal = coeff[s]
-        # with index maps and a monomial table the ideal is spanned by the
-        # e_p at its pivots, and it is idempotent when every one of them is
-        # a product e_p' e_p''; else the span decides
-        if rows is not None and set(ideal.pivots) <= {
-                rows[p].get(q) for p in ideal.pivots for q in ideal.pivots}:
-            continue
-        products = [alg.mul(u, v) for u in ideal.basis for v in ideal.basis]
-        span = Subspace.span(f, alg.dim, products)
-        if span != ideal:
+    sg, alg, moves = action.semigroup, action.algebra, action.moves
+    f, rows = alg.field, alg.index_rows
+    pivots = [sorted(moves[sg.product(s, sg.inv(s))]) for s in range(sg.size)]
+    for s, piv in enumerate(pivots):
+        # the ideal is idempotent when every e_p in it is a product e_p' e_p''
+        reached = {rows[p][q] for p in piv for q in piv if q in rows[p]}
+        if not reached >= set(piv):
+            span = Subspace.span(f, alg.dim, [unit_vector(f, alg.dim, k) for k in reached])
             raise NotAFellBundle(s, sg.name(s), span)
     if labeler is None:
         labeler = lambda s, p: f"{alg.labels[p]}|{sg.name(s)}"
-    fiber_labels = [tuple(labeler(s, p) for p in coeff[s].pivots) for s in range(sg.size)]
-    if rows is None:
-        mu, order_maps = _dense_constants(action, coeff)
-    else:
-        mu, order_maps = _index_constants(action, coeff, rows)
+    fiber_labels = [tuple(labeler(s, p) for p in piv) for s, piv in enumerate(pivots)]
+    mu, order_maps = _index_constants(action, pivots)
     bundle = FellBundle(sg, f, fiber_labels, mu, order_maps)
     bundle.validate().require("semidirect product bundle")
     return bundle
 
 
-def _dense_constants(action: AlgebraAction, coeff) -> tuple:
-    """(mu, order_maps) of the semidirect bundle for any action: each
-    constant of e_i in B_s times e_j in B_t is the B_st coordinates of
-    alpha_s(alpha_s*(e_i) e_j), formed densely."""
-    sg, alg = action.semigroup, action.algebra
-    f = alg.field
-    mu = {}
-    for s in range(sg.size):
-        for t in range(sg.size):
-            st = sg.product(s, t)
-            entries = {}
-            for i, u in enumerate(coeff[s].basis):
-                pulled = action.apply(sg.inv(s), u)
-                for j, v in enumerate(coeff[t].basis):
-                    w = action.apply(s, alg.mul(pulled, v))
-                    terms = nonzero_entries(f, coeff[st].coordinates(w))
-                    if terms:
-                        entries[(i, j)] = terms
-            if entries:
-                mu[(s, t)] = entries
-    order_maps = {}
-    for (s, t) in sg.order_pairs():
-        cols = [coeff[t].coordinates(u) for u in coeff[s].basis]
-        order_maps[(t, s)] = mat_from_columns(f, cols, coeff[t].dim)
-    return mu, order_maps
-
-
-def _index_constants(action: AlgebraAction, coeff, rows) -> tuple:
-    """The same (mu, order_maps), read by lookup when the action has index
-    maps and the algebra a monomial table (rows[a][z] = c for e_a e_z =
-    e_c), as for K^X.  Each fiber basis vector is then the unit vector at
-    one of its pivots, so alpha_s*(e_y) = e_a with a = moves[s*][y], each
-    nonzero e_a e_z = e_c with z a pivot of B_t gives alpha_s(e_c) =
-    e_moves[s][c], and the constant is e_k for the position k of that
-    index among the pivots of B_st.  Constants are inserted in (s, t, i,
-    j) order, as the dense loop inserts them."""
+def _index_constants(action: AlgebraAction, pivots) -> tuple:
+    """(mu, order_maps) of the semidirect bundle, read by lookup.  Each
+    constant of e_y in B_s times e_z in B_t is the B_st coordinates of
+    alpha_s(alpha_s*(e_y) e_z): alpha_s*(e_y) = e_a with a = moves[s*][y],
+    a nonzero e_a e_z = e_c gives alpha_s(e_c) = e_moves[s][c], and the
+    constant is e_k for the position k of that index among the pivots of
+    B_st.  The rules of a passed validate put every index met on the way
+    in the map or fiber it is looked up in.  Constants are inserted in
+    (s, t, i, j) order."""
     sg, moves = action.semigroup, action.moves
-    f = action.algebra.field
-    pivots = [space.pivots for space in coeff]
+    f, rows = action.algebra.field, action.algebra.index_rows
     position = [{p: k for k, p in enumerate(piv)} for piv in pivots]
     holders = [[] for _ in range(action.algebra.dim)]   # z -> [(t, j)]
     for t, piv in enumerate(pivots):
@@ -473,17 +381,12 @@ def _index_constants(action: AlgebraAction, coeff, rows) -> tuple:
         for i, y in enumerate(pivots[s]):
             for z, c in rows[back[y]].items():
                 for t, j in holders[z]:
-                    k = position[sg.product(s, t)].get(forth.get(c))
-                    if k is None:
-                        raise ValueError("vector not in subspace")
-                    by_t.setdefault(t, {})[(i, j)] = term[k]
+                    by_t.setdefault(t, {})[(i, j)] = term[position[sg.product(s, t)][forth[c]]]
         for t in sorted(by_t):
             mu[(s, t)] = dict(sorted(by_t[t].items()))
     order_maps = {}
     for (s, t) in sg.order_pairs():
-        ks = [position[t].get(y) for y in pivots[s]]
-        if None in ks:
-            raise ValueError("vector not in subspace")
+        ks = [position[t][y] for y in pivots[s]]
         order_maps[(t, s)] = tuple(tuple(f.one if k == r else f.zero for k in ks)
                                    for r in range(len(pivots[t])))
     return mu, order_maps
@@ -558,17 +461,10 @@ def function_algebra(system: AmpleSystem, field: Field) -> FiniteAlgebra:
 
 
 def function_action(system: AmpleSystem, field: Field) -> AlgebraAction:
-    """The induced action on K^X: alpha_s(f) = f o theta_{s*}."""
-    alg = function_algebra(system, field)
-    domains = []
-    maps = []
-    for s in range(system.semigroup.size):
-        pb = system.theta[s]
-        dom_points = pb.domain()
-        domains.append(Subspace.span(
-            field, alg.dim, [unit_vector(field, alg.dim, y) for y in dom_points]))
-        maps.append(tuple(unit_vector(field, alg.dim, pb.apply(y)) for y in dom_points))
-    return AlgebraAction(system.semigroup, alg, domains, maps)
+    """The induced action on K^X: alpha_s(f) = f o theta_{s*}, which sends
+    the point mass at y to the point mass at theta_s(y)."""
+    moves = [dict(pb.pairs) for pb in system.theta]
+    return AlgebraAction(system.semigroup, function_algebra(system, field), moves)
 
 
 def transport(system: AmpleSystem, field: Field, s: int, f_vec) -> tuple:
@@ -828,7 +724,9 @@ def extend_representation(sections: CrossSectionalAlgebra, target: FiniteAlgebra
     vector of B_s.  Raises unless the family is multiplicative across mu
     and constant along the inclusions (exactly the condition for killing
     the redundancy ideal); returns the matrix of the induced map on the
-    quotient basis and verifies it is a homomorphism.  Multiplicativity
+    quotient basis and verifies it is a homomorphism, unless N = 0: the
+    quotient is then the total algebra and the map is the
+    pre-representation itself, already checked.  Multiplicativity
     across mu is a homomorphism check on the total algebra, which visits
     basis pairs in (s, i, t, j) order; its first failure is reported as
     (s, t, i, j)."""
@@ -854,7 +752,8 @@ def extend_representation(sections: CrossSectionalAlgebra, target: FiniteAlgebra
         if not vec_is_zero(f, lincomb(f, v, per_label, target.dim)):
             raise StructureError("redundancy-not-killed", None)
     cols = [per_label[g] for g in sections.qmap.coset_positions]
-    check_algebra_hom(sections.quotient, target, cols, "extension-multiplicative")
+    if sections.quotient is not sections.total:
+        check_algebra_hom(sections.quotient, target, cols, "extension-multiplicative")
     return mat_from_columns(f, cols, target.dim)
 
 

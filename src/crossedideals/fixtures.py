@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .bundles import AlgebraAction
 from .dynsys import AmpleSystem, PartialBijection
-from .exactlin import Field, FiniteAlgebra, Subspace
+from .exactlin import Field, FiniteAlgebra
 from .semigroups import InverseSemigroup
 
 
@@ -85,8 +85,7 @@ def nilpotent_action(field: Field) -> AlgebraAction:
     product bundle exists over it."""
     algebra = FiniteAlgebra(field, ("n",), {})
     sg = InverseSemigroup(((0,),), (0,), ("e",))
-    full = Subspace.full(field, 1)
-    return AlgebraAction(sg, algebra, (full,), ((((field.one,),)),))
+    return AlgebraAction(sg, algebra, ({0: 0},))
 
 
 FIXTURES = {

@@ -159,7 +159,8 @@ class GermGroupoidModel:
         for e in sg.idempotents:
             if self.system.theta[e].defined_at(x):
                 return self.system.germ_of(e, x)
-        raise AssertionError("domains do not cover the space")
+        raise StructureError("domain-cover", (self.system.point_name(x),),
+                             f"no idempotent domain holds {self.system.point_name(x)}")
 
     def unit_of_point(self, x: int) -> int:
         return self._unit_of_point[x]

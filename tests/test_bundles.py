@@ -14,7 +14,6 @@ from crossedideals import (
     AlgebraAction,
     AmpleSystem,
     CovariantRep,
-    CrossSectionalAlgebra,
     FellBundle,
     FiniteAlgebra,
     InverseSemigroup,
@@ -45,7 +44,6 @@ from crossedideals.fixtures import (
     semilattice_system,
     trivial_system,
 )
-from crossedideals.validation import ValidationReport
 
 from util import (
     brandt_k_system,
@@ -216,24 +214,13 @@ def test_inclusion_transitivity_failure_names_the_first_chain():
         False, "inclusion-transitivity", ("z", "e", "1"))
 
 
-def test_action_map_multiplicative_failure():
-    # alpha_g: a -> a + b, b -> b is a bijection of K^2 but not multiplicative
-    action = function_action(flip_system(), F3)
-    maps = list(action.maps)
-    maps[1] = ((1, 1), (0, 1))
-    report = AlgebraAction(action.semigroup, action.algebra, action.domains, maps).validate()
-    assert (report.ok, report.rule, report.witness) == (False, "map-multiplicative", ("g",))
-
-
 def test_action_composition_domain_failure():
     # e and f restrict K^{x, y} to x and to y; their product z must then
     # act on dom(e) cap dom(f) = 0, but is given dom(z) = span{x}
     sg = InverseSemigroup(((0, 2, 2), (2, 1, 2), (2, 2, 2)), (0, 1, 2), ("e", "f", "z"))
     assert sg.validate().ok
     algebra = FiniteAlgebra.from_monomial_table(F3, ("x", "y"), ((0, None), (None, 1)))
-    x, y = unit_vector(F3, 2, 0), unit_vector(F3, 2, 1)
-    domains = [Subspace.span(F3, 2, [v]) for v in (x, y, x)]
-    report = AlgebraAction(sg, algebra, domains, ((x,), (y,), (x,))).validate()
+    report = AlgebraAction(sg, algebra, ({0: 0}, {1: 1}, {0: 0})).validate()
     assert (report.ok, report.rule, report.witness) == (False, "composition-domain", ("e", "f"))
 
 
@@ -309,8 +296,7 @@ def test_action_map_multiplicative_failure_on_a_noncommutative_algebra():
     # transposition of M_2 is a bijection that reverses products
     algebra = matrix_units_algebra(F3)
     sg = InverseSemigroup(((0,),), (0,), ("e",))
-    transpose = [unit_vector(F3, 4, k) for k in (0, 2, 1, 3)]
-    action = AlgebraAction(sg, algebra, (Subspace.full(F3, 4),), (transpose,))
+    action = AlgebraAction(sg, algebra, ({0: 0, 1: 2, 2: 1, 3: 3},))
     report = action.validate()
     assert (report.ok, report.rule, report.witness) == (False, "map-multiplicative", ("e",))
 
@@ -332,66 +318,11 @@ INDEX_SYSTEMS = {
 @pytest.mark.parametrize("name", sorted(INDEX_SYSTEMS))
 def test_index_constants_match_the_dense_loop(name, field):
     action = function_action(INDEX_SYSTEMS[name](), field)
-    assert action.moves is not None
     bundle = semidirect_bundle(action)
     mu, order_maps = dense_semidirect_bundle(action)
     assert [(key, list(entries.items())) for key, entries in bundle.mu.items()] == \
         [(key, list(entries.items())) for key, entries in mu.items()]
     assert bundle.order_maps == order_maps
-
-
-def unit_triangular(field, n, rng):
-    """A random unit upper triangular n x n matrix with a one above the
-    diagonal at (0, 1), and its inverse."""
-    u = [[field.one if b == a else field.of(rng.randrange(3)) if b > a else field.zero
-          for b in range(n)] for a in range(n)]
-    u[0][1] = field.one
-    inverse = [row[n:] for row in rref(field, [tuple(u[a]) + unit_vector(field, n, a)
-                                               for a in range(n)])[0]]
-    return u, inverse
-
-
-def rebased_function_action(system, field, rng):
-    """The action on K^X in the basis b_a = sum_y U[a][y] delta_y, U unit
-    upper triangular: a valid action whose structure constants, domains
-    and maps are not unit vectors, so it has no index maps."""
-    n = system.space_size
-    u, inverse = unit_triangular(field, n, rng)
-    to_old = lambda v: lincomb(field, v, u, n)
-    to_new = lambda v: lincomb(field, v, inverse, n)
-    products = {}
-    for a in range(n):
-        for b in range(n):
-            w = to_new([field.mul(x, y) for x, y in zip(u[a], u[b])])
-            products[(a, b)] = tuple((k, c) for k, c in enumerate(w) if not field.is_zero(c))
-    algebra = FiniteAlgebra(field, [f"b{a}" for a in range(n)], products)
-    domains, maps = [], []
-    for pb in system.theta:
-        domain = Subspace.span(field, n, [to_new(unit_vector(field, n, y)) for y in pb.domain()])
-        images = []
-        for row in domain.basis:
-            old, moved = to_old(row), [field.zero] * n
-            for y, z in pb.pairs:
-                moved[z] = old[y]
-            images.append(to_new(moved))
-        domains.append(domain)
-        maps.append(images)
-    return AlgebraAction(system.semigroup, algebra, domains, maps)
-
-
-@pytest.mark.parametrize("field", [F3, QQ], ids=str)
-@pytest.mark.parametrize("name", ["FIX-BRANDT", "FIX-FLIP", "FIX-SEMILAT",
-                                  "rot4on2", "wide-semilattice"])
-def test_a_non_monomial_action_builds_through_the_general_path(name, field):
-    system = INDEX_SYSTEMS[name]()
-    action = rebased_function_action(system, field, random.Random(name))
-    assert action.moves is None
-    assert action.validate() == dense_action_validate(action) == ValidationReport.passed()
-    bundle = semidirect_bundle(action)
-    mu, order_maps = dense_semidirect_bundle(action)
-    assert bundle.mu == mu and bundle.order_maps == order_maps
-    sections = CrossSectionalAlgebra(bundle)
-    assert sections.quotient.dim == crossed_product(system, field).dim
 
 
 def corrupted_thetas(pb, n):
@@ -417,21 +348,51 @@ def test_index_composition_witnesses_match_the_dense_reference():
                 theta[s] = corrupted
                 action = function_action(
                     AmpleSystem(system.semigroup, system.space_size, theta), F2)
-                assert action.moves is not None
                 report = action.validate()
                 assert report == dense_action_validate(action), (name, s, corrupted)
                 rules.add(report.rule)
     assert {"map-inverse", "composition-domain", "composition-values"} <= rules
+    # K^X is commutative with every subset an ideal, so these are the
+    # other rules a corrupted theta can reach
+    assert {"domain-consistency", "map-bijection", "domain-span"} <= rules
+
+
+def test_every_index_map_on_m2_matches_the_dense_reference():
+    # every partial map of the matrix-unit basis of M_2 under the one-element
+    # semigroup: sub-ideal domains, repeated images, the transpose and the
+    # other permutations of the full basis
+    algebra = matrix_units_algebra(F3)
+    sg = InverseSemigroup(((0,),), (0,), ("e",))
+    rules = set()
+    for k in range(5):
+        for keys in itertools.combinations(range(4), k):
+            for values in itertools.product(range(4), repeat=k):
+                action = AlgebraAction(sg, algebra, (dict(zip(keys, values)),))
+                report = action.validate()
+                assert report == dense_action_validate(action), (keys, values)
+                rules.add(report.rule)
+    assert {"domain-ideal", "map-bijection", "map-multiplicative", "domain-span"} <= rules
+
+
+@pytest.mark.parametrize("algebra, moves, message", [
+    (FiniteAlgebra(F3, ("a",), {(0, 0): ((0, 2),)}), ({0: 0},), "monomial"),
+    (matrix_units_algebra(F3), ({0: 0}, {0: 0}), "one map per element"),
+    (matrix_units_algebra(F3), ({4: 0},), "outside the basis"),
+    (matrix_units_algebra(F3), ({0: -1},), "outside the basis"),
+], ids=["non-monomial", "two-maps", "key-out-of-range", "value-out-of-range"])
+def test_action_constructor_rejects_malformed_index_maps(algebra, moves, message):
+    sg = InverseSemigroup(((0,),), (0,), ("e",))
+    with pytest.raises(ValueError, match=message):
+        AlgebraAction(sg, algebra, moves)
 
 
 def test_crossed_products_build_without_apply_or_coordinates(monkeypatch):
     def refuse(*args):
-        raise AssertionError("dense action path taken")
+        raise AssertionError("dense coordinates taken")
 
     want = {name: crossed_product(system, F2).algebra.products
             for name, system in (("rot6on6", rotation_system(6, 6)),
                                  ("brandt6", brandt_k_system(6)))}
-    monkeypatch.setattr(AlgebraAction, "apply", refuse)
     monkeypatch.setattr(Subspace, "coordinates", refuse)
     for name, system in (("rot6on6", rotation_system(6, 6)),
                          ("brandt6", brandt_k_system(6))):
@@ -724,6 +685,26 @@ def universal_images(cp):
     return tuple(out)
 
 
+@pytest.mark.parametrize("name, rules", [
+    ("FIX-FLIP", ["pre-representation"]),
+    ("FIX-SEMILAT", ["pre-representation", "extension-multiplicative"]),
+])
+def test_extension_checks_the_quotient_only_when_n_is_nonzero(monkeypatch, name, rules):
+    # N = 0 on FIX-FLIP: the quotient is the total algebra and the
+    # extension is the pre-representation itself
+    cp = crossed_product(FIXTURES[name](), F2)
+    assert (cp.sections.redundancy.dim == 0) == (name == "FIX-FLIP")
+    check, seen = bundles.check_algebra_hom, []
+
+    def recording(src, dst, images, rule):
+        seen.append(rule)
+        return check(src, dst, images, rule)
+
+    monkeypatch.setattr(bundles, "check_algebra_hom", recording)
+    extend_representation(cp.sections, cp.algebra, universal_images(cp))
+    assert seen == rules
+
+
 def test_extending_the_universal_images_gives_the_identity():
     cp = crossed_product(semilattice_system(), F2)
     matrix = extend_representation(cp.sections, cp.algebra, universal_images(cp))
@@ -800,11 +781,11 @@ def test_pre_representation_witness_follows_the_total_algebra_order():
 
 
 def test_extension_reports_a_non_multiplicative_image_list(monkeypatch):
+    # the flip with a unit adjoined: N is nonzero and the quotient is M_2
     corrupt_hom_check(monkeypatch, bundles, "extension-multiplicative")
-    cp = crossed_product(flip_system(), F2)
-    images = tuple(
-        tuple(cp.term(y, s) for y in cp.system.theta[s].image())
-        for s in range(2))
+    cp = unitization_isomorphism(flip_system(), F2).unitized
+    assert cp.sections.redundancy.dim > 0
+    images = universal_images(cp)
     with pytest.raises(StructureError) as err:
         extend_representation(cp.sections, cp.algebra, images)
     assert err.value.rule == "extension-multiplicative"

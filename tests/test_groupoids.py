@@ -13,8 +13,11 @@ from crossedideals import groupoids
 from crossedideals import (
     GF,
     QQ,
+    AmpleSystem,
     FiniteAlgebra,
     FiniteGroupoid,
+    InverseSemigroup,
+    PartialBijection,
     StructureError,
     Subspace,
     bisection_semigroup,
@@ -33,6 +36,7 @@ from crossedideals import (
 )
 from crossedideals.exactlin import mat_vec, unit_vector, zero_vector
 from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
+from crossedideals.validation import ValidationReport
 
 from util import (
     MATRIX_UNIT_POSITIONS,
@@ -173,6 +177,18 @@ def test_brandt_germs_form_the_pair_groupoid():
     assert g.names == ("[f@a]", "[s@a]", "[e@b]", "[s*@b]")
     assert g.units == (0, 2)
     assert g.inverse_of(1) == 3
+
+
+def test_an_uncovered_point_has_no_unit_germ(monkeypatch):
+    # AmpleSystem.validate names the point first; past it, the germ model
+    # still reports the point as a StructureError the CLI can print
+    sg = InverseSemigroup(((0,),), (0,), ("e",))
+    system = AmpleSystem(sg, 2, (PartialBijection.identity([0]),), ("x", "y"))
+    assert system.validate().rule == "domain-cover"
+    monkeypatch.setattr(AmpleSystem, "validate", lambda self: ValidationReport.passed())
+    with pytest.raises(StructureError) as err:
+        germ_groupoid(system)
+    assert (err.value.rule, err.value.witness) == ("domain-cover", ("y",))
 
 
 def test_unit_point_dictionary_round_trips():

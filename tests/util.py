@@ -14,7 +14,13 @@ from crossedideals import (
     is_ideal,
     nullspace,
 )
-from crossedideals.exactlin import mat_from_columns, nonzero_entries, subspace_intersect
+from crossedideals.exactlin import (
+    lincomb,
+    mat_from_columns,
+    nonzero_entries,
+    subspace_intersect,
+    unit_vector,
+)
 from crossedideals.validation import ValidationReport
 
 
@@ -295,12 +301,35 @@ def dense_induced_ideal(ctx, ideal) -> Subspace:
     return Subspace(f, dim, nullspace(f, rows, dim))
 
 
+class DenseAction:
+    """An index-form AlgebraAction read densely: domains[s] is the span of
+    the unit vectors at the keys of moves[s], maps[s] lists the images of
+    its RREF basis rows, and apply goes through Subspace.coordinates, so a
+    vector outside the domain raises ValueError."""
+
+    def __init__(self, action):
+        f, n = action.algebra.field, action.algebra.dim
+        self.semigroup, self.algebra = action.semigroup, action.algebra
+        self.domains = [Subspace.span(f, n, [unit_vector(f, n, p) for p in move])
+                        for move in action.moves]
+        self.maps = [[unit_vector(f, n, move[p]) for p in domain.pivots]
+                     for move, domain in zip(action.moves, self.domains)]
+
+    def apply(self, s, v):
+        return lincomb(self.algebra.field, self.domains[s].coordinates(v),
+                       self.maps[s], self.algebra.dim)
+
+    def range_space(self, s):
+        return Subspace.span(self.algebra.field, self.algebra.dim, self.maps[s])
+
+
 def dense_semidirect_bundle(action):
     """Reference structure constants of the semidirect bundle: (mu,
     order_maps), with each mu constant of e_i in B_s times e_j in B_t the
     B_st coordinates of alpha_s(alpha_s*(e_i) e_j), formed with dense
-    products, AlgebraAction.apply and Subspace.coordinates, and inserted in
+    products, DenseAction.apply and Subspace.coordinates, and inserted in
     (s, t, i, j) order."""
+    action = DenseAction(action)
     sg, alg = action.semigroup, action.algebra
     f = alg.field
     coeff = [action.domains[sg.product(s, sg.inv(s))] for s in range(sg.size)]
@@ -327,9 +356,8 @@ def dense_semidirect_bundle(action):
 
 def dense_action_validate(action):
     """Reference AlgebraAction.validate: every rule in the library's order,
-    with "map-multiplicative" by dense products and "map-inverse",
-    "composition-domain" and "composition-values" by AlgebraAction.apply
-    and subspace arithmetic, for any action."""
+    each by dense products, DenseAction.apply and subspace arithmetic."""
+    action = DenseAction(action)
     sg, alg = action.semigroup, action.algebra
     f, n = alg.field, alg.dim
     domains = action.domains
