@@ -153,7 +153,9 @@ class FellBundle:
         built.  That check visits basis triples in (r, i, s, j, t, k) order;
         its first failing triple is mapped back by global index and
         reported as (r, s, t, i, j, k).  "fiber-span" then multiplies in
-        the total algebra, which is built and checked by that point."""
+        the total algebra, which is built and checked by that point; on a
+        monomial total algebra each product is one basis vector or zero,
+        so the rank is the number of distinct fiber indices reached."""
         sg, f = self.semigroup, self.field
         n = sg.size
         # inclusions are injective
@@ -171,18 +173,27 @@ class FellBundle:
                 "fiber-associativity", (sg.name(r), sg.name(s), sg.name(t), i, j, k))
         # B_s B_{s*} B_s spans B_s: (e_i e_j) e_k for basis vectors of
         # B_s, B_{s*} and B_s lies in B_{s s* s} = B_s
-        total = self.total
+        total, rows = self.total, self.total.index_rows
         fibers = [range(o, o + self.fiber_dim(s)) for s, o in enumerate(self.offsets)]
         for s in range(n):
             fiber = fibers[s]
-            vectors = []
-            for gi in fiber:
-                for gj in fibers[sg.inv(s)]:
-                    mid = total.products.get((gi, gj), ())
-                    for gk in fiber:
-                        prod = total.sparse_mul(mid, ((gk, f.one),))
-                        vectors.append(tuple(prod.get(g, f.zero) for g in fiber))
-            _, rank = rref(f, vectors)
+            if rows is not None:
+                reached = set()
+                for gi in fiber:
+                    for gj in fibers[sg.inv(s)]:
+                        mid = rows[gi].get(gj)
+                        if mid is not None:
+                            reached.update(rows[mid].get(gk) for gk in fiber)
+                rank = len(reached.intersection(fiber))
+            else:
+                vectors = []
+                for gi in fiber:
+                    for gj in fibers[sg.inv(s)]:
+                        mid = total.products.get((gi, gj), ())
+                        for gk in fiber:
+                            prod = total.sparse_mul(mid, ((gk, f.one),))
+                            vectors.append(tuple(prod.get(g, f.zero) for g in fiber))
+                _, rank = rref(f, vectors)
             if rank != self.fiber_dim(s):
                 return ValidationReport.failed("fiber-span", (sg.name(s), rank))
         # inclusions compose transitively, over the chains r < s < t of

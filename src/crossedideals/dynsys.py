@@ -115,6 +115,7 @@ class AmpleSystem:
             raise ValueError("one name per point required")
         self._germ_cache: dict = {}
         self._iso_cache: dict = {}
+        self._report: ValidationReport | None = None
 
     # -- display -----------------------------------------------------------
 
@@ -136,6 +137,16 @@ class AmpleSystem:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """The first failing axiom with its witness, or a pass.  The
+        system cannot change after construction (theta is a tuple of
+        partial bijections and the semigroup a frozen dataclass), so the
+        axioms are walked once and the report is kept for every later
+        call."""
+        if self._report is None:
+            self._report = self._check_axioms()
+        return self._report
+
+    def _check_axioms(self) -> ValidationReport:
         sg = self.semigroup
         inner = sg.validate()
         if not inner.ok:

@@ -712,19 +712,44 @@ def check_algebra_hom(src: FiniteAlgebra, dst: FiniteAlgebra, images: Sequence, 
     constants, must equal images[i] * images[j] in dst.  Both sides are
     formed from the nonzero entries of the images alone.  Raises
     HomomorphismError(rule, (i, j), src.labels), whose witness is
-    (label_i, label_j), at the first pair that fails."""
+    (label_i, label_j), at the first pair that fails.
+
+    When both algebras have monomial tables and every image is a single
+    basis vector with coefficient one (a basis map, as for the groupoid
+    bridges), the same pairs are compared as basis indices with no field
+    arithmetic."""
     f = src.field
     if dst.field != f:
         raise ValueError("algebras over different fields")
     if len(images) != src.dim or any(len(v) != dst.dim for v in images):
         raise ValueError("one image of length dst.dim per basis element required")
     entries = [nonzero_entries(f, v) for v in images]
+    src_rows, dst_rows = src.index_rows, dst.index_rows
+    if src_rows is not None and dst_rows is not None and all(
+            len(e) == 1 and e[0][1] == f.one for e in entries):
+        _check_permutation_hom(src_rows, dst_rows, [e[0][0] for e in entries],
+                               rule, src.labels)
+        return
     for i in range(src.dim):
         for j in range(src.dim):
             lhs = sparse_combination(
                 f, [(c, entries[k]) for k, c in src.products.get((i, j), ())])
             if lhs != dst.sparse_mul(entries[i], entries[j]):
                 raise HomomorphismError(rule, (i, j), src.labels)
+
+
+def _check_permutation_hom(src_rows, dst_rows, perm, rule: str, labels):
+    """The basis-map branch: images[i] = e_perm[i], and rows[i][j] = k for
+    e_i e_j = e_k in each table.  The image of e_i e_j is e_perm[k] or
+    zero, and images[i] images[j] is e_k' for k' = dst_rows[perm[i]][perm[j]]
+    or zero, so each pair is compared as an index or None, in the general
+    branch's (i, j) order.  perm need not be injective."""
+    for i, row in enumerate(src_rows):
+        dst_row = dst_rows[perm[i]]
+        for j, pj in enumerate(perm):
+            k = row.get(j)
+            if (None if k is None else perm[k]) != dst_row.get(pj):
+                raise HomomorphismError(rule, (i, j), labels)
 
 
 def is_ideal(algebra: FiniteAlgebra, space: Subspace) -> bool:

@@ -5,10 +5,16 @@ Two bridges are built and verified exhaustively: the basis bijection
 from a crossed product onto the convolution algebra of its germ
 groupoid, and the reconstruction of the convolution algebra of any
 finite groupoid as the crossed product of the intrinsic action of its
-bisection inverse semigroup.
+bisection inverse semigroup.  Both bridges send basis vectors to basis
+vectors, so they are verified by index: multiplicativity compares
+product indices in the two monomial tables, and the restriction
+triangle compares the isotropy germ, if any, that each side assigns to
+a basis vector.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .bundles import CrossedProduct, crossed_product
 from .dynsys import AmpleSystem, Germ, PartialBijection
@@ -20,10 +26,9 @@ from .exactlin import (
     check_algebra_hom,
     lincomb,
     mat_from_columns,
-    rref,
     unit_vector,
 )
-from .induction import isotropy_restriction
+from .induction import _fixed_germ
 from .semigroups import InverseSemigroup
 from .validation import ValidationReport
 
@@ -140,15 +145,21 @@ class GermGroupoidModel:
         for x in range(system.space_size):
             units.append(self.index[self._unit_germ(x)])
         self._unit_of_point = tuple(units)
+        target_points = [system.germ_target(g) for g in self.germs]
         source = [self._unit_of_point[g.point] for g in self.germs]
-        target = [self._unit_of_point[system.germ_target(g)] for g in self.germs]
+        target = [self._unit_of_point[y] for y in target_points]
+        # gi gj is defined when gj ends where gi starts; the pairs are
+        # inserted in (i, j) order
+        ending_at = [[] for _ in range(system.space_size)]
+        for j, y in enumerate(target_points):
+            ending_at[y].append(j)
         compose = {}
         for i, gi in enumerate(self.germs):
-            for j, gj in enumerate(self.germs):
-                if gi.point == system.germ_target(gj):
-                    prod = system.germ_of(
-                        system.semigroup.product(gi.element, gj.element), gj.point)
-                    compose[(i, j)] = self.index[prod]
+            for j in ending_at[gi.point]:
+                gj = self.germs[j]
+                prod = system.germ_of(
+                    system.semigroup.product(gi.element, gj.element), gj.point)
+                compose[(i, j)] = self.index[prod]
         names = tuple(system.germ_name(g) for g in self.germs)
         self.groupoid = FiniteGroupoid(
             len(self.germs), units, source, target, compose, names)
@@ -179,8 +190,14 @@ def germ_groupoid(system: AmpleSystem) -> GermGroupoidModel:
 
 def steinberg_algebra(groupoid: FiniteGroupoid, field: Field) -> FiniteAlgebra:
     """Convolution algebra on arrow indicators: delta_a delta_b is
-    delta_{ab} when composable, else zero."""
+    delta_{ab} when composable, else zero.  The groupoid is validated
+    first."""
     groupoid.validate().require("groupoid")
+    return _convolution_algebra(groupoid, field)
+
+
+def _convolution_algebra(groupoid: FiniteGroupoid, field: Field) -> FiniteAlgebra:
+    """steinberg_algebra of a groupoid its caller has validated."""
     labels = tuple(groupoid.name(g) for g in range(groupoid.size))
     table = [
         [groupoid.compose.get((a, b)) for b in range(groupoid.size)]
@@ -193,6 +210,9 @@ def groupoid_restriction(model: GermGroupoidModel, x: int, vec,
                          field: Field) -> tuple:
     """Coefficients of a convolution-algebra element along the isotropy
     germs at x, in the isotropy group algebra basis."""
+    if len(vec) != model.size:
+        raise ValueError(
+            f"vector of length {len(vec)} in a convolution algebra of dim {model.size}")
     iso = model.system.isotropy_group(x)
     out = [field.zero] * iso.size
     for i, c in enumerate(vec):
@@ -210,7 +230,7 @@ class SteinbergIso:
     def __init__(self, cp: CrossedProduct):
         self.cp = cp
         self.model = germ_groupoid(cp.system)
-        self.algebra = steinberg_algebra(self.model.groupoid, cp.field)
+        self.algebra = _convolution_algebra(self.model.groupoid, cp.field)
         if self.model.size != cp.dim:
             raise StructureError("dimension", (self.model.size, cp.dim),
                                  "germ count differs from crossed product dimension")
@@ -226,24 +246,36 @@ class SteinbergIso:
             raise StructureError("not-injective", (self.model.groupoid.name(dup),))
         self.targets = tuple(targets)
         self.images = tuple(unit_vector(f, cp.dim, t) for t in targets)
-        self.matrix = mat_from_columns(f, self.images, cp.dim)
         self._verify()
+
+    @cached_property
+    def matrix(self) -> tuple:
+        return mat_from_columns(self.cp.field, self.images, self.cp.dim)
 
     def apply(self, b) -> tuple:
         return lincomb(self.cp.field, b, self.images, self.cp.dim)
 
     def _verify(self):
-        f = self.cp.field
-        check_algebra_hom(self.cp.algebra, self.algebra, self.images, "not-multiplicative")
-        for x in range(self.cp.system.space_size):
-            for i in range(self.cp.dim):
-                b = self.cp.algebra.basis_vector(i)
-                direct = isotropy_restriction(self.cp, x, b)
-                through = groupoid_restriction(self.model, x, self.apply(b), f)
+        """Multiplicativity on every basis pair, then the restriction
+        triangle at every (x, i): isotropy_restriction of e_i and
+        groupoid_restriction of its image are each zero or one unit
+        vector, so each is compared as the isotropy index it marks, or
+        None.  On the crossed product side that is the germ [s@x] when
+        e_i is delta_x at s and theta_s fixes x; on the groupoid side it
+        is the germ e_i maps to, when that germ starts and ends at x."""
+        cp, sys, germs = self.cp, self.cp.system, self.model.germs
+        check_algebra_hom(cp.algebra, self.algebra, self.images, "not-multiplicative")
+        for x in range(sys.space_size):
+            iso = sys.isotropy_group(x)
+            for i in range(cp.dim):
+                y, s = cp.basis_pair(i)
+                direct = _fixed_germ(cp, x, s) if y == x else None
+                g = germs[self.targets[i]]
+                through = iso.member_index(g) \
+                    if g.point == x and sys.germ_target(g) == x else None
                 if direct != through:
                     raise StructureError(
-                        "restriction-triangle",
-                        (self.cp.system.point_name(x), self.cp.algebra.labels[i]))
+                        "restriction-triangle", (sys.point_name(x), cp.algebra.labels[i]))
 
     def to_json(self):
         return {
@@ -448,19 +480,24 @@ class CrossedProductModel:
         self.section_iso = steinberg_isomorphism(self.cp)
         self.model = self.section_iso.model
         self.groupoid_iso = GroupoidModelIso(self.action, self.model)
-        self.algebra = steinberg_algebra(groupoid, field)
+        # intrinsic_action has validated the groupoid
+        self.algebra = _convolution_algebra(groupoid, field)
         perm = self.groupoid_iso.mapping
-        self.images = tuple(unit_vector(field, groupoid.size, perm[t])
-                            for t in self.section_iso.targets)
-        self.matrix = mat_from_columns(field, self.images, groupoid.size)
+        self.targets = tuple(perm[t] for t in self.section_iso.targets)
+        self.images = tuple(unit_vector(field, groupoid.size, t) for t in self.targets)
         self._verify()
+
+    @cached_property
+    def matrix(self) -> tuple:
+        return mat_from_columns(self.field, self.images, self.groupoid.size)
 
     def apply(self, b) -> tuple:
         return lincomb(self.field, b, self.images, self.groupoid.size)
 
     def _verify(self):
-        f = self.field
-        _, rank = rref(f, [tuple(r) for r in self.matrix])
+        # the images are unit vectors, so their rank is the number of
+        # distinct targets
+        rank = len(set(self.targets))
         if rank != self.groupoid.size or self.cp.dim != self.groupoid.size:
             raise StructureError("model-dimension", (self.cp.dim, self.groupoid.size))
         check_algebra_hom(self.cp.algebra, self.algebra, self.images, "model-not-multiplicative")
@@ -471,8 +508,7 @@ class CrossedProductModel:
             "bisections": len(self.action.family),
             "crossed_product_dim": self.cp.dim,
             "basis_map": {
-                self.cp.algebra.labels[i]: self.groupoid.name(
-                    self.groupoid_iso.mapping[self.section_iso.targets[i]])
+                self.cp.algebra.labels[i]: self.groupoid.name(self.targets[i])
                 for i in range(self.cp.dim)
             },
         }

@@ -46,10 +46,12 @@ from crossedideals.fixtures import (
 )
 
 from util import (
+    SMALL_SYSTEMS,
     brandt_k_system,
     corrupt_hom_check,
     dense_action_validate,
     dense_fiber_associativity,
+    dense_fiber_span,
     dense_pre_representation,
     dense_semidirect_bundle,
     klein_four_system,
@@ -181,6 +183,78 @@ def test_fiber_span_failure_names_the_deficient_fiber():
                               [((0, 0, 1, 1), None)])
     report = bundle.validate()
     assert (report.ok, report.rule, report.witness) == (False, "fiber-span", ("1", 1))
+
+
+def test_products_outside_the_fiber_do_not_span_it():
+    # a table that breaks s s* s = s: B_s B_s* B_s lands in B_z, so it
+    # spans none of B_s (FellBundle does not validate its semigroup)
+    sg = InverseSemigroup(((0, 0), (0, 0)), (0, 1), ("z", "s"))
+    one = ((0, F2.one),)
+    mu = {(s, t): {(0, 0): one} for s in range(2) for t in range(2)}
+    bundle = FellBundle(sg, F2, (("a",), ("b",)), mu, {(1, 0): ((F2.one,),)})
+    assert bundle.total.index_rows is not None
+    report = bundle.validate()
+    assert (report.rule, report.witness) == ("fiber-span", ("s", 0)) == (
+        "fiber-span", dense_fiber_span(bundle))
+
+
+@functools.lru_cache(maxsize=None)
+def span_bundle(name, field):
+    return semidirect_bundle(function_action(SMALL_SYSTEMS[name](), field))
+
+
+def fiber_span_outcome(bundle):
+    """The bundle's verdict and the dense reference's, when validate gets
+    as far as "fiber-span"; None when it stops before."""
+    report = bundle.validate()
+    if report.rule in ("inclusion-injective", "fiber-associativity"):
+        return None
+    got = (report.rule, report.witness) if report.rule == "fiber-span" else None
+    want = dense_fiber_span(bundle)
+    return got, want and ("fiber-span", want)
+
+
+@pytest.mark.parametrize("field", (F2, F3), ids=str)
+def test_every_single_deletion_spans_like_the_dense_reference(field):
+    failures = 0
+    for name in SMALL_SYSTEMS:
+        bundle = span_bundle(name, field)
+        assert fiber_span_outcome(bundle) == (None, None)
+        for (s, t), entries in bundle.mu.items():
+            for i, j in entries:
+                corrupted = corrupted_bundle(bundle, [((s, t, i, j), None)])
+                outcome = fiber_span_outcome(corrupted)
+                if outcome is not None:
+                    assert corrupted.total.index_rows is not None
+                    got, want = outcome
+                    assert got == want
+                    failures += got is not None
+    assert failures
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_corrupted_bundles_span_like_the_dense_reference(data):
+    field = data.draw(st.sampled_from((F2, F3)))
+    bundle = span_bundle(data.draw(st.sampled_from(sorted(SMALL_SYSTEMS))), field)
+    keys = sorted((s, t, i, j) for (s, t), entries in bundle.mu.items() for i, j in entries)
+    changes = []
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        s, t, _, _ = key
+        target = st.integers(0, bundle.fiber_dim(bundle.semigroup.product(s, t)) - 1)
+        changes.append((key, data.draw(st.one_of(
+            st.none(),                                              # deleted
+            st.tuples(st.tuples(target, st.just(field.one))),       # redirected
+            st.tuples(st.tuples(target, st.just(field.of(2)))),     # scaled
+        ))))
+    corrupted = corrupted_bundle(bundle, changes)
+    monomial = all(terms is None or terms[0][1] in (field.zero, field.one)
+                   for _, terms in changes)
+    outcome = fiber_span_outcome(corrupted)
+    if outcome is not None:
+        assert (corrupted.total.index_rows is not None) == monomial
+        got, want = outcome
+        assert got == want
 
 
 def test_inclusion_multiplicative_failure_names_both_order_pairs():

@@ -46,6 +46,7 @@ from util import (
     MATRIX_UNIT_POSITIONS,
     basis_multiples_reference,
     brute_force_ideals,
+    dense_check_algebra_hom,
     dense_check_associativity,
     dense_mul,
     fixpoint_ideal_generate,
@@ -471,6 +472,17 @@ ASSOCIATIVE_INDEX_TABLES = (
 )
 
 
+def relabelled_table(table, perm):
+    """The index table with basis index i renamed perm[i]."""
+    n = len(table)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            k = table[i][j]
+            out[perm[i]][perm[j]] = None if k is None else perm[k]
+    return out
+
+
 @st.composite
 def index_tables(draw):
     """A random partial index table on 1-4 elements, or an associative
@@ -481,12 +493,7 @@ def index_tables(draw):
         return [[draw(entry) for _ in range(n)] for _ in range(n)]
     source = draw(st.sampled_from(ASSOCIATIVE_INDEX_TABLES))
     n = len(source)
-    perm = draw(st.permutations(range(n)))
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            k = source[i][j]
-            table[perm[i]][perm[j]] = None if k is None else perm[k]
+    table = relabelled_table(source, draw(st.permutations(range(n))))
     if draw(st.booleans()):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         table[i][j] = draw(st.one_of(st.none(), st.integers(0, n - 1)))
@@ -660,20 +667,6 @@ def test_transpose_on_matrix_units_is_rejected_with_the_callers_rule():
     assert err.value.indices == (0, 1)
 
 
-def dense_hom_failure(src, dst, images):
-    """Reference homomorphism check: the first basis pair (i, j), in (i, j)
-    order, at which the image of e_i e_j differs from images[i] images[j]
-    formed with dense_mul; None if there is none."""
-    f = src.field
-    for i in range(src.dim):
-        for j in range(src.dim):
-            terms = src.products.get((i, j), ())
-            image = lincomb(f, [c for _, c in terms], [images[k] for k, _ in terms], dst.dim)
-            if image != dense_mul(f, dst.products, dst.dim, images[i], images[j]):
-                return i, j
-    return None
-
-
 @pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -687,7 +680,7 @@ def test_homomorphism_check_fails_at_the_reference_pair(field, data):
         w = data.draw(st.tuples(*[scalars(field)] * n))
         images[k] = [field.add(a, b) for a, b in zip(images[k], w)]
     images = [tuple(v) for v in images]
-    want = dense_hom_failure(alg, alg, images)
+    want = dense_check_algebra_hom(alg, alg, images)
     if want is None:
         check_algebra_hom(alg, alg, images, "r")
         return
@@ -696,6 +689,89 @@ def test_homomorphism_check_fails_at_the_reference_pair(field, data):
     assert err.value.rule == "r"
     assert err.value.indices == want
     assert err.value.witness == (labels[want[0]], labels[want[1]])
+
+
+@st.composite
+def basis_maps(draw, field):
+    """(src, dst, perm): monomial algebras on relabelled associative index
+    tables and a basis map e_i -> e_perm[i].  Either dst is src relabelled
+    and perm the relabelling (an isomorphism), or dst is any such algebra
+    and perm any map, injective or not; either way one value of perm may
+    then be redirected."""
+    def relabelled(table):
+        return relabelled_table(table, draw(st.permutations(range(len(table)))))
+
+    src_table = relabelled(draw(st.sampled_from(ASSOCIATIVE_INDEX_TABLES)))
+    n = len(src_table)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        dst_table = relabelled_table(src_table, perm)
+    else:
+        dst_table = relabelled(draw(st.sampled_from(ASSOCIATIVE_INDEX_TABLES)))
+        perm = draw(st.lists(st.integers(0, len(dst_table) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        perm[draw(st.integers(0, n - 1))] = draw(st.integers(0, len(dst_table) - 1))
+    src = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)),
+                        monomial_products(field, src_table))
+    dst = FiniteAlgebra(field, tuple(f"c{i}" for i in range(len(dst_table))),
+                        monomial_products(field, dst_table))
+    return src, dst, perm
+
+
+def hom_outcome(src, dst, images, *, no_arithmetic=False):
+    """(failing pair or None, whether the basis-map branch ran) of
+    check_algebra_hom; with no_arithmetic, field add and mul raise."""
+    branch = []
+    check = exactlin._check_permutation_hom
+
+    def spy(*args):
+        branch.append(True)
+        return check(*args)
+
+    def arithmetic(self, a, b):
+        raise RuntimeError("field arithmetic called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_check_permutation_hom", spy)
+        if no_arithmetic:
+            mp.setattr(type(src.field), "add", arithmetic)
+            mp.setattr(type(src.field), "mul", arithmetic)
+        try:
+            check_algebra_hom(src, dst, images, "r")
+        except HomomorphismError as err:
+            i, j = err.indices
+            assert (err.rule, err.witness) == ("r", (src.labels[i], src.labels[j]))
+            return err.indices, bool(branch)
+    return None, bool(branch)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_basis_maps_are_checked_by_index_at_the_reference_pair(field, data):
+    src, dst, perm = data.draw(basis_maps(field))
+    images = [unit_vector(field, dst.dim, p) for p in perm]
+    verdict, basis_branch = hom_outcome(src, dst, images, no_arithmetic=True)
+    assert basis_branch
+    assert verdict == dense_check_algebra_hom(src, dst, images)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_images_off_the_basis_take_the_general_branch(field, data):
+    src, dst, perm = data.draw(basis_maps(field))
+    images = [unit_vector(field, dst.dim, p) for p in perm]
+    k = data.draw(st.integers(0, src.dim - 1))
+    other = unit_vector(field, dst.dim, data.draw(st.integers(0, dst.dim - 1)))
+    images[k] = data.draw(st.sampled_from((
+        zero_vector(field, dst.dim),
+        lincomb(field, [field.of(2)], [images[k]], dst.dim),
+        vec_add(field, images[k], other),
+    )))
+    verdict, basis_branch = hom_outcome(src, dst, images)
+    assert not basis_branch
+    assert verdict == dense_check_algebra_hom(src, dst, images)
 
 
 def test_homomorphism_check_rejects_wrong_image_shapes():

@@ -1,15 +1,20 @@
 """Germ groupoids, convolution algebras, bisections, and the two
 isomorphism theorems tying them to crossed products."""
 
+import copy
+import functools
+import itertools
 import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossedideals
-from crossedideals import groupoids
+from crossedideals import cli, groupoids
 from crossedideals import (
     GF,
     QQ,
@@ -34,20 +39,26 @@ from crossedideals import (
     steinberg_as_crossed_product,
     steinberg_isomorphism,
 )
-from crossedideals.exactlin import mat_vec, unit_vector, zero_vector
+from crossedideals.exactlin import mat_from_columns, mat_vec, rref, unit_vector, zero_vector
 from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
 from crossedideals.validation import ValidationReport
 
 from util import (
     MATRIX_UNIT_POSITIONS,
+    SMALL_SYSTEMS,
     brandt_k_system,
     corrupt_hom_check,
+    dense_check_algebra_hom,
+    dense_restriction_triangle,
     matrix_units_algebra,
     rotation_system,
     z2_algebra,
 )
 
 F2 = GF(2)
+F3 = GF(3)
+
+DATA = Path(crossedideals.__file__).parent / "data"
 
 
 def one_unit_groupoid():
@@ -191,6 +202,18 @@ def test_an_uncovered_point_has_no_unit_germ(monkeypatch):
     assert (err.value.rule, err.value.witness) == ("domain-cover", ("y",))
 
 
+@pytest.mark.parametrize("name", sorted(SMALL_SYSTEMS))
+def test_germ_composition_is_tabled_in_pair_order(name):
+    # the reference: every pair (i, j) tested for composability
+    model = germ_groupoid(SMALL_SYSTEMS[name]())
+    sys = model.system
+    want = [((i, j), model.index[sys.germ_of(
+                sys.semigroup.product(gi.element, gj.element), gj.point)])
+            for i, gi in enumerate(model.germs) for j, gj in enumerate(model.germs)
+            if gi.point == sys.germ_target(gj)]
+    assert list(model.groupoid.compose.items()) == want
+
+
 def test_unit_point_dictionary_round_trips():
     for make in FIXTURES.values():
         model = germ_groupoid(make())
@@ -291,7 +314,14 @@ def test_isomorphism_is_verified_without_dense_products(monkeypatch, system):
     def dense_mul_called(self, u, v):
         raise AssertionError("dense FiniteAlgebra.mul called")
 
+    def combination_called(*args):
+        raise AssertionError("lincomb or sparse_combination called")
+
     monkeypatch.setattr(FiniteAlgebra, "mul", dense_mul_called)
+    for name, module in list(sys.modules.items()):
+        for attr in ("lincomb", "sparse_combination"):
+            if name.startswith("crossedideals.") and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, combination_called)
     iso = steinberg_isomorphism(cp)
     assert cp.dim == 36 and sorted(iso.targets) == list(range(36))
 
@@ -314,6 +344,117 @@ def test_isomorphism_apply_is_the_permutation_matrix_product():
             for _ in range(10):
                 b = tuple(rng.randrange(field.p) for _ in range(iso.cp.dim))
                 assert iso.apply(b) == mat_vec(field, iso.matrix, b)
+
+
+@functools.lru_cache(maxsize=None)
+def bridge(name, field):
+    return steinberg_isomorphism(crossed_product(SMALL_SYSTEMS[name](), field))
+
+
+def rerouted(bridge_map, targets):
+    """A copy of a verified bridge sending e_i to e_targets[i] instead."""
+    bad = copy.copy(bridge_map)
+    bad.targets = tuple(targets)
+    bad.images = tuple(unit_vector(bad.algebra.field, bad.algebra.dim, t) for t in targets)
+    return bad
+
+
+def verify_outcome(bridge_map):
+    try:
+        bridge_map._verify()
+    except StructureError as err:
+        return err.rule, err.witness
+    return None
+
+
+@pytest.mark.parametrize("field", (F2, F3), ids=str)
+@pytest.mark.parametrize("name", sorted(SMALL_SYSTEMS))
+def test_verified_bridges_pass_the_dense_references(name, field):
+    iso = bridge(name, field)
+    assert dense_check_algebra_hom(iso.cp.algebra, iso.algebra, iso.images) is None
+    assert dense_restriction_triangle(iso) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rerouted_bridges_fail_at_the_dense_reference_witness(data):
+    iso = bridge(data.draw(st.sampled_from(sorted(SMALL_SYSTEMS))),
+                 data.draw(st.sampled_from((F2, F3))))
+    n = iso.cp.dim
+    targets = list(iso.targets)
+    if data.draw(st.booleans()):
+        targets = data.draw(st.permutations(targets))
+    for _ in range(data.draw(st.integers(0, 2))):  # not injective, or not moved
+        targets[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    bad = rerouted(iso, targets)
+    pair = dense_check_algebra_hom(bad.cp.algebra, bad.algebra, bad.images)
+    triangle = dense_restriction_triangle(bad)
+    if pair is not None:
+        labels = bad.cp.algebra.labels
+        assert verify_outcome(bad) == ("not-multiplicative", (labels[pair[0]], labels[pair[1]]))
+    else:
+        assert verify_outcome(bad) == (triangle and ("restriction-triangle", triangle))
+    with pytest.MonkeyPatch.context() as mp:  # the triangle alone
+        mp.setattr(groupoids, "check_algebra_hom", lambda *args: None)
+        assert verify_outcome(bad) == (triangle and ("restriction-triangle", triangle))
+
+
+def test_groupoid_restriction_rejects_vectors_of_the_wrong_length():
+    model = germ_groupoid(FIXTURES["FIX-BRANDT"]())
+    assert model.size == 4
+    for length in (1, 5):
+        with pytest.raises(ValueError, match="length"):
+            groupoid_restriction(model, 0, (F2.one,) * length, F2)
+
+
+def count_walks(monkeypatch):
+    """Record each walk of the AmpleSystem axioms and each
+    FiniteGroupoid.validate call, in order."""
+    walks = []
+    check_axioms, validate = AmpleSystem._check_axioms, FiniteGroupoid.validate
+
+    def system_walk(self):
+        walks.append("system")
+        return check_axioms(self)
+
+    def groupoid_walk(self):
+        walks.append("groupoid")
+        return validate(self)
+
+    monkeypatch.setattr(AmpleSystem, "_check_axioms", system_walk)
+    monkeypatch.setattr(FiniteGroupoid, "validate", groupoid_walk)
+    return walks
+
+
+def test_one_isocheck_walks_each_axiom_list_once(monkeypatch, capsys):
+    walks = count_walks(monkeypatch)
+    assert cli.main(["isocheck", str(DATA / "matrix_units.system")]) == 0
+    assert walks == ["system", "groupoid"]
+    walks.clear()
+    steinberg_isomorphism(crossed_product(brandt_k_system(3), F2))
+    assert walks == ["system", "groupoid"]
+
+
+def test_one_bisect_walks_each_groupoid_and_system_once(monkeypatch):
+    # the given groupoid, the intrinsic action, then its germ groupoid
+    walks = count_walks(monkeypatch)
+    steinberg_as_crossed_product(pair_groupoid(), F2)
+    assert walks == ["groupoid", "system", "groupoid"]
+
+
+def test_a_failing_system_keeps_its_report(monkeypatch):
+    sg = InverseSemigroup(((0, 1), (1, 0)), (0, 1), ("1", "g"))
+    system = AmpleSystem(sg, 2, (PartialBijection.identity([0, 1]),
+                                 PartialBijection.identity([0])))
+    walks = count_walks(monkeypatch)
+    first, second = system.validate(), system.validate()
+    assert (first.rule, first.witness) == ("action-homomorphism", ("g", "g", "1"))
+    assert second is first
+    assert walks == ["system"]
+    with pytest.raises(StructureError) as err:
+        crossed_product(system, F2)
+    assert err.value.rule == "action-homomorphism"
+    assert walks == ["system"]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +568,20 @@ def test_model_reports_a_non_multiplicative_image_list(monkeypatch):
         steinberg_as_crossed_product(pair_groupoid(), F2)
     assert err.value.rule == "model-not-multiplicative"
     assert len(err.value.witness) == 2
+
+
+def test_model_dimension_counts_the_distinct_targets():
+    # every map of the four basis vectors of the pair groupoid model, with
+    # the rank of its matrix as the reference
+    model = steinberg_as_crossed_product(pair_groupoid(), F2)
+    for targets in itertools.product(range(4), repeat=4):
+        bad = rerouted(model, targets)
+        _, rank = rref(F2, mat_from_columns(F2, bad.images, 4))
+        outcome = verify_outcome(bad)
+        if rank != 4:
+            assert outcome == ("model-dimension", (4, 4))
+        else:
+            assert outcome is None or outcome[0] == "model-not-multiplicative"
 
 
 def test_model_apply_is_the_permutation_matrix_product():

@@ -18,9 +18,12 @@ from crossedideals.exactlin import (
     lincomb,
     mat_from_columns,
     nonzero_entries,
+    rref,
     subspace_intersect,
     unit_vector,
 )
+from crossedideals.fixtures import FIXTURES
+from crossedideals.groupoids import groupoid_restriction
 from crossedideals.validation import ValidationReport
 
 
@@ -82,6 +85,21 @@ def dense_check_associativity(field, labels, products):
                     raise StructureError("associativity", (labels[i], labels[j], labels[k]))
 
 
+def dense_check_algebra_hom(src, dst, images):
+    """Reference homomorphism check: the first basis pair (i, j), in (i, j)
+    order, at which the image of e_i e_j, a lincomb of the images,
+    differs from images[i] images[j] formed with dense_mul; None if there
+    is none."""
+    f = src.field
+    for i in range(src.dim):
+        for j in range(src.dim):
+            terms = src.products.get((i, j), ())
+            image = lincomb(f, [c for _, c in terms], [images[k] for k, _ in terms], dst.dim)
+            if image != dense_mul(f, dst.products, dst.dim, images[i], images[j]):
+                return i, j
+    return None
+
+
 def rotation_system(n: int, d: int) -> AmpleSystem:
     """Z/n acting on Z/d (d divides n) by x -> x + k."""
     sg = InverseSemigroup(
@@ -116,6 +134,16 @@ def klein_four_system() -> AmpleSystem:
     sg = InverseSemigroup(tuple(tuple(a ^ b for b in range(4)) for a in range(4)),
                           (0, 1, 2, 3), ("1", "a", "b", "ab"))
     return AmpleSystem(sg, 1, [PartialBijection({0: 0})] * 4, ["x"])
+
+
+# The fixtures and small generated systems, with and without isotropy.
+SMALL_SYSTEMS = {
+    **FIXTURES,
+    "rot4on2": lambda: rotation_system(4, 2),
+    "rot3on3": lambda: rotation_system(3, 3),
+    "brandt3": lambda: brandt_k_system(3),
+    "klein": klein_four_system,
+}
 
 
 def basis_multiples_reference(algebra, v):
@@ -264,6 +292,49 @@ def dense_isotropy_restriction(cp, x, b) -> tuple:
             idx = iso.member_index(sys.germ_of(s, x))
             out[idx] = f.add(out[idx], fn[x])
     return tuple(out)
+
+
+def dense_restriction_triangle(iso):
+    """Reference restriction triangle of a SteinbergIso: at every (x, i),
+    in (x, i) order, dense_isotropy_restriction of the basis vector e_i
+    against groupoid_restriction of iso.apply(e_i), both dense vectors.
+    Returns (point name, label of e_i) at the first pair that differs, or
+    None."""
+    cp, f = iso.cp, iso.cp.field
+    for x in range(cp.system.space_size):
+        for i in range(cp.dim):
+            b = unit_vector(f, cp.dim, i)
+            direct = dense_isotropy_restriction(cp, x, b)
+            if direct != groupoid_restriction(iso.model, x, iso.apply(b), f):
+                return cp.system.point_name(x), cp.algebra.labels[i]
+    return None
+
+
+def dense_fiber_span(bundle):
+    """Reference "fiber-span" rule of a bundle whose total algebra is
+    built: for each s in element order, the rank of the B_s coordinates of
+    (e_i e_j) e_k over the basis vectors e_i, e_k of B_s and e_j of B_s*,
+    formed with dense_mul and ranked with rref.  Returns (name s, rank) at
+    the first fiber that the products do not span, or None."""
+    sg, f, total = bundle.semigroup, bundle.field, bundle.total
+    n = total.dim
+
+    def fiber(s):
+        return range(bundle.offsets[s], bundle.offsets[s] + bundle.fiber_dim(s))
+
+    for s in range(sg.size):
+        vectors = []
+        for gi in fiber(s):
+            for gj in fiber(sg.inv(s)):
+                mid = dense_mul(f, total.products, n, unit_vector(f, n, gi),
+                                unit_vector(f, n, gj))
+                for gk in fiber(s):
+                    prod = dense_mul(f, total.products, n, mid, unit_vector(f, n, gk))
+                    vectors.append(tuple(prod[g] for g in fiber(s)))
+        _, rank = rref(f, vectors)
+        if rank != bundle.fiber_dim(s):
+            return sg.name(s), rank
+    return None
 
 
 def dense_action_matrix(ctx, i):
