@@ -15,8 +15,11 @@ action alpha_s(f) = f o theta_{s*}; its basis is labeled by pairs
 
 An AlgebraAction is held in index form: the algebra must be monomial
 (every structure constant a single basis vector, as for K^X), and each
-alpha_s is a partial permutation of its basis, alpha_s(e_p) = e_q, so the
-action rules and the semidirect bundle's constants are lookups.
+alpha_s is a partial permutation of its basis, alpha_s(e_p) = e_q.  A
+FellBundle is held in index form too: each mu constant and each inclusion
+sends a basis vector to a basis vector (or, for mu, to zero).  So the
+action rules, the semidirect bundle's constants and every bundle rule are
+lookups.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ from .exactlin import (
     mat_from_columns,
     mat_lincomb,
     mat_mul,
-    mat_vec,
     nonzero_entries,
     rref,
-    sparse_combination,
     unit_vector,
     vec_is_zero,
     zero_vector,
@@ -72,7 +73,12 @@ class NotAFellBundle(StructureError):
 
 
 class FellBundle:
-    """Structure constants of a Fell bundle over an inverse semigroup.
+    """Structure constants of a Fell bundle over an inverse semigroup, in
+    index form, as for the semidirect product bundle of K^X: every product
+    of basis vectors is a basis vector or zero, and every inclusion sends
+    basis vectors to basis vectors.  mu[(s, t)] = {(i, j): k} means
+    e_i e_j = e_k in B_st (omitted pairs multiply to zero), and
+    order_maps[(t, s)] = (k_0, ...) means j_{t,s}(e_i) = e_{k_i}.
 
     The fibers are laid end to end in element order: fiber s starts at
     offsets[s] in the total space, and label_pairs[g] = (s, i) names the
@@ -88,27 +94,24 @@ class FellBundle:
         self.mu = {}
         for (s, t), entries in mu.items():
             st = semigroup.product(s, t)
-            cleaned = {}
-            for (i, j), terms in entries.items():
+            for (i, j), k in entries.items():
                 if not (0 <= i < self.fiber_dim(s) and 0 <= j < self.fiber_dim(t)):
                     raise ValueError(f"mu index out of range at ({s},{t})")
-                kept = tuple((k, c) for k, c in sorted(terms) if not field.is_zero(c))
-                for k, _ in kept:
-                    if not 0 <= k < self.fiber_dim(st):
-                        raise ValueError(f"mu target out of range at ({s},{t})")
-                if kept:
-                    cleaned[(i, j)] = kept
-            if cleaned:
-                self.mu[(s, t)] = cleaned
+                if not 0 <= k < self.fiber_dim(st):
+                    raise ValueError(f"mu target out of range at ({s},{t})")
+            if entries:
+                self.mu[(s, t)] = dict(entries)
         order = set(semigroup.order_pairs())
         self.order_maps = {}
-        for (t, s), matrix in order_maps.items():
+        for (t, s), positions in order_maps.items():
             if (s, t) not in order:
                 raise ValueError(f"inclusion given for a non-order pair ({s},{t})")
-            m = tuple(tuple(row) for row in matrix)
-            if len(m) != self.fiber_dim(t) or any(len(r) != self.fiber_dim(s) for r in m):
-                raise ValueError(f"inclusion matrix shape mismatch at ({t},{s})")
-            self.order_maps[(t, s)] = m
+            positions = tuple(positions)
+            if len(positions) != self.fiber_dim(s):
+                raise ValueError(f"inclusion shape mismatch at ({t},{s})")
+            if not all(0 <= k < self.fiber_dim(t) for k in positions):
+                raise ValueError(f"inclusion target out of range at ({t},{s})")
+            self.order_maps[(t, s)] = positions
         for (s, t) in order:
             if (t, s) not in self.order_maps:
                 raise ValueError(f"missing inclusion for order pair {s} <= {t}")
@@ -123,46 +126,34 @@ class FellBundle:
     def fiber_dim(self, s: int) -> int:
         return len(self.fiber_labels[s])
 
-    def mu_terms(self, s: int, t: int, i: int, j: int) -> tuple:
-        return self.mu.get((s, t), {}).get((i, j), ())
-
-    def include(self, t: int, s: int, v) -> tuple:
-        """j_{t,s} applied to a vector of B_s (s <= t)."""
-        if s == t:
-            return tuple(v)
-        return mat_vec(self.field, self.order_maps[(t, s)], v)
-
     @cached_property
     def total(self) -> FiniteAlgebra:
         """The direct sum of the fibers with the bundle multiplication: the
         mu constants placed at the fiber offsets.  Building it checks
         associativity, which raises AssociativityError on failure."""
+        one = self.field.one
         products = {}
         for (s, t), entries in self.mu.items():
             st = self.semigroup.product(s, t)
-            for (i, j), terms in entries.items():
-                gi, gj = self.offsets[s] + i, self.offsets[t] + j
-                products[(gi, gj)] = tuple((self.offsets[st] + k, c) for k, c in terms)
+            for (i, j), k in entries.items():
+                products[(self.offsets[s] + i, self.offsets[t] + j)] = ((self.offsets[st] + k, one),)
         labels = [lbl for per in self.fiber_labels for lbl in per]
         return FiniteAlgebra(self.field, labels, products)
 
     def validate(self) -> ValidationReport:
         """Check the bundle axioms in a fixed order, returning the first
-        failure with its witness.  Fiber associativity is the associativity
-        of the total algebra, checked by FiniteAlgebra when total is first
-        built.  That check visits basis triples in (r, i, s, j, t, k) order;
-        its first failing triple is mapped back by global index and
-        reported as (r, s, t, i, j, k).  "fiber-span" then multiplies in
-        the total algebra, which is built and checked by that point; on a
-        monomial total algebra each product is one basis vector or zero,
-        so the rank is the number of distinct fiber indices reached."""
-        sg, f = self.semigroup, self.field
+        failure with its witness.  Every constant is a basis vector or
+        zero, so each rule compares positions (None for a zero product).
+        Fiber associativity is the associativity of the total algebra,
+        checked by FiniteAlgebra when total is first built.  That check
+        visits basis triples in (r, i, s, j, t, k) order; its first failing
+        triple is mapped back by global index and reported as
+        (r, s, t, i, j, k)."""
+        sg = self.semigroup
         n = sg.size
-        # inclusions are injective
-        for (t, s), m in self.order_maps.items():
-            cols = [tuple(m[r][c] for r in range(len(m))) for c in range(self.fiber_dim(s))]
-            _, rank = rref(f, cols)
-            if rank != self.fiber_dim(s):
+        # inclusions are injective: no position repeats
+        for (t, s), positions in self.order_maps.items():
+            if len(set(positions)) != len(positions):
                 return ValidationReport.failed("inclusion-injective", (sg.name(s), sg.name(t)))
         # multiplication is associative fiberwise
         try:
@@ -172,49 +163,36 @@ class FellBundle:
             return ValidationReport.failed(
                 "fiber-associativity", (sg.name(r), sg.name(s), sg.name(t), i, j, k))
         # B_s B_{s*} B_s spans B_s: (e_i e_j) e_k for basis vectors of
-        # B_s, B_{s*} and B_s lies in B_{s s* s} = B_s
-        total, rows = self.total, self.total.index_rows
+        # B_s, B_{s*} and B_s lies in B_{s s* s} = B_s, and is one basis
+        # vector or zero, so the rank is the number of fiber indices reached
+        rows = self.total.index_rows
         fibers = [range(o, o + self.fiber_dim(s)) for s, o in enumerate(self.offsets)]
         for s in range(n):
             fiber = fibers[s]
-            if rows is not None:
-                reached = set()
-                for gi in fiber:
-                    for gj in fibers[sg.inv(s)]:
-                        mid = rows[gi].get(gj)
-                        if mid is not None:
-                            reached.update(rows[mid].get(gk) for gk in fiber)
-                rank = len(reached.intersection(fiber))
-            else:
-                vectors = []
-                for gi in fiber:
-                    for gj in fibers[sg.inv(s)]:
-                        mid = total.products.get((gi, gj), ())
-                        for gk in fiber:
-                            prod = total.sparse_mul(mid, ((gk, f.one),))
-                            vectors.append(tuple(prod.get(g, f.zero) for g in fiber))
-                _, rank = rref(f, vectors)
+            reached = set()
+            for gi in fiber:
+                for gj in fibers[sg.inv(s)]:
+                    mid = rows[gi].get(gj)
+                    if mid is not None:
+                        reached.update(rows[mid].get(gk) for gk in fiber)
+            rank = len(reached.intersection(fiber))
             if rank != self.fiber_dim(s):
                 return ValidationReport.failed("fiber-span", (sg.name(s), rank))
         # inclusions compose transitively, over the chains r < s < t of
         # strict order pairs in (r, s, t) order
+        maps = self.order_maps
         above = [[] for _ in range(n)]
         for s, t in sg.order_pairs():
             above[s].append(t)
         for r in range(n):
             for s in above[r]:
                 for t in above[s]:
-                    for i in range(self.fiber_dim(r)):
-                        e = unit_vector(f, self.fiber_dim(r), i)
-                        via = self.include(t, s, self.include(s, r, e))
-                        direct = self.include(t, r, e)
-                        if via != direct:
-                            return ValidationReport.failed(
-                                "inclusion-transitivity", (sg.name(r), sg.name(s), sg.name(t)))
-        # inclusions are multiplicative against mu: j(a) j(b) = j(ab) on
-        # basis vectors a, b, formed from the nonzero entries alone
+                    if tuple(maps[(t, s)][k] for k in maps[(s, r)]) != maps[(t, r)]:
+                        return ValidationReport.failed(
+                            "inclusion-transitivity", (sg.name(r), sg.name(s), sg.name(t)))
+        # inclusions are multiplicative against mu: j(e_i) j(e_j) = j(e_i e_j)
         pairs = _order_with_diagonal(sg)
-        columns = self._inclusion_columns()
+        inclusions = {(s, s): range(self.fiber_dim(s)) for s in range(n)} | maps
         for (r, rp) in pairs:
             for (s, sp) in pairs:
                 if r == rp and s == sp:
@@ -223,31 +201,17 @@ class FellBundle:
                 if rs != rpsp and not sg.leq(rs, rpsp):
                     return ValidationReport.failed(
                         "order-multiplication", (sg.name(r), sg.name(s)))
-                up_r, up_s, down = columns[(rp, r)], columns[(sp, s)], columns[(rpsp, rs)]
+                up_r, up_s = inclusions[(rp, r)], inclusions[(sp, s)]
+                down = inclusions[(rpsp, rs)]
+                upper, lower = self.mu.get((rp, sp), {}), self.mu.get((r, s), {})
                 for i in range(self.fiber_dim(r)):
                     for j in range(self.fiber_dim(s)):
-                        upper = sparse_combination(
-                            f, [(f.mul(a, b), self.mu_terms(rp, sp, x, y))
-                                for x, a in up_r[i] for y, b in up_s[j]])
-                        lower = sparse_combination(
-                            f, [(c, down[m]) for m, c in self.mu_terms(r, s, i, j)])
-                        if upper != lower:
+                        k = lower.get((i, j))
+                        if upper.get((up_r[i], up_s[j])) != (None if k is None else down[k]):
                             return ValidationReport.failed(
                                 "inclusion-multiplicative",
                                 (sg.name(r), sg.name(rp), sg.name(s), sg.name(sp)))
         return ValidationReport.passed()
-
-    def _inclusion_columns(self) -> dict:
-        """{(t, s): columns} for every order pair s <= t and every s = t,
-        where columns[i] lists the nonzero entries ((row, entry), ...) of
-        j_{t,s} applied to the i-th basis vector of B_s."""
-        f = self.field
-        columns = {(s, s): tuple(((i, f.one),) for i in range(self.fiber_dim(s)))
-                   for s in range(self.semigroup.size)}
-        for (t, s), m in self.order_maps.items():
-            columns[(t, s)] = tuple(nonzero_entries(f, (row[c] for row in m))
-                                    for c in range(self.fiber_dim(s)))
-        return columns
 
 
 def _order_with_diagonal(sg: InverseSemigroup):
@@ -370,21 +334,18 @@ def semidirect_bundle(action: AlgebraAction,
 
 def _index_constants(action: AlgebraAction, pivots) -> tuple:
     """(mu, order_maps) of the semidirect bundle, read by lookup.  Each
-    constant of e_y in B_s times e_z in B_t is the B_st coordinates of
-    alpha_s(alpha_s*(e_y) e_z): alpha_s*(e_y) = e_a with a = moves[s*][y],
-    a nonzero e_a e_z = e_c gives alpha_s(e_c) = e_moves[s][c], and the
-    constant is e_k for the position k of that index among the pivots of
-    B_st.  The rules of a passed validate put every index met on the way
-    in the map or fiber it is looked up in.  Constants are inserted in
-    (s, t, i, j) order."""
-    sg, moves = action.semigroup, action.moves
-    f, rows = action.algebra.field, action.algebra.index_rows
+    constant of e_y in B_s times e_z in B_t is alpha_s(alpha_s*(e_y) e_z):
+    alpha_s*(e_y) = e_a with a = moves[s*][y], a nonzero e_a e_z = e_c
+    gives alpha_s(e_c) = e_moves[s][c], and the constant is the position k
+    of that index among the pivots of B_st.  The rules of a passed
+    validate put every index met on the way in the map or fiber it is
+    looked up in.  Constants are inserted in (s, t, i, j) order."""
+    sg, moves, rows = action.semigroup, action.moves, action.algebra.index_rows
     position = [{p: k for k, p in enumerate(piv)} for piv in pivots]
     holders = [[] for _ in range(action.algebra.dim)]   # z -> [(t, j)]
     for t, piv in enumerate(pivots):
         for j, z in enumerate(piv):
             holders[z].append((t, j))
-    term = [((k, f.one),) for k in range(action.algebra.dim)]
     mu = {}
     for s in range(sg.size):
         back, forth = moves[sg.inv(s)], moves[s]
@@ -392,14 +353,11 @@ def _index_constants(action: AlgebraAction, pivots) -> tuple:
         for i, y in enumerate(pivots[s]):
             for z, c in rows[back[y]].items():
                 for t, j in holders[z]:
-                    by_t.setdefault(t, {})[(i, j)] = term[position[sg.product(s, t)][forth[c]]]
+                    by_t.setdefault(t, {})[(i, j)] = position[sg.product(s, t)][forth[c]]
         for t in sorted(by_t):
             mu[(s, t)] = dict(sorted(by_t[t].items()))
-    order_maps = {}
-    for (s, t) in sg.order_pairs():
-        ks = [position[t][y] for y in pivots[s]]
-        order_maps[(t, s)] = tuple(tuple(f.one if k == r else f.zero for k in ks)
-                                   for r in range(len(pivots[t])))
+    order_maps = {(t, s): tuple(position[t][y] for y in pivots[s])
+                  for (s, t) in sg.order_pairs()}
     return mu, order_maps
 
 
@@ -422,14 +380,12 @@ class CrossSectionalAlgebra:
         self.offsets = bundle.offsets
         self.label_pairs = bundle.label_pairs
         self.total = bundle.total
-        gens = []
+        gens = []   # e_{s,i} - e_{t,k} for j_{t,s}(e_i) = e_k
         for (s, t) in sg.order_pairs():
-            for i in range(bundle.fiber_dim(s)):
+            for i, k in enumerate(bundle.order_maps[(t, s)]):
                 v = list(zero_vector(f, self.total.dim))
                 v[self.offsets[s] + i] = f.one
-                image = bundle.include(t, s, unit_vector(f, bundle.fiber_dim(s), i))
-                for k, c in enumerate(image):
-                    v[self.offsets[t] + k] = f.sub(v[self.offsets[t] + k], c)
+                v[self.offsets[t] + k] = f.neg(f.one)
                 gens.append(tuple(v))
         span = Subspace.span(f, self.total.dim, gens)
         # a two-sided ideal spanned by gens is the ideal that gens generate
@@ -754,10 +710,8 @@ def extend_representation(sections: CrossSectionalAlgebra, target: FiniteAlgebra
         (s, i), (t, j) = (sections.label_pairs[g] for g in err.indices)
         raise StructureError("pre-representation", (sg.name(s), sg.name(t), i, j)) from None
     for (s, t) in sg.order_pairs():
-        for i in range(bundle.fiber_dim(s)):
-            image = bundle.include(t, s, unit_vector(f, bundle.fiber_dim(s), i))
-            via = lincomb(f, image, fiber_images[t], target.dim)
-            if via != fiber_images[s][i]:
+        for i, k in enumerate(bundle.order_maps[(t, s)]):
+            if fiber_images[t][k] != fiber_images[s][i]:
                 raise StructureError("inclusion-compatibility", (sg.name(s), sg.name(t), i))
     for v in sections.redundancy.basis:
         if not vec_is_zero(f, lincomb(f, v, per_label, target.dim)):

@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -350,7 +351,9 @@ def _emit(args, body, text_lines, code: int) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="crossedideals",
         description="Crossed products of inverse semigroup actions: "

@@ -291,7 +291,10 @@ class IsotropyGroup:
                 prod = system.germ_of(sg.product(g.element, h.element), x)
                 row.append(index[prod.element])
             table.append(row)
-        idem = next(e for e in sg.idempotents if system.theta[e].defined_at(x))
+        idem = next((e for e in sg.idempotents if system.theta[e].defined_at(x)), None)
+        if idem is None:
+            raise StructureError("domain-cover", (system.point_name(x),),
+                                 f"no idempotent domain holds {system.point_name(x)}")
         identity = index[system.germ_of(idem, x).element]
         inverse = [index[system.germ_of(sg.inv(g.element), x).element] for g in members]
         grp = IsotropyGroup(system, x, members, table, identity, inverse)

@@ -35,7 +35,7 @@ from crossedideals import (
     unitization_isomorphism,
 )
 from crossedideals import bundles
-from crossedideals.exactlin import lincomb, mat_from_columns, mat_mul, rref, unit_vector, zero_vector
+from crossedideals.exactlin import mat_mul, unit_vector, zero_vector
 from crossedideals.fixtures import (
     FIXTURES,
     brandt_system,
@@ -44,12 +44,14 @@ from crossedideals.fixtures import (
     semilattice_system,
     trivial_system,
 )
+from crossedideals.validation import ValidationReport
 
 from util import (
     SMALL_SYSTEMS,
     brandt_k_system,
     corrupt_hom_check,
     dense_action_validate,
+    dense_bundle_validate,
     dense_fiber_associativity,
     dense_fiber_span,
     dense_pre_representation,
@@ -89,63 +91,76 @@ def test_nilpotent_coefficient_ideal_is_rejected():
     assert err.value.product_span.dim == 0
 
 
-def test_zero_inclusion_map_fails_injectivity():
-    action = function_action(semilattice_system(), F2)
-    bundle = semidirect_bundle(action)
-    (key,) = bundle.order_maps  # only e <= 1
-    zero_map = tuple(tuple(F2.zero for _ in row) for row in bundle.order_maps[key])
-    corrupted = FellBundle(bundle.semigroup, F2, bundle.fiber_labels,
-                           bundle.mu, {key: zero_map})
+def test_collapsed_inclusion_map_fails_injectivity():
+    # j_{1,e} of the wide semilattice sends both basis vectors of B_e to x|1
+    bundle = semidirect_bundle(function_action(wide_semilattice_system(), F2))
+    assert bundle.order_maps == {(0, 1): (0, 1)}
+    corrupted = corrupted_bundle(bundle, order_maps={(0, 1): (0, 0)})
     report = corrupted.validate()
-    assert not report.ok
-    assert report.rule == "inclusion-injective"
-    assert report.witness == ("e", "1")
+    assert (report.ok, report.rule, report.witness) == (False, "inclusion-injective", ("e", "1"))
+    assert dense_bundle_validate(corrupted) == report
+
+
+@pytest.mark.parametrize("mu, order_maps, message", [
+    ({(0, 0): {(3, 0): 0}}, {(0, 1): (0, 1)}, "mu index out of range"),
+    ({(0, 0): {(0, 0): 3}}, {(0, 1): (0, 1)}, "mu target out of range"),
+    ({}, {(0, 1): (0,)}, "shape mismatch"),
+    ({}, {(0, 1): (0, 3)}, "inclusion target out of range"),
+    ({}, {(0, 1): (0, 1), (1, 0): (0, 1, 2)}, "non-order pair"),
+    ({}, {}, "missing inclusion"),
+], ids=["mu-index", "mu-target", "shape", "inclusion-target", "non-order-pair", "missing"])
+def test_bundle_constructor_rejects_malformed_index_constants(mu, order_maps, message):
+    bundle = semidirect_bundle(function_action(wide_semilattice_system(), F2))
+    with pytest.raises(ValueError, match=message):
+        FellBundle(bundle.semigroup, F2, bundle.fiber_labels, mu, order_maps)
 
 
 # ---------------------------------------------------------------------------
 # every bundle and action rule fails closed on a corrupted input
 
 def corrupted_bundle(bundle, mu_changes=(), order_maps=None, fiber_labels=None):
-    """A copy of the bundle with mu[(s, t)][(i, j)] set to the given terms
-    (None removes the constant), and optionally new inclusions or labels."""
+    """A copy of the bundle with mu[(s, t)][(i, j)] set to the given
+    position (None removes the constant), and optionally new inclusions
+    or labels."""
     mu = {key: dict(entries) for key, entries in bundle.mu.items()}
-    for (s, t, i, j), terms in mu_changes:
-        if terms is None:
-            mu[(s, t)].pop((i, j), None)
+    for (s, t, i, j), k in mu_changes:
+        if k is None:
+            mu.get((s, t), {}).pop((i, j), None)
         else:
-            mu.setdefault((s, t), {})[(i, j)] = terms
+            mu.setdefault((s, t), {})[(i, j)] = k
     return FellBundle(bundle.semigroup, bundle.field,
                       fiber_labels or bundle.fiber_labels, mu,
-                      bundle.order_maps if order_maps is None else order_maps)
+                      {**bundle.order_maps, **(order_maps or {})})
 
 
 # Two fibers of dimension 2: the bundle's (r, s, t, i, j, k) order and the
 # total algebra's (r, i, s, j, t, k) order find different first triples.
 # The witness is the total algebra's, mapped back to (r, s, t, i, j, k).
 FLIP_ASSOCIATIVITY_CORRUPTIONS = [
-    # b|g a|1 = 2 b|g: one term, coefficient 2 (the general kernel branch)
-    ((1, 0, 1, 0), ((1, 2),), ("g", "g", "1", 0, 1, 0), ("g", "1", "1", 1, 0, 0)),
-    # b|g a|1 = 0: still monomial (the index branch)
-    ((1, 0, 1, 0), None, ("g", "g", "1", 0, 1, 0), ("g", "1", "g", 1, 0, 0)),
+    # b|g a|1 = 0
+    pytest.param((1, 0, 1, 0), None, ("g", "g", "1", 0, 1, 0), ("g", "1", "g", 1, 0, 0),
+                 id="deleted"),
     # a|1 b|1 = b|1 added
-    ((0, 0, 0, 1), ((1, 1),), ("1", "1", "g", 0, 1, 1), ("1", "1", "1", 1, 0, 1)),
+    pytest.param((0, 0, 0, 1), 1, ("1", "1", "g", 0, 1, 1), ("1", "1", "1", 1, 0, 1),
+                 id="added"),
 ]
 
 
-@pytest.mark.parametrize("change, terms, witness, bundle_order_witness",
+@pytest.mark.parametrize("change, k, witness, bundle_order_witness",
                          FLIP_ASSOCIATIVITY_CORRUPTIONS)
 def test_fiber_associativity_witness_follows_the_total_algebra(
-        change, terms, witness, bundle_order_witness):
-    bundle = corrupted_bundle(flip_bundle(F3), [(change, terms)])
+        change, k, witness, bundle_order_witness):
+    bundle = corrupted_bundle(flip_bundle(F3), [(change, k)])
     report = bundle.validate()
     assert (report.ok, report.rule, report.witness) == (False, "fiber-associativity", witness)
     assert dense_fiber_associativity(bundle, total_order=True) == witness
     assert dense_fiber_associativity(bundle, total_order=False) == bundle_order_witness
+    assert dense_bundle_validate(bundle) == report
 
 
 def test_fiber_associativity_witness_is_mapped_back_by_index():
-    change, terms, witness, _ = FLIP_ASSOCIATIVITY_CORRUPTIONS[0]
-    bundle = corrupted_bundle(flip_bundle(F3), [(change, terms)],
+    change, k, witness, _ = FLIP_ASSOCIATIVITY_CORRUPTIONS[0].values
+    bundle = corrupted_bundle(flip_bundle(F3), [(change, k)],
                               fiber_labels=[("x", "x"), ("x", "x")])
     report = bundle.validate()
     assert (report.rule, report.witness) == ("fiber-associativity", witness)
@@ -165,9 +180,7 @@ def test_corrupted_bundles_fail_at_the_reference_triple(data):
         if 0 in dims:
             continue
         i, j = data.draw(st.integers(0, dims[0] - 1)), data.draw(st.integers(0, dims[1] - 1))
-        terms = data.draw(st.lists(st.tuples(st.integers(0, dims[2] - 1),
-                                             st.integers(0, field.p - 1)), max_size=2))
-        changes.append(((s, t, i, j), tuple(terms)))
+        changes.append(((s, t, i, j), data.draw(st.none() | st.integers(0, dims[2] - 1))))
     corrupted = corrupted_bundle(bundle, changes)
     report = corrupted.validate()
     expected = dense_fiber_associativity(corrupted, total_order=True)
@@ -183,19 +196,19 @@ def test_fiber_span_failure_names_the_deficient_fiber():
                               [((0, 0, 1, 1), None)])
     report = bundle.validate()
     assert (report.ok, report.rule, report.witness) == (False, "fiber-span", ("1", 1))
+    assert dense_bundle_validate(bundle) == report
 
 
 def test_products_outside_the_fiber_do_not_span_it():
     # a table that breaks s s* s = s: B_s B_s* B_s lands in B_z, so it
     # spans none of B_s (FellBundle does not validate its semigroup)
     sg = InverseSemigroup(((0, 0), (0, 0)), (0, 1), ("z", "s"))
-    one = ((0, F2.one),)
-    mu = {(s, t): {(0, 0): one} for s in range(2) for t in range(2)}
-    bundle = FellBundle(sg, F2, (("a",), ("b",)), mu, {(1, 0): ((F2.one,),)})
-    assert bundle.total.index_rows is not None
+    mu = {(s, t): {(0, 0): 0} for s in range(2) for t in range(2)}
+    bundle = FellBundle(sg, F2, (("a",), ("b",)), mu, {(1, 0): (0,)})
     report = bundle.validate()
     assert (report.rule, report.witness) == ("fiber-span", ("s", 0)) == (
         "fiber-span", dense_fiber_span(bundle))
+    assert dense_bundle_validate(bundle) == report
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,7 +238,6 @@ def test_every_single_deletion_spans_like_the_dense_reference(field):
                 corrupted = corrupted_bundle(bundle, [((s, t, i, j), None)])
                 outcome = fiber_span_outcome(corrupted)
                 if outcome is not None:
-                    assert corrupted.total.index_rows is not None
                     got, want = outcome
                     assert got == want
                     failures += got is not None
@@ -242,29 +254,23 @@ def test_corrupted_bundles_span_like_the_dense_reference(data):
     for key in data.draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
         s, t, _, _ = key
         target = st.integers(0, bundle.fiber_dim(bundle.semigroup.product(s, t)) - 1)
-        changes.append((key, data.draw(st.one_of(
-            st.none(),                                              # deleted
-            st.tuples(st.tuples(target, st.just(field.one))),       # redirected
-            st.tuples(st.tuples(target, st.just(field.of(2)))),     # scaled
-        ))))
-    corrupted = corrupted_bundle(bundle, changes)
-    monomial = all(terms is None or terms[0][1] in (field.zero, field.one)
-                   for _, terms in changes)
-    outcome = fiber_span_outcome(corrupted)
+        changes.append((key, data.draw(st.none() | target)))   # deleted or redirected
+    outcome = fiber_span_outcome(corrupted_bundle(bundle, changes))
     if outcome is not None:
-        assert (corrupted.total.index_rows is not None) == monomial
         got, want = outcome
         assert got == want
 
 
 def test_inclusion_multiplicative_failure_names_both_order_pairs():
-    # j(b) = 2b for e <= 1 over F3: injective, but j(a) j(b) = 4ab != 2ab
+    # j_{1,e}(x|e) = y|1 for e <= 1: injective, but x|1 j(x|e) = x|1 y|1 = 0
+    # while j(x|1 x|e) = j(x|e) = y|1, at the pairs 1 <= 1 and e <= 1
     bundle = semidirect_bundle(function_action(semilattice_system(), F3))
-    (key,) = bundle.order_maps
-    doubled = {key: tuple(tuple(F3.mul(2, a) for a in row) for row in bundle.order_maps[key])}
-    report = corrupted_bundle(bundle, order_maps=doubled).validate()
+    assert bundle.order_maps == {(0, 1): (0,)}
+    corrupted = corrupted_bundle(bundle, order_maps={(0, 1): (1,)})
+    report = corrupted.validate()
     assert (report.ok, report.rule, report.witness) == (
-        False, "inclusion-multiplicative", ("e", "e", "e", "1"))
+        False, "inclusion-multiplicative", ("1", "1", "e", "1"))
+    assert dense_bundle_validate(corrupted) == report
 
 
 def chain_system():
@@ -281,11 +287,12 @@ def test_inclusion_transitivity_failure_names_the_first_chain():
     # and the first in (r, s, t) element order is reported
     bundle = semidirect_bundle(function_action(chain_system(), F2))
     assert bundle.validate().ok
-    order_maps = dict(bundle.order_maps)
-    order_maps[(0, 3)] = ((0,), (1,), (0,), (0,))
-    report = corrupted_bundle(bundle, order_maps=order_maps).validate()
+    assert bundle.order_maps[(0, 3)] == (0,)
+    corrupted = corrupted_bundle(bundle, order_maps={(0, 3): (1,)})
+    report = corrupted.validate()
     assert (report.ok, report.rule, report.witness) == (
         False, "inclusion-transitivity", ("z", "e", "1"))
+    assert dense_bundle_validate(corrupted) == report
 
 
 def test_action_composition_domain_failure():
@@ -299,48 +306,20 @@ def test_action_composition_domain_failure():
 
 
 def rebased_bundle(bundle, rng):
-    """The same bundle in a new basis f_a = sum_b P[a][b] e_b of every fiber,
-    P unit upper triangular with random entries, so that its mu constants
-    have several terms and its inclusions are no longer 0/1 columns."""
-    f, sg = bundle.field, bundle.semigroup
-    change, inverse = [], []
-    for s in range(sg.size):
-        d = bundle.fiber_dim(s)
-        p = [tuple(f.one if b == a else f.of(rng.randrange(3)) if b > a else f.zero
-                   for b in range(d)) for a in range(d)]
-        change.append(p)
-        inverse.append([row[d:] for row in rref(f, [p[a] + unit_vector(f, d, a)
-                                                    for a in range(d)])[0]])
-
-    def new_coords(s, v):  # v = sum_a c_a f_a in old coordinates -> c
-        return lincomb(f, v, inverse[s], bundle.fiber_dim(s))
-
-    total = bundle.total
-
-    def fiber_product(s, t, u, v):  # mu_{s,t}(u, v), formed in the total algebra
-        def placed(r, w):
-            out = [f.zero] * total.dim
-            out[bundle.offsets[r]:bundle.offsets[r] + bundle.fiber_dim(r)] = w
-            return out
-        st = sg.product(s, t)
-        return total.mul(placed(s, u), placed(t, v))[
-            bundle.offsets[st]:bundle.offsets[st] + bundle.fiber_dim(st)]
-
-    mu = {}
-    for s in range(sg.size):
-        for t in range(sg.size):
-            st = sg.product(s, t)
-            for a, u in enumerate(change[s]):
-                for b, v in enumerate(change[t]):
-                    w = new_coords(st, fiber_product(s, t, u, v))
-                    terms = tuple((k, c) for k, c in enumerate(w) if not f.is_zero(c))
-                    if terms:
-                        mu.setdefault((s, t), {})[(a, b)] = terms
-    order_maps = {
-        (t, s): mat_from_columns(f, [new_coords(t, bundle.include(t, s, u))
-                                     for u in change[s]], bundle.fiber_dim(t))
-        for (t, s) in bundle.order_maps}
-    return FellBundle(sg, f, bundle.fiber_labels, mu, order_maps)
+    """The same bundle in a new basis of every fiber: a random permutation
+    of its basis vectors, the change of basis that keeps constants and
+    inclusions sending basis vectors to basis vectors.  New basis vector a
+    of B_s is old basis vector order[s][a]."""
+    sg = bundle.semigroup
+    order = [rng.sample(range(bundle.fiber_dim(s)), bundle.fiber_dim(s)) for s in range(sg.size)]
+    new = [{old: a for a, old in enumerate(per)} for per in order]
+    mu = {(s, t): {(new[s][i], new[t][j]): new[sg.product(s, t)][k]
+                   for (i, j), k in entries.items()}
+          for (s, t), entries in bundle.mu.items()}
+    order_maps = {(t, s): tuple(new[t][ks[old]] for old in order[s])
+                  for (t, s), ks in bundle.order_maps.items()}
+    labels = [tuple(bundle.fiber_labels[s][old] for old in per) for s, per in enumerate(order)]
+    return FellBundle(sg, bundle.field, labels, mu, order_maps)
 
 
 def wide_semilattice_system():
@@ -359,11 +338,84 @@ def test_rebased_bundles_validate_and_fail_closed(system):
         semidirect_bundle(function_action(REBASED_SYSTEMS[system](), F3)),
         random.Random(system))
     assert bundle.validate().ok
-    if any(bundle.fiber_dim(s) for (_, s) in bundle.order_maps):
-        doubled = {key: tuple(tuple(F3.mul(2, a) for a in row) for row in m)
-                   for key, m in bundle.order_maps.items()}
-        report = corrupted_bundle(bundle, order_maps=doubled).validate()
-        assert report.rule == "inclusion-multiplicative"
+    # an inclusion moved to a position it did not reach stays injective
+    for (t, s), ks in bundle.order_maps.items():
+        free = sorted(set(range(bundle.fiber_dim(t))) - set(ks))
+        if ks and free:
+            moved = corrupted_bundle(bundle, order_maps={(t, s): (free[0],) + ks[1:]})
+            report = moved.validate()
+            assert report.rule in ("inclusion-transitivity", "inclusion-multiplicative")
+            assert dense_bundle_validate(moved) == report
+
+
+# ---------------------------------------------------------------------------
+# corrupted index bundles against the dense reference
+
+CORRUPTION_SYSTEMS = {**SMALL_SYSTEMS, "chain": chain_system,
+                      "wide-semilattice": wide_semilattice_system}
+
+
+@functools.lru_cache(maxsize=None)
+def index_bundle(name, field):
+    return semidirect_bundle(function_action(CORRUPTION_SYSTEMS[name](), field))
+
+
+def single_corruptions(bundle):
+    """Every bundle one change away: each mu constant deleted or redirected
+    to another position of its fiber, and each inclusion position moved to
+    another position of its fiber (collapsed when that position is taken)."""
+    sg = bundle.semigroup
+    for (s, t), entries in bundle.mu.items():
+        for (i, j), k in entries.items():
+            yield corrupted_bundle(bundle, [((s, t, i, j), None)])
+            for other in range(bundle.fiber_dim(sg.product(s, t))):
+                if other != k:
+                    yield corrupted_bundle(bundle, [((s, t, i, j), other)])
+    for (t, s), ks in bundle.order_maps.items():
+        for i, k in enumerate(ks):
+            for other in range(bundle.fiber_dim(t)):
+                if other != k:
+                    moved = ks[:i] + (other,) + ks[i + 1:]
+                    yield corrupted_bundle(bundle, order_maps={(t, s): moved})
+
+
+def test_every_single_corruption_validates_like_the_dense_reference():
+    rules = set()
+    for name in sorted(CORRUPTION_SYSTEMS):
+        bundle = index_bundle(name, F2)
+        assert bundle.validate() == dense_bundle_validate(bundle) == ValidationReport.passed()
+        for corrupted in single_corruptions(bundle):
+            report = corrupted.validate()
+            assert report == dense_bundle_validate(corrupted), name
+            rules.add(report.rule)
+    # every single change is caught, and each index rule catches one
+    assert rules == {"inclusion-injective", "fiber-associativity", "fiber-span",
+                     "inclusion-transitivity", "inclusion-multiplicative"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_corrupted_index_bundles_validate_like_the_dense_reference(data):
+    field = data.draw(st.sampled_from((F2, F3)))
+    bundle = index_bundle(data.draw(st.sampled_from(sorted(CORRUPTION_SYSTEMS))), field)
+    sg = bundle.semigroup
+    constants = sorted((s, t, i, j) for (s, t), entries in bundle.mu.items() for i, j in entries)
+    mu_changes = []
+    for key in data.draw(st.lists(st.sampled_from(constants), max_size=2, unique=True)):
+        target = st.integers(0, bundle.fiber_dim(sg.product(key[0], key[1])) - 1)
+        mu_changes.append((key, data.draw(st.none() | target)))   # deleted or redirected
+    inclusions = sorted(key for key, ks in bundle.order_maps.items() if ks)
+    order_maps = {}
+    for key in data.draw(st.lists(st.sampled_from(inclusions), max_size=2, unique=True)
+                         if inclusions else st.just([])):
+        ks = list(bundle.order_maps[key])
+        i = data.draw(st.integers(0, len(ks) - 1))
+        ks[i] = data.draw(st.sampled_from(ks)                                # collapsed
+                          | st.integers(0, bundle.fiber_dim(key[0]) - 1))   # redirected
+        order_maps[key] = tuple(ks)
+    corrupted = corrupted_bundle(bundle, mu_changes, order_maps)
+    report = corrupted.validate()
+    assert report == dense_bundle_validate(corrupted)
 
 
 def test_action_map_multiplicative_failure_on_a_noncommutative_algebra():
@@ -394,9 +446,19 @@ def test_index_constants_match_the_dense_loop(name, field):
     action = function_action(INDEX_SYSTEMS[name](), field)
     bundle = semidirect_bundle(action)
     mu, order_maps = dense_semidirect_bundle(action)
+    f = action.algebra.field
+    # every dense constant is one basis vector, every inclusion column a unit vector
+    assert all(len(terms) == 1 and terms[0][1] == f.one
+               for entries in mu.values() for terms in entries.values())
+    positions = {}
+    for key, m in order_maps.items():
+        columns = [[r for r, row in enumerate(m) if not f.is_zero(row[c])]
+                   for c in range(len(m[0]) if m else 0)]
+        assert all(len(rows) == 1 and m[rows[0]][c] == f.one for c, rows in enumerate(columns))
+        positions[key] = tuple(rows[0] for rows in columns)
     assert [(key, list(entries.items())) for key, entries in bundle.mu.items()] == \
-        [(key, list(entries.items())) for key, entries in mu.items()]
-    assert bundle.order_maps == order_maps
+        [(key, [(ij, terms[0][0]) for ij, terms in entries.items()]) for key, entries in mu.items()]
+    assert bundle.order_maps == positions
 
 
 def corrupted_thetas(pb, n):
@@ -462,15 +524,19 @@ def test_action_constructor_rejects_malformed_index_maps(algebra, moves, message
 
 def test_crossed_products_build_without_apply_or_coordinates(monkeypatch):
     def refuse(*args):
-        raise AssertionError("dense coordinates taken")
+        raise AssertionError("dense coordinates or dense bundle arithmetic taken")
 
     want = {name: crossed_product(system, F2).algebra.products
             for name, system in (("rot6on6", rotation_system(6, 6)),
                                  ("brandt6", brandt_k_system(6)))}
     monkeypatch.setattr(Subspace, "coordinates", refuse)
+    for name in ("rref", "mat_vec", "sparse_combination"):
+        monkeypatch.setattr(bundles, name, refuse, raising=False)
     for name, system in (("rot6on6", rotation_system(6, 6)),
                          ("brandt6", brandt_k_system(6))):
-        assert crossed_product(system, F2).algebra.products == want[name], name
+        cp = crossed_product(system, F2)
+        assert cp.algebra.products == want[name], name
+        assert cp.bundle.validate().ok
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import crossedideals
-from crossedideals.cli import main
+from crossedideals.cli import build_parser, main
 
 DATA = Path(crossedideals.__file__).parent / "data"
 
@@ -526,6 +528,12 @@ def test_output_is_deterministic(capsys, tmp_path):
     assert code == 0
     assert first_out == second_out
     assert first_json.read_bytes() == second_json.read_bytes()
+    # the two calls shared one parser, which still rejects a bad argument
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", SEMILAT, "--guard-dim", "many"])
+    assert exc.value.code == 2
+    assert "--guard-dim: invalid int value" in capsys.readouterr().err
 
 
 def test_json_report_is_canonical(capsys, tmp_path):

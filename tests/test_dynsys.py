@@ -84,6 +84,15 @@ def test_domains_must_cover_the_space():
     assert report.witness == ("y",)
 
 
+def test_isotropy_group_at_an_uncovered_point_names_it():
+    # {e} with theta_e = {0: 0} on two points: no idempotent domain holds y
+    sg = trivial_system().semigroup
+    bad = AmpleSystem(sg, 2, (PartialBijection({0: 0}),), ("x", "y"))
+    with pytest.raises(StructureError) as err:
+        bad.isotropy_group(1)
+    assert (err.value.rule, err.value.witness) == ("domain-cover", ("y",))
+
+
 # ---------------------------------------------------------------------------
 # germs
 

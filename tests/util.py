@@ -17,8 +17,10 @@ from crossedideals import (
 from crossedideals.exactlin import (
     lincomb,
     mat_from_columns,
+    mat_vec,
     nonzero_entries,
     rref,
+    sparse_combination,
     subspace_intersect,
     unit_vector,
 )
@@ -197,6 +199,13 @@ def corrupt_hom_check(monkeypatch, module, rule):
     monkeypatch.setattr(module, "check_algebra_hom", corrupted)
 
 
+def mu_terms(bundle, s, t, i, j) -> tuple:
+    """The mu constant of e_i in B_s times e_j in B_t as terms: ((k, one),)
+    for e_i e_j = e_k, () for a zero product."""
+    k = bundle.mu.get((s, t), {}).get((i, j))
+    return () if k is None else ((k, bundle.field.one),)
+
+
 def dense_fiber_associativity(bundle, total_order: bool):
     """Reference fiber associativity: mu(mu(a, b), c) against mu(a, mu(b, c))
     on every triple of fiber basis vectors a in B_r, b in B_s, c in B_t,
@@ -210,7 +219,7 @@ def dense_fiber_associativity(bundle, total_order: bool):
         out = [f.zero] * bundle.fiber_dim(sg.product(s, t))
         for i, a in enumerate(u):
             for j, b in enumerate(v):
-                for k, c in bundle.mu_terms(s, t, i, j):
+                for k, c in mu_terms(bundle, s, t, i, j):
                     out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
         return tuple(out)
 
@@ -253,7 +262,7 @@ def dense_pre_representation(bundle, target, fiber_images, total_order: bool):
     for s, t, i, j in pairs:
         st = sg.product(s, t)
         image = [f.zero] * target.dim
-        for k, c in bundle.mu_terms(s, t, i, j):
+        for k, c in mu_terms(bundle, s, t, i, j):
             for m, a in enumerate(fiber_images[st][k]):
                 image[m] = f.add(image[m], f.mul(c, a))
         product = dense_mul(f, target.products, target.dim,
@@ -311,13 +320,19 @@ def dense_restriction_triangle(iso):
 
 
 def dense_fiber_span(bundle):
-    """Reference "fiber-span" rule of a bundle whose total algebra is
-    built: for each s in element order, the rank of the B_s coordinates of
-    (e_i e_j) e_k over the basis vectors e_i, e_k of B_s and e_j of B_s*,
-    formed with dense_mul and ranked with rref.  Returns (name s, rank) at
-    the first fiber that the products do not span, or None."""
-    sg, f, total = bundle.semigroup, bundle.field, bundle.total
-    n = total.dim
+    """Reference "fiber-span" rule: for each s in element order, the rank
+    of the B_s coordinates of (e_i e_j) e_k over the basis vectors e_i,
+    e_k of B_s and e_j of B_s*, formed with dense_mul on the mu terms
+    placed at the fiber offsets and ranked with rref.  Returns (name s,
+    rank) at the first fiber that the products do not span, or None."""
+    sg, f = bundle.semigroup, bundle.field
+    n = len(bundle.label_pairs)
+    products = {}
+    for (s, t), entries in bundle.mu.items():
+        for i, j in entries:
+            products[(bundle.offsets[s] + i, bundle.offsets[t] + j)] = tuple(
+                (bundle.offsets[sg.product(s, t)] + k, c)
+                for k, c in mu_terms(bundle, s, t, i, j))
 
     def fiber(s):
         return range(bundle.offsets[s], bundle.offsets[s] + bundle.fiber_dim(s))
@@ -326,15 +341,75 @@ def dense_fiber_span(bundle):
         vectors = []
         for gi in fiber(s):
             for gj in fiber(sg.inv(s)):
-                mid = dense_mul(f, total.products, n, unit_vector(f, n, gi),
-                                unit_vector(f, n, gj))
+                mid = dense_mul(f, products, n, unit_vector(f, n, gi), unit_vector(f, n, gj))
                 for gk in fiber(s):
-                    prod = dense_mul(f, total.products, n, mid, unit_vector(f, n, gk))
+                    prod = dense_mul(f, products, n, mid, unit_vector(f, n, gk))
                     vectors.append(tuple(prod[g] for g in fiber(s)))
         _, rank = rref(f, vectors)
         if rank != bundle.fiber_dim(s):
             return sg.name(s), rank
     return None
+
+
+def dense_bundle_validate(bundle):
+    """Reference FellBundle.validate: every rule in the library's order,
+    on the index bundle read as 0/1 inclusion matrices and mu terms
+    ((k, one),).  Injectivity is an rref rank, fiber associativity and
+    fiber span are dense_fiber_associativity (in the total algebra's
+    order) and dense_fiber_span, and transitivity and multiplicativity
+    apply the matrices to unit vectors and sum mu terms."""
+    sg, f = bundle.semigroup, bundle.field
+    n, dim = sg.size, bundle.fiber_dim
+    matrices = {(t, s): mat_from_columns(f, [unit_vector(f, dim(t), k) for k in ks], dim(t))
+                for (t, s), ks in bundle.order_maps.items()}
+
+    def include(t, s, v):
+        return tuple(v) if s == t else mat_vec(f, matrices[(t, s)], v)
+
+    for (t, s), m in matrices.items():
+        cols = [tuple(row[c] for row in m) for c in range(dim(s))]
+        if rref(f, cols)[1] != dim(s):
+            return ValidationReport.failed("inclusion-injective", (sg.name(s), sg.name(t)))
+    witness = dense_fiber_associativity(bundle, total_order=True)
+    if witness is not None:
+        return ValidationReport.failed("fiber-associativity", witness)
+    witness = dense_fiber_span(bundle)
+    if witness is not None:
+        return ValidationReport.failed("fiber-span", witness)
+    above = [[] for _ in range(n)]
+    for s, t in sg.order_pairs():
+        above[s].append(t)
+    for r in range(n):
+        for s in above[r]:
+            for t in above[s]:
+                for i in range(dim(r)):
+                    e = unit_vector(f, dim(r), i)
+                    if include(t, s, include(s, r, e)) != include(t, r, e):
+                        return ValidationReport.failed(
+                            "inclusion-transitivity", (sg.name(r), sg.name(s), sg.name(t)))
+    pairs = [(s, s) for s in range(n)] + list(sg.order_pairs())
+    columns = {(t, s): [nonzero_entries(f, include(t, s, unit_vector(f, dim(s), i)))
+                        for i in range(dim(s))] for (s, t) in pairs}
+    for (r, rp) in pairs:
+        for (s, sp) in pairs:
+            if r == rp and s == sp:
+                continue
+            rs, rpsp = sg.product(r, s), sg.product(rp, sp)
+            if rs != rpsp and not sg.leq(rs, rpsp):
+                return ValidationReport.failed("order-multiplication", (sg.name(r), sg.name(s)))
+            up_r, up_s, down = columns[(rp, r)], columns[(sp, s)], columns[(rpsp, rs)]
+            for i in range(dim(r)):
+                for j in range(dim(s)):
+                    upper = sparse_combination(
+                        f, [(f.mul(a, b), mu_terms(bundle, rp, sp, x, y))
+                            for x, a in up_r[i] for y, b in up_s[j]])
+                    lower = sparse_combination(
+                        f, [(c, down[m]) for m, c in mu_terms(bundle, r, s, i, j)])
+                    if upper != lower:
+                        return ValidationReport.failed(
+                            "inclusion-multiplicative",
+                            (sg.name(r), sg.name(rp), sg.name(s), sg.name(sp)))
+    return ValidationReport.passed()
 
 
 def dense_action_matrix(ctx, i):
