@@ -19,12 +19,16 @@ alpha_s is a partial permutation of its basis, alpha_s(e_p) = e_q.  A
 FellBundle is held in index form too: each mu constant and each inclusion
 sends a basis vector to a basis vector (or, for mu, to zero).  So the
 action rules, the semidirect bundle's constants and every bundle rule are
-lookups.
+lookups.  Each generator of N is then e_{s,i} - e_{t,k}, so N is held as a
+partition of the basis labels: its classes are the germs, and the
+quotient's table, the check that N is two-sided and the coset of every
+section are lookups too.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
@@ -35,12 +39,10 @@ from .exactlin import (
     Field,
     FiniteAlgebra,
     HomomorphismError,
-    QuotientMap,
     Representation,
     StructureError,
     Subspace,
     check_algebra_hom,
-    is_ideal,
     lincomb,
     mat_from_columns,
     mat_lincomb,
@@ -48,7 +50,6 @@ from .exactlin import (
     nonzero_entries,
     rref,
     unit_vector,
-    vec_is_zero,
     zero_vector,
 )
 from .semigroups import InverseSemigroup
@@ -369,51 +370,81 @@ class CrossSectionalAlgebra:
     bundle's own total algebra, built and checked once), the redundancy
     ideal N, and the quotient by N.
 
-    The quotient basis consists of the cosets of the basis labels that are
-    not pivotal in N's reduced basis (the canonical complement).  When N
-    is 0 every label is its own coset and the quotient is the total
-    algebra itself, already built and checked."""
+    N is spanned by the e_{s,i} - e_{t,k} with j_{t,s}(e_i) = e_k, so it is
+    held as the partition of the basis labels that these pairs join, by
+    union-find: each class is a germ, and its largest label is its root.
+    coset_positions lists the roots in ascending order (the non-pivot
+    positions of N's reduced basis), and coset_of[g] is the coset of e_g.
+    When N is 0 the quotient is the total algebra itself."""
 
     def __init__(self, bundle: FellBundle):
         self.bundle = bundle
-        sg, f = bundle.semigroup, bundle.field
         self.offsets = bundle.offsets
         self.label_pairs = bundle.label_pairs
-        self.total = bundle.total
-        gens = []   # e_{s,i} - e_{t,k} for j_{t,s}(e_i) = e_k
-        for (s, t) in sg.order_pairs():
-            for i, k in enumerate(bundle.order_maps[(t, s)]):
-                v = list(zero_vector(f, self.total.dim))
-                v[self.offsets[s] + i] = f.one
-                v[self.offsets[t] + k] = f.neg(f.one)
-                gens.append(tuple(v))
-        span = Subspace.span(f, self.total.dim, gens)
-        # a two-sided ideal spanned by gens is the ideal that gens generate
-        if not is_ideal(self.total, span):
+        self.total = total = bundle.total
+        parent = list(range(total.dim))
+
+        def root(g):
+            while parent[g] != g:
+                parent[g] = parent[parent[g]]
+                g = parent[g]
+            return g
+
+        for (t, s), positions in bundle.order_maps.items():
+            for i, k in enumerate(positions):
+                a, b = root(self.offsets[s] + i), root(self.offsets[t] + k)
+                parent[min(a, b)] = max(a, b)
+        roots = [root(g) for g in range(total.dim)]
+        self.coset_positions = tuple(g for g, r in enumerate(roots) if r == g)
+        index = {g: a for a, g in enumerate(self.coset_positions)}
+        self.coset_of = tuple(index[r] for r in roots)
+        if len(self.coset_positions) == total.dim:
+            self.quotient = total
+            return
+        labels = [total.labels[g] for g in self.coset_positions]
+        self.quotient = FiniteAlgebra(bundle.field, labels, self._coset_table())
+
+    def _coset_table(self) -> dict:
+        """The quotient's constants {(a, b): ((c, 1),)} in (a, b) order, read
+        off the coset triples (a, b, c) of the total products e_g e_h = e_k.
+
+        A vector lies in N iff its coefficients sum to zero over every
+        class: N lies in that space, and both have dimension #labels -
+        #classes, the e_g - e_root being a basis of N.  So e_k - e_k' lies
+        in N iff k and k' share a class, and +-e_k never does.  Hence N is
+        two-sided iff (e_g - e_g') e_h and e_h (e_g - e_g') lie in N for g,
+        g' in one class, that is iff the coset of e_g e_h (None when zero)
+        depends only on the cosets of g and h.  Each label pair over a x b
+        then meets one triple (a, b, c), so every triple met must be met
+        |a| |b| times, or this raises "redundancy-not-ideal"."""
+        coset_of = self.coset_of
+        hits = Counter((coset_of[g], coset_of[h], coset_of[k])
+                       for g, row in enumerate(self.total.index_rows) for h, k in row.items())
+        sizes = Counter(coset_of)
+        if any(m != sizes[a] * sizes[b] for (a, b, _), m in hits.items()):
             raise StructureError("redundancy-not-ideal", None,
                                  "the redundancy span fails to be two-sided")
-        self.redundancy = span
-        self.qmap = QuotientMap.of(span)
-        if span.dim == 0:
-            self.quotient = self.total
-            return
-        qproducts = {}
-        for a, ga in enumerate(self.qmap.coset_positions):
-            for b, gb in enumerate(self.qmap.coset_positions):
-                if (ga, gb) not in self.total.products:
-                    continue  # a zero product projects to zero
-                prod = self.total.basis_product(ga, gb)
-                terms = nonzero_entries(f, self.qmap.project(prod))
-                if terms:
-                    qproducts[(a, b)] = terms
-        coset_labels = tuple(self.total.labels[k] for k in self.qmap.coset_positions)
-        self.quotient = FiniteAlgebra(f, coset_labels, qproducts)
+        one = self.bundle.field.one
+        return {(a, b): ((c, one),) for a, b, c in sorted(hits)}
+
+    def redundancy_pairs(self):
+        """(g, root) for each non-root label g, in g order: N's basis e_g - e_root."""
+        for g, a in enumerate(self.coset_of):
+            if self.coset_positions[a] != g:
+                yield g, self.coset_positions[a]
+
+    @cached_property
+    def redundancy(self) -> Subspace:
+        """N in reduced form, one row e_g - e_root per redundancy pair: each
+        pivot g lies below its root, and no root is a pivot."""
+        f, n = self.bundle.field, self.total.dim
+        minus_one = f.neg(f.one)
+        return Subspace(f, n, tuple(
+            tuple(f.one if c == g else minus_one if c == r else f.zero for c in range(n))
+            for g, r in self.redundancy_pairs()))
 
     def global_index(self, s: int, i: int) -> int:
         return self.offsets[s] + i
-
-    def project(self, total_vector) -> tuple:
-        return self.qmap.project(total_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +468,8 @@ def function_action(system: AmpleSystem, field: Field) -> AlgebraAction:
 def transport(system: AmpleSystem, field: Field, s: int, f_vec) -> tuple:
     """The zero-extended push-forward of a function along theta_s:
     (f o theta_{s*}) on the range of theta_s, zero elsewhere."""
+    system.require_element(s)
+    system.require_function(f_vec)
     pb = system.theta[s]
     out = [field.zero] * system.space_size
     for x, y in pb.pairs:
@@ -474,19 +507,23 @@ class CrossedProduct:
 
     def basis_pair(self, coset_index: int) -> tuple:
         """(point, element) of the canonical representative of a coset."""
-        return self.section_pair(self.sections.qmap.coset_positions[coset_index])
+        return self.section_pair(self.sections.coset_positions[coset_index])
 
     def term(self, y: int, s: int) -> tuple:
-        """Coset coordinates of the single section delta_y at element s."""
+        """Coset coordinates of the single section delta_y at element s:
+        the unit vector at the coset of its label."""
+        self.system.require_point(y)
+        self.system.require_element(s)
         points = self._fiber_points[s]
         if y not in points:
             raise ValueError(
                 f"{self.system.point_name(y)} is outside the range of "
                 f"{self.system.semigroup.name(s)}")
         g = self.sections.global_index(s, points.index(y))
-        return self.sections.project(unit_vector(self.field, self.sections.total.dim, g))
+        return unit_vector(self.field, self.dim, self.sections.coset_of[g])
 
     def indicator_term(self, s: int, points=None) -> tuple:
+        self.system.require_element(s)
         points = self._fiber_points[s] if points is None else points
         return lincomb(self.field, [self.field.one] * len(points),
                        [self.term(y, s) for y in points], self.dim)
@@ -508,6 +545,7 @@ class CrossedProduct:
         """Embed a function on X, greedily partitioning its support by the
         idempotent domains in element order."""
         f = self.field
+        self.system.require_function(f_vec)
         remaining = [y for y in range(self.system.space_size)
                      if not f.is_zero(f_vec[y])]
         coeffs, terms = [], []
@@ -637,24 +675,19 @@ class CovariantRep:
 def integrate(cp: CrossedProduct, cr: CovariantRep) -> Representation:
     """The integrated form pi(f) sigma_s on the crossed product basis.
 
-    Beyond the structure-constant check inside Representation, the images
-    of every section delta_y at every element are compared against the
-    integrated formula, which pins down that the pair kills the
-    redundancy ideal."""
-    f = cp.field
-    images = []
-    for idx in range(cp.dim):
-        y, s = cp.basis_pair(idx)
-        images.append(mat_mul(f, cr.pi[y], cr.sigma[s]))
+    Beyond the structure-constant check inside Representation, each
+    section delta_y at s is compared, in label order, with the root of its
+    coset: the formula must kill the redundancy ideal."""
+    sections = cp.sections
+    per_label = [mat_mul(cp.field, cr.pi[y], cr.sigma[s])
+                 for y, s in map(cp.section_pair, range(sections.total.dim))]
+    images = [per_label[g] for g in sections.coset_positions]
     rep = Representation(cp.algebra, cr.space_dim, images)
-    for s in range(cp.system.semigroup.size):
-        for y in cp.system.theta[s].image():
-            got = rep.apply(cp.term(y, s))
-            want = mat_mul(f, cr.pi[y], cr.sigma[s])
-            if got != want:
-                raise StructureError("integration-consistency",
-                                     (cp.system.point_name(y),
-                                      cp.system.semigroup.name(s)))
+    for g, root in sections.redundancy_pairs():
+        if per_label[g] != per_label[root]:
+            y, s = cp.section_pair(g)
+            raise StructureError("integration-consistency",
+                                 (cp.system.point_name(y), cp.system.semigroup.name(s)))
     return rep
 
 
@@ -713,10 +746,7 @@ def extend_representation(sections: CrossSectionalAlgebra, target: FiniteAlgebra
         for i, k in enumerate(bundle.order_maps[(t, s)]):
             if fiber_images[t][k] != fiber_images[s][i]:
                 raise StructureError("inclusion-compatibility", (sg.name(s), sg.name(t), i))
-    for v in sections.redundancy.basis:
-        if not vec_is_zero(f, lincomb(f, v, per_label, target.dim)):
-            raise StructureError("redundancy-not-killed", None)
-    cols = [per_label[g] for g in sections.qmap.coset_positions]
+    cols = [per_label[g] for g in sections.coset_positions]
     if sections.quotient is not sections.total:
         check_algebra_hom(sections.quotient, target, cols, "extension-multiplicative")
     return mat_from_columns(f, cols, target.dim)

@@ -134,6 +134,21 @@ class AmpleSystem:
     def germ_name(self, g: Germ) -> str:
         return f"[{self.semigroup.name(g.element)}@{self.point_name(g.point)}]"
 
+    # -- argument checks ---------------------------------------------------
+
+    def require_point(self, x: int) -> None:
+        if not 0 <= x < self.space_size:
+            raise ValueError(f"no point {x} in a space of {self.space_size} points")
+
+    def require_element(self, s: int) -> None:
+        if not 0 <= s < self.semigroup.size:
+            raise ValueError(f"no element {s} in a semigroup of {self.semigroup.size} elements")
+
+    def require_function(self, f_vec) -> None:
+        if len(f_vec) != self.space_size:
+            raise ValueError(f"function of length {len(f_vec)} on a space of "
+                             f"{self.space_size} points")
+
     # -- validation --------------------------------------------------------
 
     def validate(self) -> ValidationReport:

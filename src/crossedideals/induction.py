@@ -42,9 +42,10 @@ from .exactlin import (
 def isotropy_restriction(cp: CrossedProduct, x: int, b) -> tuple:
     """Coefficients of b along the isotropy germs at x, as a vector over
     the isotropy group algebra basis, read off b's coset coordinates."""
+    cp.system.require_point(x)
     if len(b) != cp.dim:
         raise ValueError(f"vector of length {len(b)} in a crossed product of dim {cp.dim}")
-    positions = cp.sections.qmap.coset_positions
+    positions = cp.sections.coset_positions
     return _restrict(cp, x, [(positions[a], c) for a, c in nonzero_entries(cp.field, b)])
 
 
@@ -90,6 +91,7 @@ class InductionContext:
     """
 
     def __init__(self, cp: CrossedProduct, x: int):
+        cp.system.require_point(x)
         self.cp = cp
         self.point = x
         sys = cp.system
@@ -105,7 +107,7 @@ class InductionContext:
         # one entry per basis label of the sections, i.e. per section (y, s)
         self._section_moves = tuple(self._moves(*cp.section_pair(g))
                                     for g in range(sections.total.dim))
-        self.moves = tuple(self._section_moves[g] for g in sections.qmap.coset_positions)
+        self.moves = tuple(self._section_moves[g] for g in sections.coset_positions)
         self.pair_index = tuple(
             tuple(self._pair_target(k, t) for t in range(self.module_dim))
             for k in range(self.module_dim))
@@ -165,20 +167,14 @@ class InductionContext:
         return tuple(out)
 
     def _check_well_defined(self):
-        """The term-level formulas must kill every basis vector of the
-        redundancy ideal; checked exhaustively, not sampled."""
-        f = self.field
-        for n_vec in self.cp.sections.redundancy.basis:
-            terms = nonzero_entries(f, n_vec)
-            rest = _restrict(self.cp, self.point, terms)
-            act = {}
-            for g, c in terms:
-                for gi, target in enumerate(self._section_moves[g]):
-                    if target is not None:
-                        act[target, gi] = f.add(act.get((target, gi), f.zero), c)
-            if not vec_is_zero(f, rest):
+        """The term-level formulas must kill every basis vector e_g - e_root
+        of the redundancy ideal, in g order.  Each sends a label to a unit
+        vector or zero, so it kills e_g - e_root iff g and root agree."""
+        cp, one = self.cp, self.field.one
+        for g, root in cp.sections.redundancy_pairs():
+            if _restrict(cp, self.point, [(g, one)]) != _restrict(cp, self.point, [(root, one)]):
                 raise StructureError("restriction-ill-defined", (self.point,))
-            if not vec_is_zero(f, act.values()):
+            if self._section_moves[g] != self._section_moves[root]:
                 raise StructureError("module-action-ill-defined", (self.point,))
 
     # -- restriction and induction ------------------------------------------

@@ -14,8 +14,10 @@ from crossedideals import (
     AlgebraAction,
     AmpleSystem,
     CovariantRep,
+    CrossSectionalAlgebra,
     FellBundle,
     FiniteAlgebra,
+    InductionContext,
     InverseSemigroup,
     NotAFellBundle,
     PartialBijection,
@@ -34,8 +36,8 @@ from crossedideals import (
     transport,
     unitization_isomorphism,
 )
-from crossedideals import bundles
-from crossedideals.exactlin import mat_mul, unit_vector, zero_vector
+from crossedideals import bundles, induction
+from crossedideals.exactlin import lincomb, mat_mul, unit_vector, zero_vector
 from crossedideals.fixtures import (
     FIXTURES,
     brandt_system,
@@ -55,10 +57,12 @@ from util import (
     dense_fiber_associativity,
     dense_fiber_span,
     dense_pre_representation,
+    dense_sections,
     dense_semidirect_bundle,
     klein_four_system,
     matrix_units_algebra,
     rotation_system,
+    unitized_brandt_system,
 )
 
 F2 = GF(2)
@@ -418,6 +422,79 @@ def test_corrupted_index_bundles_validate_like_the_dense_reference(data):
     assert report == dense_bundle_validate(corrupted)
 
 
+# ---------------------------------------------------------------------------
+# the redundancy ideal as a partition, against the dense reference
+
+def library_sections(bundle):
+    """(N, coset positions, coset coordinates of every basis label,
+    quotient) from CrossSectionalAlgebra."""
+    sections = CrossSectionalAlgebra(bundle)
+    positions = sections.coset_positions
+    cosets = [unit_vector(bundle.field, len(positions), a) for a in sections.coset_of]
+    return sections.redundancy, positions, cosets, sections.quotient
+
+
+def reference_sections(bundle):
+    """The same four from the dense reference."""
+    span, qmap, quotient = dense_sections(bundle)
+    n = span.ambient_dim
+    cosets = [qmap.project(unit_vector(bundle.field, n, g)) for g in range(n)]
+    return span, qmap.coset_positions, cosets, quotient
+
+
+def sections_outcome(build, bundle):
+    """The error a build raises, or N's basis, the coset positions and
+    coordinates, the quotient's labels and products in insertion order,
+    and whether the quotient is the total algebra."""
+    try:
+        span, positions, cosets, quotient = build(bundle)
+    except StructureError as err:
+        return type(err).__name__, err.rule, err.witness
+    return ("built", span.basis, positions, cosets, quotient.labels,
+            list(quotient.products.items()), quotient is bundle.total)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+def test_every_single_corruption_gives_the_dense_sections(field):
+    verdicts = set()
+    for name in sorted(CORRUPTION_SYSTEMS):
+        bundle = index_bundle(name, field)
+        for corrupted in itertools.chain([bundle], single_corruptions(bundle)):
+            outcome = sections_outcome(library_sections, corrupted)
+            assert outcome == sections_outcome(reference_sections, corrupted), name
+            verdicts.add(outcome[:2] if outcome[0] != "built" else ("built", bool(outcome[1])))
+    assert verdicts == {("built", False), ("built", True), ("AssociativityError", "associativity"),
+                        ("StructureError", "redundancy-not-ideal")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_corrupted_bundles_give_the_dense_sections(data):
+    field = data.draw(st.sampled_from((F2, F3, QQ)))
+    bundle = index_bundle(data.draw(st.sampled_from(sorted(CORRUPTION_SYSTEMS))), field)
+    sg = bundle.semigroup
+    constants = sorted((s, t, i, j) for (s, t), entries in bundle.mu.items() for i, j in entries)
+    mu_changes = []
+    for key in data.draw(st.lists(st.sampled_from(constants), max_size=3, unique=True)):
+        target = st.integers(0, bundle.fiber_dim(sg.product(key[0], key[1])) - 1)
+        mu_changes.append((key, data.draw(st.none() | target)))   # deleted or redirected
+    corrupted = corrupted_bundle(bundle, mu_changes)
+    assert sections_outcome(library_sections, corrupted) == sections_outcome(reference_sections, corrupted)
+
+
+def test_a_redundancy_span_that_is_not_two_sided_is_reported_by_name():
+    # FIX-SEMILAT with x:e x:e = 0 removed from mu: the total algebra stays
+    # associative, but (x:1 - x:e) x:e = x:e lies outside N
+    bundle = semidirect_bundle(function_action(semilattice_system(), F3))
+    corrupted = corrupted_bundle(bundle, [((1, 1, 0, 0), None)])
+    assert corrupted.total.dim == 3
+    with pytest.raises(StructureError) as err:
+        CrossSectionalAlgebra(corrupted)
+    assert (err.value.rule, err.value.witness) == ("redundancy-not-ideal", None)
+    assert sections_outcome(reference_sections, corrupted) == \
+        ("StructureError", "redundancy-not-ideal", None)
+
+
 def test_action_map_multiplicative_failure_on_a_noncommutative_algebra():
     # transposition of M_2 is a bijection that reverses products
     algebra = matrix_units_algebra(F3)
@@ -522,21 +599,33 @@ def test_action_constructor_rejects_malformed_index_maps(algebra, moves, message
         AlgebraAction(sg, algebra, moves)
 
 
+GUARD_SYSTEMS = {
+    "rot6on6": functools.partial(rotation_system, 6, 6),
+    "brandt6": functools.partial(brandt_k_system, 6),
+    "FIX-SEMILAT": semilattice_system,
+    "chain": chain_system,
+    "unitized-brandt": unitized_brandt_system,
+}
+
+
 def test_crossed_products_build_without_apply_or_coordinates(monkeypatch):
     def refuse(*args):
-        raise AssertionError("dense coordinates or dense bundle arithmetic taken")
+        raise AssertionError("dense coordinates, dense N or dense bundle arithmetic taken")
 
-    want = {name: crossed_product(system, F2).algebra.products
-            for name, system in (("rot6on6", rotation_system(6, 6)),
-                                 ("brandt6", brandt_k_system(6)))}
-    monkeypatch.setattr(Subspace, "coordinates", refuse)
-    for name in ("rref", "mat_vec", "sparse_combination"):
-        monkeypatch.setattr(bundles, name, refuse, raising=False)
-    for name, system in (("rot6on6", rotation_system(6, 6)),
-                         ("brandt6", brandt_k_system(6))):
-        cp = crossed_product(system, F2)
+    want = {name: crossed_product(make(), F2).algebra.products
+            for name, make in GUARD_SYSTEMS.items()}
+    for name in ("coordinates", "span", "reduce"):
+        monkeypatch.setattr(Subspace, name, refuse)
+    for module in (bundles, induction):
+        for name in ("rref", "mat_vec", "sparse_combination", "is_ideal", "QuotientMap"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for name, make in GUARD_SYSTEMS.items():
+        cp = crossed_product(make(), F2)
         assert cp.algebra.products == want[name], name
         assert cp.bundle.validate().ok
+        for x in range(cp.system.space_size):
+            InductionContext(cp, x)
+        assert "redundancy" not in vars(cp.sections), name   # N never formed densely
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +869,20 @@ def test_non_covariant_pair_is_reported():
     assert report.rule == "covariance"
 
 
+def test_integration_checks_every_section_against_its_coset_root():
+    # FIX-SEMILAT: x:1 and x:e share a coset.  pi_x = E11, pi_y = E22,
+    # sigma_1 = 0 and sigma_e = E11 give a representation of the quotient
+    # K x K on the roots y:1 and x:e, but pi_x sigma_1 = 0 is not pi_x sigma_e
+    cp = crossed_product(semilattice_system(), F2)
+    o, l = F2.zero, F2.one
+    e11, e22, zero = ((l, o), (o, o)), ((o, o), (o, l)), ((o, o), (o, o))
+    pair = CovariantRep(cp.system, F2, 2, (e11, e22), (zero, e11))
+    assert not pair.validate().ok
+    with pytest.raises(StructureError) as err:
+        integrate(cp, pair)
+    assert (err.value.rule, err.value.witness) == ("integration-consistency", ("x", "1"))
+
+
 def test_covariance_lemmas_hold_for_every_pair_point_element():
     for make in FIXTURES.values():
         sys = make()
@@ -819,8 +922,7 @@ def universal_images(cp):
         per = []
         for i in range(sections.bundle.fiber_dim(s)):
             g = sections.global_index(s, i)
-            per.append(sections.project(
-                unit_vector(cp.field, sections.total.dim, g)))
+            per.append(unit_vector(cp.field, cp.dim, sections.coset_of[g]))
         out.append(tuple(per))
     return tuple(out)
 
@@ -892,6 +994,43 @@ def summed_images(cp, target, source):
     return tuple(map(tuple, images))
 
 
+EXTENSION_SYSTEMS = {"FIX-SEMILAT": semilattice_system, "chain": chain_system,
+                     "unitized-brandt": unitized_brandt_system}
+
+
+@functools.cache
+def extension_product(name):
+    return crossed_product(EXTENSION_SYSTEMS[name](), F3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_images_pass_inclusion_compatibility_iff_they_kill_the_redundancy_ideal(data):
+    # N is spanned by the e_{s,i} - e_{t,k} that "inclusion-compatibility"
+    # compares, so no separate check that N is killed is needed
+    cp = extension_product(data.draw(st.sampled_from(sorted(EXTENSION_SYSTEMS))))
+    sections, f = cp.sections, cp.field
+    vectors = st.tuples(*[st.sampled_from((f.zero, f.one, f.of(2)))] * cp.dim)
+    by_coset = [data.draw(vectors) for _ in sections.coset_positions]
+    per_label = [by_coset[a] for a in sections.coset_of]
+    for g in data.draw(st.lists(st.integers(0, len(per_label) - 1), max_size=2, unique=True)):
+        per_label[g] = data.draw(vectors)
+    images = tuple(tuple(per_label[sections.global_index(s, i)]
+                         for i in range(sections.bundle.fiber_dim(s)))
+                   for s in range(cp.system.semigroup.size))
+    killed = all(all(f.is_zero(c) for c in lincomb(f, v, per_label, cp.dim))
+                 for v in sections.redundancy.basis)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bundles, "check_algebra_hom", lambda *args: None)   # rules on products
+        try:
+            extend_representation(sections, cp.algebra, images)
+            compatible = True
+        except StructureError as err:
+            assert err.rule == "inclusion-compatibility"
+            compatible = False
+    assert compatible == killed
+
+
 @pytest.mark.parametrize("name", ["FIX-FLIP", "FIX-BRANDT"])
 def test_pre_representation_fails_at_the_reference_pair(name):
     cp = crossed_product(FIXTURES[name](), F3)
@@ -946,7 +1085,7 @@ def test_redundancy_equals_kernel_of_the_regular_integrated_form():
         rows = []
         images = []
         for g in range(sections.total.dim):
-            coset = sections.project(unit_vector(F2, sections.total.dim, g))
+            coset = unit_vector(F2, cp.dim, sections.coset_of[g])
             images.append(integrated.apply(coset))
         d = integrated.space_dim
         for r in range(d):

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from crossedideals import (
     GF,
     QQ,
-    AmpleSystem,
-    PartialBijection,
     QuotientMap,
     Representation,
     StructureError,
@@ -41,6 +39,7 @@ from util import (
     dense_lift_terms,
     klein_four_system,
     rotation_system,
+    unitized_brandt_system,
 )
 
 F2 = GF(2)
@@ -398,28 +397,28 @@ def test_decompose_reads_the_row_system_without_the_form(monkeypatch):
 # ---------------------------------------------------------------------------
 # well-definedness on the redundancy ideal, fail-closed
 
+def merged_cosets(sections, g, h):
+    """coset_of with the class of label g merged into the class of label
+    h: the partition of a subspace that holds N and e_g - e_h."""
+    a, b = sections.coset_of[g], sections.coset_of[h]
+    assert a != b   # e_g - e_h lies outside N
+    return tuple(b if c == a else c for c in sections.coset_of)
+
+
 def test_restriction_must_vanish_on_the_redundancy_ideal(monkeypatch):
+    # FIX-SEMILAT has the classes {x:1, x:e} and {y:1}; merged, delta_x at
+    # e restricts to [e@x] at x and delta_y at 1 to [1@y] at y, and the
+    # other side of each pair to zero, so each point fails
     cp = crossed_product(semilattice_system(), F3)
-    (n_vec,) = cp.sections.redundancy.basis
-    x_e = cp.sections.total.labels.index("x:e")
-    outside = unit_vector(F3, cp.sections.total.dim, x_e)
-    assert not cp.sections.redundancy.contains(outside)
-    monkeypatch.setattr(cp.sections, "redundancy",
-                        Subspace(F3, len(n_vec), (n_vec, outside)))
-    InductionContext(cp, 1)  # delta_x at e is zero near y
-    with pytest.raises(StructureError) as err:
-        InductionContext(cp, 0)
-    assert err.value.rule == "restriction-ill-defined"
-    assert err.value.witness == (0,)
-
-
-def unitized_brandt_system():
-    """FIX-BRANDT with a unit acting as the identity on both points: its
-    redundancy ideal has dim 2 and its one orbit has two points."""
-    system = brandt_system()
-    return AmpleSystem(system.semigroup.unitize(), system.space_size,
-                       tuple(system.theta) + (PartialBijection.identity([0, 1]),),
-                       system.point_names)
+    labels = cp.sections.total.labels
+    assert cp.sections.redundancy.dim == 1
+    monkeypatch.setattr(cp.sections, "coset_of", merged_cosets(
+        cp.sections, labels.index("y:1"), labels.index("x:e")))
+    for x in (0, 1):
+        with pytest.raises(StructureError) as err:
+            InductionContext(cp, x)
+        assert err.value.rule == "restriction-ill-defined"
+        assert err.value.witness == (x,)
 
 
 @pytest.mark.parametrize("x, moving, unit", [(0, "b:s", "b:1+"), (1, "a:s*", "a:1+")])
@@ -430,18 +429,39 @@ def test_module_action_must_vanish_on_the_redundancy_ideal(monkeypatch, x, movin
     # move a germ at x onto the same germ, from different germs.
     cp = crossed_product(unitized_brandt_system(), F3)
     labels = cp.sections.total.labels
-    n_basis = cp.sections.redundancy.basis
-    assert len(n_basis) == 2
-    outside = lincomb(F3, [F3.one, F3.of(-1)],
-                      [unit_vector(F3, len(labels), labels.index(moving)),
-                       unit_vector(F3, len(labels), labels.index(unit))], len(labels))
-    assert not cp.sections.redundancy.contains(outside)
-    monkeypatch.setattr(cp.sections, "redundancy",
-                        Subspace(F3, len(labels), n_basis + (outside,)))
+    assert cp.sections.redundancy.dim == 2
+    monkeypatch.setattr(cp.sections, "coset_of", merged_cosets(
+        cp.sections, labels.index(moving), labels.index(unit)))
     with pytest.raises(StructureError) as err:
         InductionContext(cp, x)
     assert err.value.rule == "module-action-ill-defined"
     assert err.value.witness == (x,)
+
+
+# ---------------------------------------------------------------------------
+# points, elements and functions out of range
+
+@pytest.mark.parametrize("call, message", [
+    (lambda cp: cp.embed((1,)), "function of length 1"),
+    (lambda cp: cp.transport(0, (1,)), "function of length 1"),
+    (lambda cp: cp.transport(0, (1, 2, 0)), "function of length 3"),
+    (lambda cp: cp.transport(2, (1, 0)), "no element 2"),
+    (lambda cp: cp.term(99, 0), "no point 99"),
+    (lambda cp: cp.term(-1, 0), "no point -1"),
+    (lambda cp: cp.term(0, 99), "no element 99"),
+    (lambda cp: cp.indicator_term(99), "no element 99"),
+    (lambda cp: isotropy_restriction(cp, 99, (F2.zero,) * cp.dim), "no point 99"),
+    (lambda cp: induction_context(cp, 5), "no point 5"),
+    (lambda cp: induction_context(cp, -1), "no point -1"),
+], ids=["embed-short", "transport-short", "transport-long", "transport-element",
+        "term-point", "term-negative-point", "term-element", "indicator-element",
+        "restriction-point", "context-point", "context-negative-point"])
+def test_bad_points_elements_and_functions_raise_value_error(call, message):
+    # FIX-FLIP: two points a, b and the elements 1, g
+    cp = crossed_product(flip_system(), F2)
+    with pytest.raises(ValueError, match=message):
+        call(cp)
+    assert cp.induction_contexts == {}
 
 
 # ---------------------------------------------------------------------------

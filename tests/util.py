@@ -23,8 +23,9 @@ from crossedideals.exactlin import (
     sparse_combination,
     subspace_intersect,
     unit_vector,
+    zero_vector,
 )
-from crossedideals.fixtures import FIXTURES
+from crossedideals.fixtures import FIXTURES, brandt_system
 from crossedideals.groupoids import groupoid_restriction
 from crossedideals.validation import ValidationReport
 
@@ -128,6 +129,15 @@ def brandt_k_system(k: int) -> AmpleSystem:
                           ["z"] + [f"e{i}_{j}" for (i, j) in units])
     theta = [PartialBijection({})] + [PartialBijection({j: i}) for (i, j) in units]
     return AmpleSystem(sg, k, theta, [f"q{x}" for x in range(k)])
+
+
+def unitized_brandt_system() -> AmpleSystem:
+    """FIX-BRANDT with a unit acting as the identity on both points: its
+    redundancy ideal has dim 2 and its one orbit has two points."""
+    system = brandt_system()
+    return AmpleSystem(system.semigroup.unitize(), system.space_size,
+                       tuple(system.theta) + (PartialBijection.identity([0, 1]),),
+                       system.point_names)
 
 
 def klein_four_system() -> AmpleSystem:
@@ -274,11 +284,15 @@ def dense_pre_representation(bundle, target, fiber_images, total_order: bool):
 
 def dense_lift_terms(cp, b):
     """CrossedProduct.lift_terms by the round trip through the total
-    space: lift b to its canonical representative, then regroup the
-    nonzero entries into one function on X per element."""
+    space: lift b to its canonical representative (its coordinates placed
+    at the coset positions), then regroup the nonzero entries into one
+    function on X per element."""
     f, sys = cp.field, cp.system
+    lift = [f.zero] * cp.sections.total.dim
+    for g, c in zip(cp.sections.coset_positions, b, strict=True):
+        lift[g] = c
     per_elem = {}
-    for g, c in enumerate(cp.sections.qmap.lift(b)):
+    for g, c in enumerate(lift):
         if f.is_zero(c):
             continue
         s, i = cp.sections.label_pairs[g]
@@ -542,3 +556,38 @@ def dense_action_validate(action):
     if total.dim != n:
         return ValidationReport.failed("domain-span", (total.dim,))
     return ValidationReport.passed()
+
+
+def dense_sections(bundle):
+    """Reference CrossSectionalAlgebra: N spanned by one dense vector
+    e_{s,i} - e_{t,k} per inclusion entry j_{t,s}(e_i) = e_k and reduced
+    with rref, checked two-sided with is_ideal, and the quotient table
+    formed by projecting every product of coset representatives through
+    QuotientMap.  Returns (N, its QuotientMap, the quotient algebra), the
+    quotient being the total algebra when N = 0; raises AssociativityError
+    or StructureError("redundancy-not-ideal") as the library does."""
+    f, total = bundle.field, bundle.total
+    gens = []
+    for (s, t) in bundle.semigroup.order_pairs():
+        for i, k in enumerate(bundle.order_maps[(t, s)]):
+            v = list(zero_vector(f, total.dim))
+            v[bundle.offsets[s] + i] = f.one
+            v[bundle.offsets[t] + k] = f.neg(f.one)
+            gens.append(tuple(v))
+    span = Subspace.span(f, total.dim, gens)
+    if not is_ideal(total, span):
+        raise StructureError("redundancy-not-ideal", None,
+                             "the redundancy span fails to be two-sided")
+    qmap = QuotientMap.of(span)
+    if span.dim == 0:
+        return span, qmap, total
+    qproducts = {}
+    for a, ga in enumerate(qmap.coset_positions):
+        for b, gb in enumerate(qmap.coset_positions):
+            if (ga, gb) not in total.products:
+                continue  # a zero product projects to zero
+            terms = nonzero_entries(f, qmap.project(total.basis_product(ga, gb)))
+            if terms:
+                qproducts[(a, b)] = terms
+    labels = tuple(total.labels[g] for g in qmap.coset_positions)
+    return span, qmap, FiniteAlgebra(f, labels, qproducts)
