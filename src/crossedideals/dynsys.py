@@ -5,14 +5,16 @@ Two elements s, t acting around a point x have the same germ when some
 idempotent e with x in its domain satisfies s e = t e; germs are stored by
 their canonical representative (smallest element index).  Everything the
 induction machinery needs (germ fibers, isotropy groups, orbits,
-transversals) is computed here once and memoized.
+transversals) is computed here once and memoized.  A point or element
+out of range raises ValueError, checked only where a table is built or a
+lookup fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Field, FiniteAlgebra, StructureError
+from .exactlin import Field, FiniteAlgebra, StructureError, first_nonassociative
 from .semigroups import InverseSemigroup
 from .validation import ValidationReport
 
@@ -202,6 +204,7 @@ class AmpleSystem:
         cached = self._germ_cache.get(x)
         if cached is not None:
             return cached
+        self.require_point(x)
         sg = self.semigroup
         live = self.elements_defined_at(x)
         idem_at_x = [e for e in sg.idempotents if self.theta[e].defined_at(x)]
@@ -224,6 +227,7 @@ class AmpleSystem:
     def germ_of(self, s: int, x: int) -> Germ:
         table = self._germ_table(x)
         if s not in table:
+            self.require_element(s)
             raise ValueError(
                 f"{self.semigroup.name(s)} is not defined at {self.point_name(x)}")
         return Germ(table[s], x)
@@ -253,6 +257,7 @@ class AmpleSystem:
     # -- orbits ------------------------------------------------------------
 
     def orbit(self, x: int) -> tuple:
+        self.require_point(x)
         return tuple(sorted({self.theta[s].apply(x)
                              for s in self.elements_defined_at(x)}))
 
@@ -294,6 +299,7 @@ class IsotropyGroup:
 
     @staticmethod
     def at(system: AmpleSystem, x: int) -> "IsotropyGroup":
+        system.require_point(x)
         sg = system.semigroup
         reps = sorted({system.germ_of(s, x).element
                        for s in system.isotropy_elements(x)})
@@ -329,11 +335,9 @@ class IsotropyGroup:
                 raise StructureError("isotropy-identity", (name[i],))
             if self.table[i][self.inverse[i]] != e or self.table[self.inverse[i]][i] != e:
                 raise StructureError("isotropy-inverse", (name[i],))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
-                        raise StructureError("isotropy-associativity", (name[i], name[j], name[k]))
+        failure = first_nonassociative(self.table)
+        if failure is not None:
+            raise StructureError("isotropy-associativity", tuple(name[i] for i in failure))
 
     def member_index(self, g: Germ) -> int:
         try:

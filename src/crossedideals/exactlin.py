@@ -7,6 +7,8 @@ matrices are equal, with no tolerances anywhere.
 
 Scalars are plain ints in [0, p) for prime fields and fractions.Fraction
 for the rationals.  Matrices are tuples of row tuples; vectors are tuples.
+first_nonassociative is the one associativity check for tables of
+indices: semigroups, isotropy groups, groupoids and monomial algebras.
 """
 
 from __future__ import annotations
@@ -654,12 +656,14 @@ class FiniteAlgebra:
 
         When every constant is one term with coefficient one (a monomial
         table, as for K^X, group, groupoid and crossed-product algebras),
-        each side is zero or a single basis vector, so the same triples are
-        compared as basis indices with no field arithmetic."""
+        each side is zero or a single basis vector, so the table of indices
+        goes to first_nonassociative, with no field arithmetic."""
         products = self.products
         rows = self.index_rows
         if rows is not None:
-            self._check_index_associativity(rows)
+            failure = first_nonassociative([[row.get(j) for j in range(self.dim)] for row in rows])
+            if failure is not None:
+                raise AssociativityError(failure, self.labels)
             return
         f = self.field
         row_support = [set() for _ in range(self.dim)]
@@ -680,19 +684,32 @@ class FiniteAlgebra:
                     if left != right:
                         raise AssociativityError((i, j, k), self.labels)
 
-    def _check_index_associativity(self, rows):
-        """The monomial branch: rows[i][j] = k for e_i e_j = e_k.  Visits
-        the triples and k-sets of the general branch, in the same order."""
-        for i in range(self.dim):
-            row_i = rows[i]
-            for j in range(self.dim):
-                row_j = rows[j]
-                ij = row_i.get(j)
-                row_ij = rows[ij] if ij is not None else {}
-                for k in sorted(row_j.keys() | row_ij.keys()):
-                    jk = row_j.get(k)
-                    if row_ij.get(k) != (None if jk is None else row_i.get(jk)):
-                        raise AssociativityError((i, j, k), self.labels)
+
+def first_nonassociative(table):
+    """The first (i, j, k) in lexicographic order at which (e_i e_j) e_k
+    and e_i (e_j e_k) differ, or None.  table[i][j] is the index of e_i e_j,
+    or None for zero.  e_i (e_j e_*) is row i read at the entries of row j,
+    one list, compared with row ij: whole when row j has no zero; else at
+    row j's nonzero positions and by the number of nonzero entries, both
+    sides being zero where e_j e_k is.  Only a mismatch scans for k."""
+    n = len(table)
+    rows = [list(row) for row in table]
+    keys = [[k for k, c in enumerate(row) if c is not None] for row in rows]
+    values = [[row[k] for k in ks] for row, ks in zip(rows, keys)]
+    zero = [None] * n
+    for i, row_i in enumerate(rows):
+        for j, ij in enumerate(row_i):
+            row_ij = zero if ij is None else rows[ij]
+            right = [row_i[c] for c in values[j]]
+            if len(right) == n:
+                if right == row_ij:
+                    continue
+            elif right == [row_ij[k] for k in keys[j]] and \
+                    len(right) - right.count(None) == (0 if ij is None else len(keys[ij])):
+                continue
+            return next((i, j, k) for k, jk in enumerate(rows[j])
+                        if row_ij[k] != (None if jk is None else row_i[jk]))
+    return None
 
 
 def sparse_combination(field: Field, scaled) -> dict:
@@ -755,7 +772,7 @@ def _check_permutation_hom(src_rows, dst_rows, perm, rule: str, labels):
 def is_ideal(algebra: FiniteAlgebra, space: Subspace) -> bool:
     """True iff the subspace is a two-sided ideal (closed under both
     multiplications by every basis element)."""
-    if space.ambient_dim != algebra.dim:
+    if space.field != algebra.field or space.ambient_dim != algebra.dim:
         raise ValueError("subspace does not live in the algebra")
     for v in space.basis:
         left, right = algebra.basis_multiples(v)

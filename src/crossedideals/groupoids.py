@@ -9,7 +9,8 @@ bisection inverse semigroup.  Both bridges send basis vectors to basis
 vectors, so they are verified by index: multiplicativity compares
 product indices in the two monomial tables, and the restriction
 triangle compares the isotropy germ, if any, that each side assigns to
-a basis vector.
+a basis vector.  A groupoid's composition, as one index table, is checked
+by exactlin.first_nonassociative and is its convolution algebra's table.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .exactlin import (
     GuardError,
     StructureError,
     check_algebra_hom,
+    first_nonassociative,
     lincomb,
     mat_from_columns,
     unit_vector,
@@ -48,6 +50,8 @@ class FiniteGroupoid:
             raise ValueError("one source and one target per element required")
         if self.names is not None and len(self.names) != size:
             raise ValueError("one name per element required")
+        if len(set(self.units)) != len(self.units):
+            raise ValueError("repeated unit")
         for v in (*self.units, *self.source, *self.target):
             if not 0 <= v < size:
                 raise ValueError(f"element {v} out of range")
@@ -76,6 +80,10 @@ class FiniteGroupoid:
                                  f"element {self.name(g)} lacks a unique inverse")
         return candidates[0]
 
+    def table(self) -> list:
+        """table[a][b] = ab, or None where a and b do not compose."""
+        return [[self.compose.get((a, b)) for b in range(self.size)] for a in range(self.size)]
+
     def validate(self) -> ValidationReport:
         unit_set = set(self.units)
         for u in self.units:
@@ -98,14 +106,11 @@ class FiniteGroupoid:
             if self.compose[(g, self.source[g])] != g or \
                     self.compose[(self.target[g], g)] != g:
                 return ValidationReport.failed("identity-laws", (self.name(g),))
-        for (a, b) in self.compose:
-            for c in range(self.size):
-                if self.composable(b, c):
-                    left = self.compose[(self.compose[(a, b)], c)]
-                    right = self.compose[(a, self.compose[(b, c)])]
-                    if left != right:
-                        return ValidationReport.failed(
-                            "associativity", (self.name(a), self.name(b), self.name(c)))
+        # by the rules above, (ab)c and a(bc) are each defined exactly when
+        # ab and bc are, so only such triples can fail in the table
+        failure = first_nonassociative(self.table())
+        if failure is not None:
+            return ValidationReport.failed("associativity", map(self.name, failure))
         for g in range(self.size):
             matches = [
                 h for h in range(self.size)
@@ -199,11 +204,7 @@ def steinberg_algebra(groupoid: FiniteGroupoid, field: Field) -> FiniteAlgebra:
 def _convolution_algebra(groupoid: FiniteGroupoid, field: Field) -> FiniteAlgebra:
     """steinberg_algebra of a groupoid its caller has validated."""
     labels = tuple(groupoid.name(g) for g in range(groupoid.size))
-    table = [
-        [groupoid.compose.get((a, b)) for b in range(groupoid.size)]
-        for a in range(groupoid.size)
-    ]
-    return FiniteAlgebra.from_monomial_table(field, labels, table)
+    return FiniteAlgebra.from_monomial_table(field, labels, groupoid.table())
 
 
 def groupoid_restriction(model: GermGroupoidModel, x: int, vec,

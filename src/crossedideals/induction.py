@@ -158,6 +158,9 @@ class InductionContext:
 
     def pair(self, k: int, m_vec) -> tuple:
         """The KG_x-valued form <delta_[k], m> = sum [k* t isotropy] m_t delta_[k* t]."""
+        if not 0 <= k < self.module_dim or len(m_vec) != self.module_dim:
+            raise ValueError(f"germ {k} and vector of length {len(m_vec)} in a germ "
+                             f"module of dim {self.module_dim}")
         f = self.field
         out = [f.zero] * self.iso.size
         for t, c in enumerate(m_vec):
@@ -240,29 +243,30 @@ class InductionContext:
 
     def induce(self, module: Representation) -> Representation:
         """Induce a KG_x-module up to the crossed product on the free
-        module over the orbit transversal."""
+        module over the orbit transversal.
+
+        Basis section i sends the a-th transversal germ l to the germ
+        m = moves[i][l], or to zero.  When it is a germ, m ends at an orbit
+        point, whose transversal germ r is in slot b, and the block of
+        the isotropy germ [r* m], pair_index[r][m], goes at (b, a)."""
         if module.algebra is not self.group_algebra and \
                 module.algebra.labels != self.group_algebra.labels:
             raise ValueError("module is not over this isotropy group algebra")
         f = self.field
-        sg = self.system.semigroup
         d = module.space_dim
         total = len(self.transversal) * d
-        slot = {self.orbit[a]: a for a in range(len(self.orbit))}
+        slot = {y: b for b, y in enumerate(self.orbit)}
+        starts = [self.germ_index[r] for r in self.transversal]
+        slot_of = [slot[self.system.germ_target(g)] for g in self.germs]
         images = []
-        for i in range(self.cp.dim):
-            y, s = self.cp.basis_pair(i)
+        for move in self.moves:
             big = [[f.zero] * total for _ in range(total)]
-            for a, r_germ in enumerate(self.transversal):
-                st = sg.product(s, r_germ.element)
-                pb = self.system.theta[st]
-                if not pb.defined_at(self.point) or pb.apply(self.point) != y:
+            for a, l in enumerate(starts):
+                m = move[l]
+                if m is None:
                     continue
-                target = slot[y]
-                landing = self.transversal[target]
-                h = sg.product(sg.inv(landing.element), st)
-                iso_idx = self.iso.member_index(self.system.germ_of(h, self.point))
-                block = module.images[iso_idx]
+                target = slot_of[m]
+                block = module.images[self.pair_index[starts[target]][m]]
                 for r in range(d):
                     for c in range(d):
                         big[target * d + r][a * d + c] = block[r][c]

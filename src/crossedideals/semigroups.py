@@ -3,7 +3,8 @@
 Elements are dense indices 0..size-1 with optional display names.  The
 involution is part of the data; validation checks associativity, the
 involutive anti-homomorphism laws, s s* s = s, and that idempotents
-commute (which forces uniqueness of generalized inverses).
+commute (which forces uniqueness of generalized inverses);
+associativity is exactlin.first_nonassociative on the table.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .exactlin import first_nonassociative
 from .validation import ValidationReport
 
 
@@ -98,13 +100,9 @@ class InverseSemigroup:
     def validate(self) -> ValidationReport:
         n = self.size
         mult, star = self.mult, self.star
-        for a in range(n):
-            for b in range(n):
-                ab = mult[a][b]
-                for c in range(n):
-                    if mult[ab][c] != mult[a][mult[b][c]]:
-                        return ValidationReport.failed(
-                            "associativity", (self.name(a), self.name(b), self.name(c)))
+        failure = first_nonassociative(mult)
+        if failure is not None:
+            return ValidationReport.failed("associativity", map(self.name, failure))
         for s in range(n):
             if star[star[s]] != s:
                 return ValidationReport.failed("involution", (self.name(s),))

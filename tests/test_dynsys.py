@@ -117,6 +117,28 @@ def test_germ_of_requires_the_point_in_the_domain():
         sys.germ_of(e, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: s.isotropy_group(-1), "no point -1"),
+    (lambda s: s.isotropy_group(99), "no point 99"),
+    (lambda s: IsotropyGroup.at(s, 2), "no point 2"),
+    (lambda s: s.germ_of(0, 99), "no point 99"),
+    (lambda s: s.germ_of(99, 0), "no element 99"),
+    (lambda s: s.germ_of(-1, 0), "no element -1"),
+    (lambda s: s.orbit(99), "no point 99"),
+    (lambda s: s.germs_at(99), "no point 99"),
+    (lambda s: s.orbit_transversal(99), "no point 99"),
+], ids=["isotropy-negative-point", "isotropy-point", "isotropy-at-point", "germ-point",
+        "germ-element", "germ-negative-element", "orbit-point", "germs-at-point",
+        "transversal-point"])
+def test_bad_points_and_elements_raise_value_error(call, message):
+    # FIX-BRANDT: two points a, b and five elements
+    sys = brandt_system()
+    assert sys.validate().ok
+    with pytest.raises(ValueError, match=message) as info:
+        call(sys)
+    assert not isinstance(info.value, StructureError)
+
+
 def test_germ_canonical_representative_is_minimal():
     sys = semilattice_system()
     g = sys.germ_of(1, 0)  # the germ of e at x collapses onto 1

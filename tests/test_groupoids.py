@@ -134,6 +134,12 @@ def test_non_associative_table_is_rejected():
     assert g.validate().rule == "associativity"
 
 
+def test_repeated_units_are_refused():
+    # parse_groupoid refuses the same list with a ParseError
+    with pytest.raises(ValueError, match="repeated unit"):
+        FiniteGroupoid(1, (0, 0), (0,), (0,), {(0, 0): 0})
+
+
 def test_element_without_an_inverse_is_rejected():
     g = FiniteGroupoid(2, (0,), (0, 0), (0, 0),
                        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, ("1", "g"))

@@ -34,6 +34,7 @@ from crossedideals.induction import InductionContext, isotropy_restriction
 from util import (
     brandt_k_system,
     dense_action_matrix,
+    dense_induce,
     dense_induced_ideal,
     dense_isotropy_restriction,
     dense_lift_terms,
@@ -162,6 +163,25 @@ def test_induced_ideal_rejects_a_foreign_ambient_space():
     ctx = induction_context(cp, 0)
     with pytest.raises(ValueError):
         ctx.induced_ideal(Subspace.zero(F2, 5))
+
+
+def test_ideals_over_another_field_are_refused():
+    cp = crossed_product(FIXTURES["FIX-Z2FIX"](), F2)
+    ctx = induction_context(cp, 0)
+    with pytest.raises(ValueError, match="does not live"):
+        decompose_ideal(cp, Subspace.zero(F3, cp.dim))
+    with pytest.raises(ValueError, match="does not live"):
+        ctx.induced_ideal(Subspace.full(F3, ctx.iso.size))
+
+
+@pytest.mark.parametrize("k, m_vec", [(0, (1,)), (0, (1, 0, 0)), (99, (1, 0)), (-1, (1, 0))],
+                         ids=["short", "long", "germ", "negative-germ"])
+def test_pair_refuses_a_bad_germ_or_vector(k, m_vec):
+    # FIX-FLIP: two germs at a
+    ctx = induction_context(crossed_product(flip_system(), F2), 0)
+    assert ctx.module_dim == 2
+    with pytest.raises(ValueError, match="germ module of dim 2"):
+        ctx.pair(k, m_vec)
 
 
 def test_induction_is_monotone_and_meets_intersections():
@@ -752,6 +772,30 @@ def test_sign_collapsed_module_annihilator_is_the_induced_ideal():
     aug = Subspace.span(F2, 2, [(F2.one, F2.one)])
     assert induced.kernel() == aug
     assert induced.kernel() == ctx.induced_ideal(aug)
+
+
+def group_algebra_ideals(algebra):
+    """Every ideal over a prime field; over Q, the ideals generated by 0,
+    by e_0 + e_i and e_0 - e_i for each i, and by the sum of the basis."""
+    if algebra.field != QQ:
+        return enumerate_ideals(algebra)
+    n, one = algebra.dim, QQ.one
+    gens = [(QQ.zero,) * n, (one,) * n]
+    for i in range(1, n):
+        for c in (one, -one):
+            gens.append(tuple(one if m == 0 else c if m == i else QQ.zero for m in range(n)))
+    return {ideal_generate(algebra, [v]) for v in gens}
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=["F2", "F3", "Q"])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_induced_modules_match_the_dense_reference(name, field):
+    cp = system_product(name, field)
+    for x in range(cp.system.space_size):
+        ctx = induction_context(cp, x)
+        for ideal in group_algebra_ideals(ctx.group_algebra):
+            module = left_regular_mod(ctx.group_algebra, ideal)
+            assert ctx.induce(module).images == dense_induce(ctx, module).images
 
 
 def test_induced_module_annihilators_match_induced_ideals():

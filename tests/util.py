@@ -8,6 +8,7 @@ from crossedideals import (
     InverseSemigroup,
     PartialBijection,
     QuotientMap,
+    Representation,
     StructureError,
     Subspace,
     enumerate_subspaces,
@@ -86,6 +87,69 @@ def dense_check_associativity(field, labels, products):
                                   dense_mul(field, products, n, basis[j], basis[k]))
                 if left != right:
                     raise StructureError("associativity", (labels[i], labels[j], labels[k]))
+
+
+def reference_first_nonassociative(table):
+    """Reference index-table check: the first (i, j, k) in (i, j, k) order
+    at which (e_i e_j) e_k and e_i (e_j e_k) differ, where table[i][j] is
+    the index of e_i e_j or None for zero; None if there is none."""
+    n = len(table)
+
+    def times(a, b):
+        return None if a is None or b is None else table[a][b]
+
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if times(times(i, j), k) != times(i, times(j, k)):
+                    return i, j, k
+    return None
+
+
+def reference_semigroup_associativity(sg):
+    """The associativity loop of InverseSemigroup.validate before it
+    called exactlin.first_nonassociative: the failed report at the first
+    triple, or None."""
+    n = sg.size
+    mult = sg.mult
+    for a in range(n):
+        for b in range(n):
+            ab = mult[a][b]
+            for c in range(n):
+                if mult[ab][c] != mult[a][mult[b][c]]:
+                    return ValidationReport.failed(
+                        "associativity", (sg.name(a), sg.name(b), sg.name(c)))
+    return None
+
+
+def reference_isotropy_associativity(group):
+    """The associativity loop of IsotropyGroup._check_group_laws before it
+    called exactlin.first_nonassociative: raises StructureError at the
+    first triple."""
+    n = group.size
+    name = [group.system.germ_name(g) for g in group.members]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if group.table[group.table[i][j]][k] != group.table[i][group.table[j][k]]:
+                    raise StructureError("isotropy-associativity", (name[i], name[j], name[k]))
+
+
+def reference_groupoid_associativity(groupoid):
+    """The associativity loop of FiniteGroupoid.validate before it called
+    exactlin.first_nonassociative: the composable pairs (a, b) in the
+    insertion order of compose, then c in index order.  Returns the failed
+    report at the first triple, or None; meaningful only when the
+    composability, endpoint and identity rules pass."""
+    compose = groupoid.compose
+    for (a, b) in compose:
+        for c in range(groupoid.size):
+            if groupoid.composable(b, c):
+                if compose[(compose[(a, b)], c)] != compose[(a, compose[(b, c)])]:
+                    return ValidationReport.failed(
+                        "associativity",
+                        (groupoid.name(a), groupoid.name(b), groupoid.name(c)))
+    return None
 
 
 def dense_check_algebra_hom(src, dst, images):
@@ -459,6 +523,37 @@ def dense_induced_ideal(ctx, ideal) -> Subspace:
             for coord in range(qm.dim):
                 rows.append(tuple(img[coord] for img in images))
     return Subspace(f, dim, nullspace(f, rows, dim))
+
+
+def dense_induce(ctx, module) -> Representation:
+    """Reference induced module: InductionContext.induce before it read
+    moves and pair_index, recomputing for every basis section delta_y at s
+    and transversal germ [r] the product s r, its partial bijection and
+    the isotropy germ of r'* s r."""
+    f = ctx.field
+    sg = ctx.system.semigroup
+    d = module.space_dim
+    total = len(ctx.transversal) * d
+    slot = {ctx.orbit[a]: a for a in range(len(ctx.orbit))}
+    images = []
+    for i in range(ctx.cp.dim):
+        y, s = ctx.cp.basis_pair(i)
+        big = [[f.zero] * total for _ in range(total)]
+        for a, r_germ in enumerate(ctx.transversal):
+            st = sg.product(s, r_germ.element)
+            pb = ctx.system.theta[st]
+            if not pb.defined_at(ctx.point) or pb.apply(ctx.point) != y:
+                continue
+            target = slot[y]
+            landing = ctx.transversal[target]
+            h = sg.product(sg.inv(landing.element), st)
+            iso_idx = ctx.iso.member_index(ctx.system.germ_of(h, ctx.point))
+            block = module.images[iso_idx]
+            for r in range(d):
+                for c in range(d):
+                    big[target * d + r][a * d + c] = block[r][c]
+        images.append(tuple(tuple(row) for row in big))
+    return Representation(ctx.cp.algebra, total, images)
 
 
 class DenseAction:
