@@ -196,6 +196,7 @@ class AmpleSystem:
     # -- germs -------------------------------------------------------------
 
     def elements_defined_at(self, x: int) -> tuple:
+        self.require_point(x)
         return tuple(s for s in range(self.semigroup.size)
                      if self.theta[s].defined_at(x))
 
@@ -204,7 +205,6 @@ class AmpleSystem:
         cached = self._germ_cache.get(x)
         if cached is not None:
             return cached
-        self.require_point(x)
         sg = self.semigroup
         live = self.elements_defined_at(x)
         idem_at_x = [e for e in sg.idempotents if self.theta[e].defined_at(x)]
@@ -257,7 +257,6 @@ class AmpleSystem:
     # -- orbits ------------------------------------------------------------
 
     def orbit(self, x: int) -> tuple:
-        self.require_point(x)
         return tuple(sorted({self.theta[s].apply(x)
                              for s in self.elements_defined_at(x)}))
 

@@ -9,6 +9,9 @@ Scalars are plain ints in [0, p) for prime fields and fractions.Fraction
 for the rationals.  Matrices are tuples of row tuples; vectors are tuples.
 first_nonassociative is the one associativity check for tables of
 indices: semigroups, isotropy groups, groupoids and monomial algebras.
+It and the ideal tests is_ideal and ideal_generate work over a
+generating set of the table (generating_indices) rather than every basis
+element.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -593,37 +597,33 @@ class FiniteAlgebra:
         return tuple(prod.get(k, f.zero) for k in range(self.dim))
 
     @cached_property
-    def _constants_by_factor(self) -> tuple:
-        """(as_right, as_left): as_right[j] lists (i, terms) and as_left[j]
-        lists (k, terms) for the nonzero structure constants of e_i e_j
-        and e_j e_k."""
-        as_right = [[] for _ in range(self.dim)]
-        as_left = [[] for _ in range(self.dim)]
+    def _generator_constants(self) -> list:
+        """For each a in generating_indices, {j: structure constant of
+        e_a e_j}, and then for each a, {j: structure constant of e_j e_a}."""
+        left = {a: {} for a in self.generating_indices}
+        right = {a: {} for a in self.generating_indices}
         for (i, j), terms in self.products.items():
-            as_right[j].append((i, terms))
-            as_left[i].append((j, terms))
-        return as_right, as_left
+            if i in left:
+                left[i][j] = terms
+            if j in right:
+                right[j][i] = terms
+        return list(left.values()) + list(right.values())
 
-    def basis_multiples(self, v) -> tuple:
-        """(left, right) with left[i] = e_i v and right[i] = v e_i for every
-        basis index i, from one walk of the nonzero entries of v against
-        the structure constants."""
-        f = self.field
-        n = self.dim
+    def generator_multiples(self, v) -> list:
+        """e_a v and then v e_a for every a in generating_indices, as dense
+        vectors, from one walk of the nonzero entries of v each."""
+        f, n = self.field, self.dim
         if len(v) != n:
             raise ValueError(f"vector of length {len(v)} in an algebra of dim {n}")
-        left = [[f.zero] * n for _ in range(n)]
-        right = [[f.zero] * n for _ in range(n)]
-        as_right, as_left = self._constants_by_factor
-        for j, b in enumerate(v):
-            if f.is_zero(b):
-                continue
-            for outs, pairs in ((left, as_right[j]), (right, as_left[j])):
-                for i, terms in pairs:
-                    out = outs[i]
-                    for k, c in terms:
-                        out[k] = f.add(out[k], f.mul(b, c))
-        return tuple(map(tuple, left)), tuple(map(tuple, right))
+        entries = nonzero_entries(f, v)
+        multiples = []
+        for constants in self._generator_constants:
+            w = [f.zero] * n
+            for j, b in entries:
+                for k, c in constants.get(j, ()):
+                    w[k] = f.add(w[k], f.mul(b, c))
+            multiples.append(tuple(w))
+        return multiples
 
     def element_to_text(self, v) -> str:
         f = self.field
@@ -645,6 +645,15 @@ class FiniteAlgebra:
                 return None
             rows[i][j] = terms[0][0]
         return rows
+
+    @cached_property
+    def generating_indices(self) -> tuple:
+        """Basis indices whose products generate the algebra: those of
+        exactlin.generating_indices on a monomial table, else every index."""
+        rows = self.index_rows
+        if rows is None:
+            return tuple(range(self.dim))
+        return generating_indices([[row.get(j) for j in range(self.dim)] for row in rows])
 
     def _check_associativity(self):
         """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple, in (i, j, k)
@@ -685,14 +694,67 @@ class FiniteAlgebra:
                         raise AssociativityError((i, j, k), self.labels)
 
 
+def generating_indices(table) -> tuple:
+    """A generating set of an index table (table[i][j] the index of
+    e_i e_j, or None for zero), by greedy closure: the smallest index not
+    yet reached becomes a generator, and the reached indices are closed
+    under products with the generators on both sides.  Every index is
+    reached by the end.  The closure multiplies only indices already
+    reached, so it holds in any magma, associative or not; each reached
+    index is a product of generators under some bracketing."""
+    n = len(table)
+    reached = [False] * n
+    found, generators = [], []
+    for g in range(n):
+        if reached[g]:
+            continue
+        generators.append(g)
+        row_g = table[g]
+        queue = [g]
+        for r in found:
+            queue += (table[r][g], row_g[r])
+        while queue:
+            r = queue.pop()
+            if r is None or reached[r]:
+                continue
+            reached[r] = True
+            found.append(r)
+            row_r = table[r]
+            for a in generators:
+                queue += (row_r[a], table[a][r])
+    return tuple(generators)
+
+
 def first_nonassociative(table):
     """The first (i, j, k) in lexicographic order at which (e_i e_j) e_k
     and e_i (e_j e_k) differ, or None.  table[i][j] is the index of e_i e_j,
-    or None for zero.  e_i (e_j e_*) is row i read at the entries of row j,
-    one list, compared with row ij: whole when row j has no zero; else at
-    row j's nonzero positions and by the number of nonzero entries, both
-    sides being zero where e_j e_k is.  Only a mismatch scans for k."""
+    or None for zero.
+
+    Pass or fail is Light's test over generating_indices(table) (Clifford
+    and Preston, The Algebraic Theory of Semigroups I, 1.2): for each
+    generator a and every x, the row of x a equals x times the row of a.
+    That suffices: T = {a : (x a) y = x (a y) for all x, y} holds zero and
+    is closed under products, since for a, b in T
+    (x (a b)) y = ((x a) b) y = (x a)(b y) = x (a (b y)) = x ((a b) y),
+    and every index is a product of generators.
+
+    Only a fail runs the full scan for the first failing triple:
+    e_i (e_j e_*) is row i read at the entries of row j, one list,
+    compared with row ij: whole when row j has no zero; else at row j's
+    nonzero positions and by the number of nonzero entries, both sides
+    being zero where e_j e_k is.  Only a mismatch scans for k."""
     n = len(table)
+    padded = [tuple(row) + (None,) for row in table]    # index n reads zero
+    padded_zero = (None,) * (n + 1)
+
+    def light_passes(a):
+        """x (a y) == (x a) y for every x and y, one row per x."""
+        times_row_a = itemgetter(*[n if c is None else c for c in table[a]], n)
+        return list(map(times_row_a, padded)) == \
+            [padded_zero if row[a] is None else padded[row[a]] for row in table]
+
+    if all(light_passes(a) for a in generating_indices(table)):
+        return None
     rows = [list(row) for row in table]
     keys = [[k for k, c in enumerate(row) if c is not None] for row in rows]
     values = [[row[k] for k in ks] for row, ks in zip(rows, keys)]
@@ -770,23 +832,26 @@ def _check_permutation_hom(src_rows, dst_rows, perm, rule: str, labels):
 
 
 def is_ideal(algebra: FiniteAlgebra, space: Subspace) -> bool:
-    """True iff the subspace is a two-sided ideal (closed under both
-    multiplications by every basis element)."""
+    """True iff the subspace is a two-sided ideal, tested by its closure
+    under both multiplications by the generating basis elements alone.
+    That suffices: the algebra was checked associative when built, so
+    {x : x V <= V} is a subalgebra, and so is {x : V x <= V}; each holds
+    the generating basis elements, whose products reach every basis
+    element, and so is the whole algebra."""
     if space.field != algebra.field or space.ambient_dim != algebra.dim:
         raise ValueError("subspace does not live in the algebra")
-    for v in space.basis:
-        left, right = algebra.basis_multiples(v)
-        if not all(space.contains(w) for w in left + right):
-            return False
-    return True
+    return all(space.contains(w) for v in space.basis
+               for w in algebra.generator_multiples(v))
 
 
 def ideal_generate(algebra: FiniteAlgebra, generators: Iterable) -> Subspace:
     """Smallest two-sided ideal containing the generators, by a worklist
     closure: each queued vector is reduced against the echelon rows found
-    so far, and one that adds a row queues its products with every basis
-    element on both sides.  The rows then span a subspace holding the
-    generators and closed under both multiplications by the basis."""
+    so far, and one that adds a row queues its generator_multiples.  The
+    rows then span a subspace holding the generators and closed under
+    both multiplications by the generating basis elements, an ideal by the
+    argument of is_ideal, and every row lies in any ideal holding the
+    generators."""
     f, n = algebra.field, algebra.dim
     queue = [tuple(v) for v in generators]
     for v in queue:
@@ -807,8 +872,7 @@ def ideal_generate(algebra: FiniteAlgebra, generators: Iterable) -> Subspace:
         inv = f.inv(v[lead])
         row = tuple(f.mul(inv, a) for a in v)
         rows[lead] = (row, nonzero_entries(f, row))
-        left, right = algebra.basis_multiples(row)
-        for w in left + right:
+        for w in algebra.generator_multiples(row):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)

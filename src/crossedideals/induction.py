@@ -249,8 +249,9 @@ class InductionContext:
         m = moves[i][l], or to zero.  When it is a germ, m ends at an orbit
         point, whose transversal germ r is in slot b, and the block of
         the isotropy germ [r* m], pair_index[r][m], goes at (b, a)."""
-        if module.algebra is not self.group_algebra and \
-                module.algebra.labels != self.group_algebra.labels:
+        if module.algebra is not self.group_algebra and (
+                module.algebra.field != self.field
+                or module.algebra.labels != self.group_algebra.labels):
             raise ValueError("module is not over this isotropy group algebra")
         f = self.field
         d = module.space_dim

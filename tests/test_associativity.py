@@ -21,7 +21,7 @@ from crossedideals import (
     function_action,
     semidirect_bundle,
 )
-from crossedideals.exactlin import AssociativityError, first_nonassociative
+from crossedideals.exactlin import AssociativityError, first_nonassociative, generating_indices
 from crossedideals.fixtures import flip_system
 from crossedideals.validation import ValidationReport
 
@@ -150,6 +150,73 @@ def test_a_product_off_the_support_of_row_j_fails():
     # although row 0 has no nonzero entry to compare at
     table = [[None, None], [1, None]]
     assert first_nonassociative(table) == reference_first_nonassociative(table) == (1, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the generating set behind the kernel's pass or fail
+
+def product_closure(table, indices):
+    """Every index reached from indices by products of reached indices,
+    in any bracketing."""
+    reached = set(indices)
+    while True:
+        grown = reached | {table[a][b] for a in reached for b in reached} - {None}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+# Tables in which few products reach new indices, so that most indices are
+# generators: semilattices, left zero and null semigroups, and a rectangular
+# band, alone and beside a group.
+MANY_GENERATOR_TABLES = (
+    [[min(a, b) for b in range(7)] for a in range(7)],    # chain semilattice
+    [[a & b for b in range(8)] for a in range(8)],        # Boolean semilattice
+    [[a] * 6 for a in range(6)],                          # left zero
+    [[0] * 7 for _ in range(7)],                          # null, zero at 0
+    [[3 * (a // 3) + b % 3 for b in range(6)] for a in range(6)],  # 2 x 3 rectangular band
+    disjoint_union([[min(a, b) for b in range(4)] for a in range(4)], cyclic(3)),
+)
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["full", "zeros"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_the_generators_reach_every_index(zeros, data):
+    table = data.draw(index_tables(zeros))
+    generators = generating_indices(table)
+    assert list(generators) == sorted(set(generators))
+    assert generators[0] == 0
+    assert product_closure(table, generators) == set(range(len(table)))
+
+
+@pytest.mark.parametrize("table", MANY_GENERATOR_TABLES, ids=len)
+def test_tables_with_many_generators_pass(table):
+    generators = generating_indices(table)
+    assert len(generators) >= len(table) // 2
+    assert product_closure(table, generators) == set(range(len(table)))
+    assert reference_first_nonassociative(table) is None
+    assert first_nonassociative(table) is None
+
+
+def test_cyclic_groups_are_generated_by_the_unit_and_one_generator():
+    assert generating_indices([]) == ()
+    assert generating_indices(cyclic(1)) == (0,)
+    for n in range(2, 25):
+        assert generating_indices(cyclic(n)) == (0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_the_reference_on_tables_with_many_generators(data):
+    source = data.draw(st.sampled_from(MANY_GENERATOR_TABLES))
+    n = len(source)
+    table = relabelled(source, data.draw(st.permutations(range(n))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[i][j] = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    assert product_closure(table, generating_indices(table)) == set(range(n))
+    assert first_nonassociative(table) == reference_first_nonassociative(table)
 
 
 # ---------------------------------------------------------------------------

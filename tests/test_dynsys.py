@@ -127,9 +127,14 @@ def test_germ_of_requires_the_point_in_the_domain():
     (lambda s: s.orbit(99), "no point 99"),
     (lambda s: s.germs_at(99), "no point 99"),
     (lambda s: s.orbit_transversal(99), "no point 99"),
+    (lambda s: s.elements_defined_at(99), "no point 99"),
+    (lambda s: s.elements_defined_at(-1), "no point -1"),
+    (lambda s: s.isotropy_elements(99), "no point 99"),
+    (lambda s: s.isotropy_elements(-1), "no point -1"),
 ], ids=["isotropy-negative-point", "isotropy-point", "isotropy-at-point", "germ-point",
         "germ-element", "germ-negative-element", "orbit-point", "germs-at-point",
-        "transversal-point"])
+        "transversal-point", "defined-at-point", "defined-at-negative-point",
+        "isotropy-elements-point", "isotropy-elements-negative-point"])
 def test_bad_points_and_elements_raise_value_error(call, message):
     # FIX-BRANDT: two points a, b and five elements
     sys = brandt_system()

@@ -835,10 +835,65 @@ def test_basis_multiples_and_is_ideal_match_dense_products(field, data):
     n, products = data.draw(associative_tables(field))
     alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
     v = data.draw(st.tuples(*[scalars(field)] * n))
-    left, right = alg.basis_multiples(v)
-    assert list(left + right) == basis_multiples_reference(alg, v)
+    generators = alg.generating_indices
+    reference = basis_multiples_reference(alg, v)
+    assert alg.generator_multiples(v) == \
+        [reference[a] for a in generators] + [reference[n + a] for a in generators]
     space = Subspace.span(field, n, random_vectors(data, field, n, 3))
     assert is_ideal(alg, space) == reference_is_ideal(alg, space)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ideals_over_generators_match_all_basis_multiples(field, data):
+    """On monomial algebras, whose generators are often fewer than the
+    basis, is_ideal and ideal_generate agree with the references that use
+    every basis multiple, on ideals and on random subspaces."""
+    source = data.draw(st.sampled_from(ASSOCIATIVE_INDEX_TABLES + (_cyclic(6),)))
+    n = len(source)
+    table = relabelled_table(source, data.draw(st.permutations(range(n))))
+    alg = FiniteAlgebra.from_monomial_table(field, tuple(f"b{i}" for i in range(n)), table)
+    generators = random_vectors(data, field, n, 2)
+    ideal = ideal_generate(alg, generators)
+    assert ideal == fixpoint_ideal_generate(alg, generators)
+    assert is_ideal(alg, ideal) and reference_is_ideal(alg, ideal)
+    for extra in (random_vectors(data, field, n, 2), random_vectors(data, field, n, 2)):
+        space = Subspace.span(field, n, list(ideal.basis) + extra)
+        assert is_ideal(alg, space) == reference_is_ideal(alg, space)
+
+
+def test_generating_indices_of_monomial_and_general_algebras():
+    for field in SCALAR_FIELDS:
+        assert FiniteAlgebra.from_monomial_table(
+            field, tuple(range(24)), _cyclic(24)).generating_indices == (0, 1)
+        products = {(0, 0): ((0, field.one), (1, field.one))}
+        assert FiniteAlgebra(field, ("a", "b"), products).generating_indices == (0, 1)
+    for n in (6, 12):
+        cp = crossed_product(rotation_system(n, 2), F3)
+        assert cp.algebra.generating_indices == (0, 1, 2, 3)
+
+
+def test_is_ideal_on_a_cyclic_group_algebra_forms_only_generator_multiples(monkeypatch):
+    """K[Z/24] is generated by e_0 and e_1, so is_ideal forms and tests 2 * 2
+    multiples per basis vector of the subspace, not 2 * 24."""
+    alg = FiniteAlgebra.from_monomial_table(F3, tuple(range(24)), _cyclic(24))
+    augmentation = ideal_generate(alg, [(1, 2) + (0,) * 22])
+    line = Subspace.span(F3, 24, [(1, 2) + (0,) * 22])
+    tested = []
+    contains = Subspace.contains
+
+    def counting(self, v):
+        tested.append(v)
+        return contains(self, v)
+
+    monkeypatch.setattr(Subspace, "contains", counting)
+    assert augmentation.dim == 23
+    assert is_ideal(alg, augmentation)
+    assert len(tested) <= 2 * 23 * 2
+    tested.clear()
+    assert not is_ideal(alg, line)
+    assert len(tested) <= 2 * 1 * 2
 
 
 @pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
@@ -864,7 +919,7 @@ def test_ideal_generate_edge_cases():
         with pytest.raises(ValueError):
             ideal_generate(alg, [unit_vector(field, 4, 0), (field.one,) * 3])
         with pytest.raises(ValueError):
-            alg.basis_multiples(())
+            alg.generator_multiples(())
 
 
 def upper_triangular_algebra(field) -> FiniteAlgebra:

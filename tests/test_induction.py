@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from crossedideals import (
     GF,
     QQ,
+    FiniteAlgebra,
     QuotientMap,
     Representation,
     StructureError,
@@ -772,6 +773,22 @@ def test_sign_collapsed_module_annihilator_is_the_induced_ideal():
     aug = Subspace.span(F2, 2, [(F2.one, F2.one)])
     assert induced.kernel() == aug
     assert induced.kernel() == ctx.induced_ideal(aug)
+
+
+def test_modules_over_another_field_are_refused():
+    # FIX-Z2FIX over F2: K G_x = K[Z/2] at the fixed point; the F3 copy of
+    # it has the same labels and table
+    ctx = induction_context(crossed_product(FIXTURES["FIX-Z2FIX"](), F2), 0)
+    group = ctx.group_algebra
+    table = [[row.get(j) for j in range(group.dim)] for row in group.index_rows]
+    over_f3 = FiniteAlgebra.from_monomial_table(F3, group.labels, table)
+    sign = tuple((((F3.one if i == ctx.iso.identity else F3.neg(F3.one)),),)
+                 for i in range(group.dim))
+    for module in (left_regular_mod(over_f3, Subspace.zero(F3, group.dim)),
+                   Representation(over_f3, 1, sign)):
+        with pytest.raises(ValueError, match="not over this isotropy group algebra") as info:
+            ctx.induce(module)
+        assert not isinstance(info.value, StructureError)
 
 
 def group_algebra_ideals(algebra):
