@@ -1002,11 +1002,22 @@ def enumerate_subspaces(field: Field, n: int):
                 yield Subspace(field, n, tuple(tuple(row) for row in rows))
 
 
-# The oracle makes one ideal_generate per line of K^n.  This caps their
-# number, (p^n - 1)/(p - 1), so that a large characteristic is refused at
-# once instead of running for hours; the cap admits F5 at dim 6 (3,906
-# lines), F3 at dim 9 and F2 at dim 13.
+# The oracle visits every line of K^n, making at most one ideal_generate
+# each.  This caps their number, (p^n - 1)/(p - 1), so that a large
+# characteristic is refused at once instead of running for hours; the cap
+# admits F5 at dim 6 (3,906 lines), F3 at dim 9 and F2 at dim 13.
 LINE_LIMIT = 10_000
+
+
+def _basis_permutations(algebra: FiniteAlgebra) -> list:
+    """The maps v -> e_a v, v -> v e_a that permute the basis, e_a generating."""
+    rows, n = algebra.index_rows, algebra.dim
+    gens = () if rows is None else algebra.generating_indices
+    images = [[rows[a].get(j) for j in range(n)] for a in gens]
+    images += [[rows[j].get(a) for j in range(n)] for a in gens]
+    perms = dict.fromkeys(tuple(pi) for pi in images if set(pi) == set(range(n)))
+    perms.pop(tuple(range(n)), None)
+    return [itemgetter(*sorted(range(n), key=pi.__getitem__)) for pi in perms]
 
 
 def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
@@ -1015,12 +1026,18 @@ def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
     entries).  An ideal is the sum of the principal ideals of its basis
     vectors, so the ideals are the principal ideals <v> of the lines of
     K^n, the first subspaces enumerate_subspaces yields, closed under
-    sums.  The work is one ideal_generate per line plus one span per
-    (ideal, principal ideal) pair: far less than filtering every subspace
-    when the ideal lattice is small, as for the crossed products the
-    oracle runs on, but more when most subspaces are ideals (zero
-    multiplication).  Guarded to small prime-field algebras: to dim <=
-    dim_limit and to at most LINE_LIMIT lines."""
+    sums.  If e_a e_j = e_pi(j) for all j, pi a permutation of order m,
+    then <e_a v> = <v>: e_a v lies in <v>, and v, e_a applied m - 1 times
+    to e_a v, lies in <e_a v>; so too on the right, using no unit and no
+    associativity.  So <v> is formed once per orbit of lines under
+    _basis_permutations, and <v> lies in an ideal J iff v does.  The work
+    is one ideal_generate per orbit, one reduce per (ideal, principal
+    ideal) pair and one span per sum: far less than filtering every
+    subspace when the ideal lattice is small, as for the crossed products
+    the oracle runs on, but more when most subspaces are ideals (zero
+    multiplication, each line its own orbit and principal ideal).
+    Guarded to small prime-field algebras: to dim <= dim_limit and to at
+    most LINE_LIMIT lines."""
     f, n = algebra.field, algebra.dim
     if not isinstance(f, PrimeField):
         raise GuardError("ideal enumeration needs a prime field")
@@ -1032,14 +1049,24 @@ def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
         raise GuardError(
             f"ideal enumeration guarded to {LINE_LIMIT} lines, got {count} "
             f"(p = {f.p}, dim {n})")
-    lines = itertools.islice(enumerate_subspaces(f, n), 1, count + 1)
-    principal = list(dict.fromkeys(ideal_generate(algebra, line.basis) for line in lines))
+    perms = _basis_permutations(algebra)
+    principal, marked = {}, set()    # principal ideal -> a line generating it
+    for line in itertools.islice(enumerate_subspaces(f, n), 1, count + 1):
+        v = line.basis[0]
+        if v in marked:
+            continue
+        principal.setdefault(ideal_generate(algebra, [v]), v)
+        orbit = [v]
+        for u in (perm(w) for w in orbit for perm in perms):    # orbit grows
+            if u not in marked:
+                marked.update(tuple(f.mul(c, x) for x in u) for c in range(1, f.p))
+                orbit.append(u)
     found = {Subspace.zero(f, n), *principal}
     frontier = list(principal)
     while frontier:
         ideal = frontier.pop()
-        for p in principal:
-            if not ideal.contains_space(p):
+        for p, v in principal.items():
+            if not ideal.contains(v):
                 total = subspace_sum(ideal, p)
                 if total not in found:
                     found.add(total)

@@ -56,6 +56,7 @@ from util import (
     reference_is_ideal,
     rotation_system,
     z2_algebra,
+    z2_times_z3_system,
 )
 
 F2 = GF(2)
@@ -939,12 +940,15 @@ def test_upper_triangular_ideals_match_brute_force(field):
         ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
 
+S3_ELEMENTS = list(itertools.permutations(range(3)))
+S3_TABLE = tuple(tuple(S3_ELEMENTS.index(tuple(g[h[k]] for k in range(3))) for h in S3_ELEMENTS)
+                 for g in S3_ELEMENTS)
+# the monoid {1, g, z}, g^2 = 1 and z absorbing: g permutes the basis, z does not
+ONE_G_Z_TABLE = ((0, 1, 2), (1, 0, 2), (2, 2, 2))
+
+
 def test_noncommutative_group_algebra_ideals_match_brute_force():
-    perms = list(itertools.permutations(range(3)))
-    index = {g: i for i, g in enumerate(perms)}
-    table = tuple(tuple(index[tuple(g[h[k]] for k in range(3))] for h in perms)
-                  for g in perms)
-    alg = FiniteAlgebra.from_monomial_table(F2, tuple(map(str, perms)), table)
+    alg = FiniteAlgebra.from_monomial_table(F2, tuple(map(str, S3_ELEMENTS)), S3_TABLE)
     ideals = enumerate_ideals(alg)
     assert ideals == brute_force_ideals(alg)
     assert [i.dim for i in ideals] == [0, 1, 2, 4, 5, 6]
@@ -954,6 +958,13 @@ ORACLE_SYSTEMS = {f"rot{n}on{d}": (lambda n=n, d=d: rotation_system(n, d))
                   for n, d in ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2))}
 ORACLE_SYSTEMS.update(FIXTURES)
 ORACLE_SYSTEMS["klein4on1"] = klein_four_system
+ORACLE_SYSTEMS["z2xz3on1"] = z2_times_z3_system
+# name -> the algebra over a given field: the crossed product of each
+# system, and a monoid algebra, which no crossed product's basis gives
+ORACLE_ALGEBRAS = {name: (lambda field, system=system: crossed_product(system(), field).algebra)
+                   for name, system in ORACLE_SYSTEMS.items()}
+ORACLE_ALGEBRAS["monoid1gz"] = lambda field: FiniteAlgebra.from_monomial_table(
+    field, ("1", "g", "z"), ONE_G_Z_TABLE)
 
 
 # K[x, y]/(x, y)^2, K[Z/2 x Z/2] and the zero algebra on K^2 have ideals
@@ -977,11 +988,34 @@ def test_sums_of_principal_ideals_are_enumerated():
 
 
 # the brute force runs through dim 6 over F2 and dim 5 over F3
-@pytest.mark.parametrize("name, p", [(name, p) for p in (2, 3) for name in sorted(ORACLE_SYSTEMS)
-                                     if (name, p) != ("rot6on1", 3)])
+@pytest.mark.parametrize("name, p", [(name, p) for p in (2, 3) for name in sorted(ORACLE_ALGEBRAS)
+                                     if (name, p) not in {("rot6on1", 3), ("z2xz3on1", 3)}])
 def test_principal_ideal_oracle_lists_the_brute_force_ideals_in_order(name, p):
-    cp = crossed_product(ORACLE_SYSTEMS[name](), GF(p))
-    assert enumerate_ideals(cp.algebra) == brute_force_ideals(cp.algebra)
+    alg = ORACLE_ALGEBRAS[name](GF(p))
+    assert enumerate_ideals(alg) == brute_force_ideals(alg)
+
+
+LEMMA_TABLES = (*(_cyclic(n) for n in range(1, 7)), S3_TABLE,
+                z2_times_z3_system().semigroup.mult, ONE_G_Z_TABLE)
+
+
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_basis_permutations_keep_the_principal_ideal(field, data):
+    """Each map the oracle takes orbits under is multiplication by a basis
+    element on one side, and sends v to a generator of the same ideal."""
+    table = data.draw(st.sampled_from(LEMMA_TABLES))
+    n = len(table)
+    alg = FiniteAlgebra.from_monomial_table(field, tuple(f"b{i}" for i in range(n)), table)
+    v = data.draw(st.tuples(*[scalars(field)] * n))
+    basis = [alg.basis_vector(a) for a in range(n)]
+    multiples = {alg.mul(e, v) for e in basis} | {alg.mul(v, e) for e in basis}
+    perms = exactlin._basis_permutations(alg)
+    assert perms or n == 1
+    for perm in perms:
+        assert perm(v) in multiples
+        assert ideal_generate(alg, [perm(v)]) == ideal_generate(alg, [v])
 
 
 @pytest.mark.parametrize("field", (F2, F3), ids=str)
@@ -1009,8 +1043,15 @@ def test_f3_cyclic_six_oracle_uses_principal_ideals_only(monkeypatch):
     table = tuple(tuple((a + b) % 6 for b in range(6)) for a in range(6))
     alg = FiniteAlgebra.from_monomial_table(F3, tuple(f"g{k}" for k in range(6)), table)
     ideals = enumerate_ideals(alg)
-    # one ideal_generate per line of F3^6, (3^6 - 1) / 2 = 364
-    assert calls == {"ideal_generate": 364, "is_ideal": 0}
+    # one ideal_generate per orbit of the lines of F3^6 under the shift
+    # g_k -> g_(k+1), which is multiplication by g1
+    lines, orbits = {v for v in itertools.product(range(3), repeat=6) if any(v)}, 0
+    while lines:
+        v = lines.pop()
+        lines -= {tuple(c * x % 3 for x in v[k:] + v[:k]) for k in range(6) for c in (1, 2)}
+        orbits += 1
+    assert orbits == 67
+    assert calls == {"ideal_generate": orbits, "is_ideal": 0}
     # F3[Z/6] = F3[x]/((x - 1)^3 (x + 1)^3): the ideals are generated by
     # (x - 1)^a (x + 1)^b for 0 <= a, b <= 3
     one, x = alg.basis_vector(0), alg.basis_vector(1)

@@ -19,3 +19,22 @@ def test_no_verification_depends_on_assert():
                   if isinstance(node, ast.Assert)
                   or isinstance(node, ast.Name) and node.id == "AssertionError"]
     assert found == []
+
+
+def test_package_imports_itself_only_relatively():
+    """No import statement in the package names crossedideals absolutely,
+    so a copy of src/crossedideals under another name imports beside the
+    working tree in one process, as an A/B of two revisions needs."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "crossedideals"]
+    assert found == []

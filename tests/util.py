@@ -212,6 +212,16 @@ def klein_four_system() -> AmpleSystem:
     return AmpleSystem(sg, 1, [PartialBijection({0: 0})] * 4, ["x"])
 
 
+def z2_times_z3_system() -> AmpleSystem:
+    """Z/2 x Z/3, with (a, b) at index 3a + b, fixing one point; its
+    crossed product is the group algebra on that table."""
+    table = tuple(tuple(3 * ((a // 3 + b // 3) % 2) + (a + b) % 3 for b in range(6))
+                  for a in range(6))
+    star = tuple(3 * (a // 3) + (-a) % 3 for a in range(6))
+    sg = InverseSemigroup(table, star, tuple(f"{a // 3}{a % 3}" for a in range(6)))
+    return AmpleSystem(sg, 1, [PartialBijection({0: 0})] * 6, ["x"])
+
+
 # The fixtures and small generated systems, with and without isotropy.
 SMALL_SYSTEMS = {
     **FIXTURES,
