@@ -13,9 +13,9 @@ cross-sectional algebra of the semidirect product bundle of the induced
 action alpha_s(f) = f o theta_{s*}; its basis is labeled by pairs
 (point y, element s) with y in the range of theta_s.
 
-An AlgebraAction is held in index form: the algebra must be monomial
-(every structure constant a single basis vector, as for K^X), and each
-alpha_s is a partial permutation of its basis, alpha_s(e_p) = e_q.  A
+An AlgebraAction is held in index form: the algebra's basis is monomial
+(e_p e_q a basis vector or zero, as for K^X), and each alpha_s is a
+partial permutation of its basis, alpha_s(e_p) = e_q.  A
 FellBundle is held in index form too: each mu constant and each inclusion
 sends a basis vector to a basis vector (or, for mu, to zero).  So the
 action rules, the semidirect bundle's constants and every bundle rule are
@@ -132,14 +132,15 @@ class FellBundle:
         """The direct sum of the fibers with the bundle multiplication: the
         mu constants placed at the fiber offsets.  Building it checks
         associativity, which raises AssociativityError on failure."""
-        one = self.field.one
-        products = {}
+        n = len(self.label_pairs)
+        table = [[None] * n for _ in range(n)]
+        offsets = self.offsets
         for (s, t), entries in self.mu.items():
             st = self.semigroup.product(s, t)
             for (i, j), k in entries.items():
-                products[(self.offsets[s] + i, self.offsets[t] + j)] = ((self.offsets[st] + k, one),)
+                table[offsets[s] + i][offsets[t] + j] = offsets[st] + k
         labels = [lbl for per in self.fiber_labels for lbl in per]
-        return FiniteAlgebra(self.field, labels, products)
+        return FiniteAlgebra(self.field, labels, table)
 
     def validate(self) -> ValidationReport:
         """Check the bundle axioms in a fixed order, returning the first
@@ -166,16 +167,16 @@ class FellBundle:
         # B_s B_{s*} B_s spans B_s: (e_i e_j) e_k for basis vectors of
         # B_s, B_{s*} and B_s lies in B_{s s* s} = B_s, and is one basis
         # vector or zero, so the rank is the number of fiber indices reached
-        rows = self.total.index_rows
+        table = self.total.table
         fibers = [range(o, o + self.fiber_dim(s)) for s, o in enumerate(self.offsets)]
         for s in range(n):
             fiber = fibers[s]
             reached = set()
             for gi in fiber:
                 for gj in fibers[sg.inv(s)]:
-                    mid = rows[gi].get(gj)
+                    mid = table[gi][gj]
                     if mid is not None:
-                        reached.update(rows[mid].get(gk) for gk in fiber)
+                        reached.update(table[mid][gk] for gk in fiber)
             rank = len(reached.intersection(fiber))
             if rank != self.fiber_dim(s):
                 return ValidationReport.failed("fiber-span", (sg.name(s), rank))
@@ -225,17 +226,14 @@ def _order_with_diagonal(sg: InverseSemigroup):
 # algebra actions and the semidirect product bundle
 
 class AlgebraAction:
-    """Inverse semigroup action on a monomial algebra (every structure
-    constant a single basis vector, rows[a][z] = c for e_a e_z = e_c, as
-    for K^X) by partial permutations of its basis: moves[s] = {p: q} means
-    alpha_s(e_p) = e_q, and dom(alpha_s) = span{e_p : p in moves[s]} is
-    the ideal attached to s* s.  On a finite space the induced action
-    alpha_s(f) = f o theta_{s*} has this form: it sends point masses to
-    point masses."""
+    """Inverse semigroup action on an algebra (table[a][z] = c for
+    e_a e_z = e_c, as for K^X) by partial permutations of its basis:
+    moves[s] = {p: q} means alpha_s(e_p) = e_q, and dom(alpha_s) =
+    span{e_p : p in moves[s]} is the ideal attached to s* s.  On a finite
+    space the induced action alpha_s(f) = f o theta_{s*} has this form: it
+    sends point masses to point masses."""
 
     def __init__(self, semigroup: InverseSemigroup, algebra: FiniteAlgebra, moves):
-        if algebra.index_rows is None:
-            raise ValueError("an action needs an algebra with a monomial table")
         self.semigroup = semigroup
         self.algebra = algebra
         self.moves = tuple(dict(move) for move in moves)
@@ -250,17 +248,17 @@ class AlgebraAction:
         """Check the action axioms in a fixed order, returning the first
         failure with its witness.  Every domain is spanned by the unit
         vectors at its keys, so each rule is a lookup in the index maps
-        and the monomial table."""
+        and the algebra's table."""
         sg, moves = self.semigroup, self.moves
-        rows = self.algebra.index_rows
+        table = self.algebra.table
         for s in range(sg.size):
             if moves[s].keys() != moves[sg.product(sg.inv(s), s)].keys():
                 return ValidationReport.failed("domain-consistency", (sg.name(s),))
         # a product e_a e_z = e_c with a factor in the domain lands in it
         for e in sg.idempotents:
             domain = moves[e].keys()
-            if any(c not in domain for a, row in enumerate(rows)
-                   for z, c in row.items() if a in domain or z in domain):
+            if any(c is not None and c not in domain for a, row in enumerate(table)
+                   for z, c in enumerate(row) if a in domain or z in domain):
                 return ValidationReport.failed("domain-ideal", (sg.name(e),))
         for s in range(sg.size):
             images = set(moves[s].values())
@@ -270,7 +268,7 @@ class AlgebraAction:
         # the domain, which holds e_p e_p' by the ideal rule
         for s in range(sg.size):
             move = moves[s]
-            if any(move.get(rows[p].get(pp)) != rows[q].get(qq)
+            if any(move.get(table[p][pp]) != table[q][qq]
                    for p, q in move.items() for pp, qq in move.items()):
                 return ValidationReport.failed("map-multiplicative", (sg.name(s),))
         failure = self._composition_failure()
@@ -316,11 +314,11 @@ def semidirect_bundle(action: AlgebraAction,
     at its sorted indices as basis."""
     action.validate().require("algebra action")
     sg, alg, moves = action.semigroup, action.algebra, action.moves
-    f, rows = alg.field, alg.index_rows
+    f, table = alg.field, alg.table
     pivots = [sorted(moves[sg.product(s, sg.inv(s))]) for s in range(sg.size)]
     for s, piv in enumerate(pivots):
         # the ideal is idempotent when every e_p in it is a product e_p' e_p''
-        reached = {rows[p][q] for p in piv for q in piv if q in rows[p]}
+        reached = {table[p][q] for p in piv for q in piv} - {None}
         if not reached >= set(piv):
             span = Subspace.span(f, alg.dim, [unit_vector(f, alg.dim, k) for k in reached])
             raise NotAFellBundle(s, sg.name(s), span)
@@ -341,7 +339,7 @@ def _index_constants(action: AlgebraAction, pivots) -> tuple:
     of that index among the pivots of B_st.  The rules of a passed
     validate put every index met on the way in the map or fiber it is
     looked up in.  Constants are inserted in (s, t, i, j) order."""
-    sg, moves, rows = action.semigroup, action.moves, action.algebra.index_rows
+    sg, moves, table = action.semigroup, action.moves, action.algebra.table
     position = [{p: k for k, p in enumerate(piv)} for piv in pivots]
     holders = [[] for _ in range(action.algebra.dim)]   # z -> [(t, j)]
     for t, piv in enumerate(pivots):
@@ -352,7 +350,9 @@ def _index_constants(action: AlgebraAction, pivots) -> tuple:
         back, forth = moves[sg.inv(s)], moves[s]
         by_t = {}
         for i, y in enumerate(pivots[s]):
-            for z, c in rows[back[y]].items():
+            for z, c in enumerate(table[back[y]]):
+                if c is None:
+                    continue
                 for t, j in holders[z]:
                     by_t.setdefault(t, {})[(i, j)] = position[sg.product(s, t)][forth[c]]
         for t in sorted(by_t):
@@ -404,9 +404,9 @@ class CrossSectionalAlgebra:
         labels = [total.labels[g] for g in self.coset_positions]
         self.quotient = FiniteAlgebra(bundle.field, labels, self._coset_table())
 
-    def _coset_table(self) -> dict:
-        """The quotient's constants {(a, b): ((c, 1),)} in (a, b) order, read
-        off the coset triples (a, b, c) of the total products e_g e_h = e_k.
+    def _coset_table(self) -> list:
+        """The quotient's table, table[a][b] = c, read off the coset triples
+        (a, b, c) of the total products e_g e_h = e_k.
 
         A vector lies in N iff its coefficients sum to zero over every
         class: N lies in that space, and both have dimension #labels -
@@ -419,13 +419,17 @@ class CrossSectionalAlgebra:
         |a| |b| times, or this raises "redundancy-not-ideal"."""
         coset_of = self.coset_of
         hits = Counter((coset_of[g], coset_of[h], coset_of[k])
-                       for g, row in enumerate(self.total.index_rows) for h, k in row.items())
+                       for g, row in enumerate(self.total.table)
+                       for h, k in enumerate(row) if k is not None)
         sizes = Counter(coset_of)
         if any(m != sizes[a] * sizes[b] for (a, b, _), m in hits.items()):
             raise StructureError("redundancy-not-ideal", None,
                                  "the redundancy span fails to be two-sided")
-        one = self.bundle.field.one
-        return {(a, b): ((c, one),) for a, b, c in sorted(hits)}
+        q = len(self.coset_positions)
+        table = [[None] * q for _ in range(q)]
+        for a, b, c in hits:
+            table[a][b] = c
+        return table
 
     def redundancy_pairs(self):
         """(g, root) for each non-root label g, in g order: N's basis e_g - e_root."""
@@ -455,7 +459,7 @@ def function_algebra(system: AmpleSystem, field: Field) -> FiniteAlgebra:
     labels = tuple(system.point_name(x) for x in range(system.space_size))
     table = [[x if x == y else None for y in range(system.space_size)]
              for x in range(system.space_size)]
-    return FiniteAlgebra.from_monomial_table(field, labels, table)
+    return FiniteAlgebra(field, labels, table)
 
 
 def function_action(system: AmpleSystem, field: Field) -> AlgebraAction:

@@ -347,4 +347,4 @@ class IsotropyGroup:
     def algebra(self, field: Field) -> FiniteAlgebra:
         """Group algebra on the isotropy germs."""
         labels = tuple(self.system.germ_name(g) for g in self.members)
-        return FiniteAlgebra.from_monomial_table(field, labels, self.table)
+        return FiniteAlgebra(field, labels, self.table)

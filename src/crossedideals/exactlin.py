@@ -7,11 +7,14 @@ matrices are equal, with no tolerances anywhere.
 
 Scalars are plain ints in [0, p) for prime fields and fractions.Fraction
 for the rationals.  Matrices are tuples of row tuples; vectors are tuples.
-first_nonassociative is the one associativity check for tables of
-indices: semigroups, isotropy groups, groupoids and monomial algebras.
-It and the ideal tests is_ideal and ideal_generate work over a
-generating set of the table (generating_indices) rather than every basis
-element.
+
+Every algebra here has a monomial basis, so FiniteAlgebra(field, labels,
+table) holds one index table, table[i][j] the index of e_i e_j or None
+for zero; its elements, subspaces and homomorphism images are arbitrary
+vectors.  first_nonassociative is the one associativity check for tables
+of indices: semigroups, isotropy groups, groupoids and algebras.  It and
+the ideal tests is_ideal and ideal_generate work over a generating set of
+the table (generating_indices) rather than every basis element.
 """
 
 from __future__ import annotations
@@ -528,65 +531,53 @@ class QuotientMap:
 # finite-dimensional associative algebras
 
 class FiniteAlgebra:
-    """Associative algebra over an exact field, given by structure constants.
+    """Associative algebra over an exact field with a monomial basis: the
+    product of two basis vectors is a basis vector or zero, as for K^X,
+    group, groupoid and crossed-product algebras.
 
-    products maps a basis index pair (i, j) to a sparse vector
-    ((k, coeff), ...); omitted pairs multiply to zero.  Associativity is
-    checked on every basis triple at construction, by one kernel over the
-    nonzero structure constants; a failure raises AssociativityError,
-    which carries the failing triple by index as well as by label.
+    table[i][j] is the index k of e_i e_j = e_k, or None for zero.  The
+    table's shape and indices are checked at construction, and then its
+    associativity by first_nonassociative; a failure raises
+    AssociativityError, which carries the failing triple by index as well
+    as by label.  Elements, images and subspaces are arbitrary vectors.
     """
 
-    def __init__(self, field: Field, labels: Sequence, products):
+    def __init__(self, field: Field, labels: Sequence, table):
         self.field = field
         self.labels = tuple(labels)
-        norm = {}
-        for (i, j), terms in products.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise ValueError(f"structure constant index out of range: {(i, j)}")
-            cleaned = tuple(
-                (k, c) for k, c in sorted(terms) if not field.is_zero(c)
-            )
-            for k, _ in cleaned:
-                if not 0 <= k < self.dim:
-                    raise ValueError(f"structure constant target out of range: {k}")
-            if cleaned:
-                norm[(i, j)] = cleaned
-        self.products = norm
+        self.table = tuple(map(tuple, table))
+        n = len(self.labels)
+        if len(self.table) != n or any(len(row) != n for row in self.table):
+            raise ValueError(f"a table of {n} rows of {n} entries is required")
+        bad = set().union(*self.table) - set(range(n)) - {None}
+        if bad:
+            raise ValueError(f"table target out of range: {min(bad, key=repr)!r}")
         self._check_associativity()
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    @classmethod
-    def from_monomial_table(cls, field: Field, labels: Sequence, table):
-        """table[i][j] is a basis index or None (zero product)."""
-        products = {}
-        for i, row in enumerate(table):
-            for j, k in enumerate(row):
-                if k is not None:
-                    products[(i, j)] = ((k, field.one),)
-        return cls(field, labels, products)
-
     def basis_vector(self, i: int) -> tuple:
         return unit_vector(self.field, self.dim, i)
 
     def basis_product(self, i: int, j: int) -> tuple:
-        v = [self.field.zero] * self.dim
-        for k, c in self.products.get((i, j), ()):
-            v[k] = self.field.add(v[k], c)
-        return tuple(v)
+        k = self.table[i][j]
+        return zero_vector(self.field, self.dim) if k is None else self.basis_vector(k)
 
     def sparse_mul(self, u, v) -> dict:
         """u v for vectors given by their nonzero entries ((index, entry),
         ...), as {k: entry} with zero entries dropped: the one product
-        kernel, over the nonzero structure constants alone."""
-        f = self.field
-        products = self.products
-        return sparse_combination(
-            f, [(f.mul(a, b), products[i, j])
-                for i, a in u for j, b in v if (i, j) in products])
+        kernel, over the nonzero entries and the table alone."""
+        f, table = self.field, self.table
+        acc = {}
+        for i, a in u:
+            row = table[i]
+            for j, b in v:
+                k = row[j]
+                if k is not None:
+                    acc[k] = f.add(acc.get(k, f.zero), f.mul(a, b))
+        return {k: c for k, c in acc.items() if not f.is_zero(c)}
 
     def mul(self, u, v) -> tuple:
         """u v for dense vectors, by sparse_mul."""
@@ -597,17 +588,11 @@ class FiniteAlgebra:
         return tuple(prod.get(k, f.zero) for k in range(self.dim))
 
     @cached_property
-    def _generator_constants(self) -> list:
-        """For each a in generating_indices, {j: structure constant of
-        e_a e_j}, and then for each a, {j: structure constant of e_j e_a}."""
-        left = {a: {} for a in self.generating_indices}
-        right = {a: {} for a in self.generating_indices}
-        for (i, j), terms in self.products.items():
-            if i in left:
-                left[i][j] = terms
-            if j in right:
-                right[j][i] = terms
-        return list(left.values()) + list(right.values())
+    def _generator_maps(self) -> list:
+        """For each a in generating_indices the row j -> e_a e_j of the
+        table, and then for each a the column j -> e_j e_a."""
+        gens, table = self.generating_indices, self.table
+        return [table[a] for a in gens] + [tuple(row[a] for row in table) for a in gens]
 
     def generator_multiples(self, v) -> list:
         """e_a v and then v e_a for every a in generating_indices, as dense
@@ -617,11 +602,12 @@ class FiniteAlgebra:
             raise ValueError(f"vector of length {len(v)} in an algebra of dim {n}")
         entries = nonzero_entries(f, v)
         multiples = []
-        for constants in self._generator_constants:
+        for targets in self._generator_maps:
             w = [f.zero] * n
             for j, b in entries:
-                for k, c in constants.get(j, ()):
-                    w[k] = f.add(w[k], f.mul(b, c))
+                k = targets[j]
+                if k is not None:
+                    w[k] = f.add(w[k], b)
             multiples.append(tuple(w))
         return multiples
 
@@ -635,63 +621,18 @@ class FiniteAlgebra:
         return " + ".join(terms) if terms else "0"
 
     @cached_property
-    def index_rows(self) -> list | None:
-        """rows[i] = {j: k} when every structure constant is the single term
-        e_i e_j = 1 * e_k (a monomial table), else None."""
-        one = self.field.one
-        rows = [{} for _ in range(self.dim)]
-        for (i, j), terms in self.products.items():
-            if len(terms) != 1 or terms[0][1] != one:
-                return None
-            rows[i][j] = terms[0][0]
-        return rows
-
-    @cached_property
     def generating_indices(self) -> tuple:
-        """Basis indices whose products generate the algebra: those of
-        exactlin.generating_indices on a monomial table, else every index."""
-        rows = self.index_rows
-        if rows is None:
-            return tuple(range(self.dim))
-        return generating_indices([[row.get(j) for j in range(self.dim)] for row in rows])
+        """Basis indices whose products generate the algebra, by
+        exactlin.generating_indices on the table."""
+        return generating_indices(self.table)
 
     def _check_associativity(self):
-        """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple, in (i, j, k)
-        order.  With e_i e_j = sum c_m e_m and e_j e_k = sum d_m e_m, the
-        two sides are sum c_m (e_m e_k) and sum d_m (e_i e_m), formed from
-        the nonzero structure constants alone.  A side is zero at every k
-        outside the rows e_m e_* it sums, so only the k in those rows can
-        fail; every other triple is equal, both sides being zero.
-
-        When every constant is one term with coefficient one (a monomial
-        table, as for K^X, group, groupoid and crossed-product algebras),
-        each side is zero or a single basis vector, so the table of indices
-        goes to first_nonassociative, with no field arithmetic."""
-        products = self.products
-        rows = self.index_rows
-        if rows is not None:
-            failure = first_nonassociative([[row.get(j) for j in range(self.dim)] for row in rows])
-            if failure is not None:
-                raise AssociativityError(failure, self.labels)
-            return
-        f = self.field
-        row_support = [set() for _ in range(self.dim)]
-        for i, j in products:
-            row_support[i].add(j)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                pij = products.get((i, j), ())
-                ks = set(row_support[j])
-                for m, _ in pij:
-                    ks |= row_support[m]
-                for k in sorted(ks):
-                    left = sparse_combination(
-                        f, [(c, products.get((m, k), ())) for m, c in pij])
-                    right = sparse_combination(
-                        f, [(d, products.get((i, m), ()))
-                            for m, d in products.get((j, k), ())])
-                    if left != right:
-                        raise AssociativityError((i, j, k), self.labels)
+        """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple: each side
+        is zero or a single basis vector, so the table of indices goes to
+        first_nonassociative, with no field arithmetic."""
+        failure = first_nonassociative(self.table)
+        if failure is not None:
+            raise AssociativityError(failure, self.labels)
 
 
 def generating_indices(table) -> tuple:
@@ -774,60 +715,46 @@ def first_nonassociative(table):
     return None
 
 
-def sparse_combination(field: Field, scaled) -> dict:
-    """sum c * terms over the (c, terms) pairs, where terms is a structure
-    constant ((k, coeff), ...), as {k: entry} with zero entries dropped."""
-    acc = {}
-    for c, terms in scaled:
-        for k, d in terms:
-            acc[k] = field.add(acc.get(k, field.zero), field.mul(c, d))
-    return {k: a for k, a in acc.items() if not field.is_zero(a)}
-
-
 def check_algebra_hom(src: FiniteAlgebra, dst: FiniteAlgebra, images: Sequence, rule: str):
     """Verify that the linear map sending the i-th basis vector of src to
     images[i] is multiplicative: for every basis pair (i, j), in (i, j)
-    order, the image of e_i e_j, summed over its nonzero structure
-    constants, must equal images[i] * images[j] in dst.  Both sides are
-    formed from the nonzero entries of the images alone.  Raises
+    order, the image of e_i e_j (images[k] for e_i e_j = e_k, or zero) must
+    equal images[i] * images[j] in dst.  Both sides are formed from the
+    nonzero entries of the images alone.  Raises
     HomomorphismError(rule, (i, j), src.labels), whose witness is
     (label_i, label_j), at the first pair that fails.
 
-    When both algebras have monomial tables and every image is a single
-    basis vector with coefficient one (a basis map, as for the groupoid
-    bridges), the same pairs are compared as basis indices with no field
-    arithmetic."""
+    When every image is a single basis vector with coefficient one (a
+    basis map, as for the groupoid bridges), the same pairs are compared
+    as basis indices with no field arithmetic."""
     f = src.field
     if dst.field != f:
         raise ValueError("algebras over different fields")
     if len(images) != src.dim or any(len(v) != dst.dim for v in images):
         raise ValueError("one image of length dst.dim per basis element required")
     entries = [nonzero_entries(f, v) for v in images]
-    src_rows, dst_rows = src.index_rows, dst.index_rows
-    if src_rows is not None and dst_rows is not None and all(
-            len(e) == 1 and e[0][1] == f.one for e in entries):
-        _check_permutation_hom(src_rows, dst_rows, [e[0][0] for e in entries],
+    if all(len(e) == 1 and e[0][1] == f.one for e in entries):
+        _check_permutation_hom(src.table, dst.table, [e[0][0] for e in entries],
                                rule, src.labels)
         return
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = sparse_combination(
-                f, [(c, entries[k]) for k, c in src.products.get((i, j), ())])
+    for i, row in enumerate(src.table):
+        for j, k in enumerate(row):
+            lhs = {} if k is None else dict(entries[k])
             if lhs != dst.sparse_mul(entries[i], entries[j]):
                 raise HomomorphismError(rule, (i, j), src.labels)
 
 
-def _check_permutation_hom(src_rows, dst_rows, perm, rule: str, labels):
-    """The basis-map branch: images[i] = e_perm[i], and rows[i][j] = k for
-    e_i e_j = e_k in each table.  The image of e_i e_j is e_perm[k] or
-    zero, and images[i] images[j] is e_k' for k' = dst_rows[perm[i]][perm[j]]
-    or zero, so each pair is compared as an index or None, in the general
-    branch's (i, j) order.  perm need not be injective."""
-    for i, row in enumerate(src_rows):
-        dst_row = dst_rows[perm[i]]
+def _check_permutation_hom(src_table, dst_table, perm, rule: str, labels):
+    """The basis-map branch: images[i] = e_perm[i].  The image of e_i e_j
+    is e_perm[k] for k = src_table[i][j], or zero, and images[i] images[j]
+    is e_k' for k' = dst_table[perm[i]][perm[j]], or zero, so each pair is
+    compared as an index or None, in the general branch's (i, j) order.
+    perm need not be injective."""
+    for i, row in enumerate(src_table):
+        dst_row = dst_table[perm[i]]
         for j, pj in enumerate(perm):
-            k = row.get(j)
-            if (None if k is None else perm[k]) != dst_row.get(pj):
+            k = row[j]
+            if (None if k is None else perm[k]) != dst_row[pj]:
                 raise HomomorphismError(rule, (i, j), labels)
 
 
@@ -888,7 +815,7 @@ class Representation:
     """Algebra homomorphism into matrices acting on column vectors.
 
     images[i] is the matrix of the i-th basis element; multiplicativity
-    against the structure constants is checked on every basis pair.
+    against the algebra's table is checked on every basis pair.
     """
 
     def __init__(self, algebra: FiniteAlgebra, space_dim: int, images: Sequence):
@@ -903,21 +830,19 @@ class Representation:
         self._check_multiplicative()
 
     def _check_multiplicative(self):
-        """images[i] images[j] against the image of e_i e_j on every basis
-        pair.  This stays a loop of its own rather than a check_algebra_hom
-        into M_d(K): the product here is a d x d matrix product, d reaches
-        the dimension of the algebra (left_regular_mod), and realising
-        M_d(K) as a FiniteAlgebra would take d^2 basis elements and an
-        associativity check over them."""
-        f = self.algebra.field
-        n = self.algebra.dim
-        for i in range(n):
-            for j in range(n):
-                prod = mat_mul(f, self.images[i], self.images[j])
-                terms = self.algebra.products.get((i, j), ())
-                expected = mat_lincomb(f, [c for _, c in terms],
-                                       [self.images[k] for k, _ in terms], self.space_dim)
-                if prod != expected:
+        """images[i] images[j] against the image of e_i e_j (images[k] for
+        e_i e_j = e_k, or the zero matrix) on every basis pair.  This stays
+        a loop of its own rather than a check_algebra_hom into M_d(K): the
+        product here is a d x d matrix product, d reaches the dimension of
+        the algebra (left_regular_mod), and realising M_d(K) as a
+        FiniteAlgebra would take d^2 basis elements and an associativity
+        check over them."""
+        f, d = self.algebra.field, self.space_dim
+        zero = tuple(zero_vector(f, d) for _ in range(d))
+        for i, row in enumerate(self.algebra.table):
+            for j, k in enumerate(row):
+                expected = zero if k is None else self.images[k]
+                if mat_mul(f, self.images[i], self.images[j]) != expected:
                     raise StructureError(
                         "representation-multiplicativity",
                         (self.algebra.labels[i], self.algebra.labels[j]),
@@ -1011,11 +936,8 @@ LINE_LIMIT = 10_000
 
 def _basis_permutations(algebra: FiniteAlgebra) -> list:
     """The maps v -> e_a v, v -> v e_a that permute the basis, e_a generating."""
-    rows, n = algebra.index_rows, algebra.dim
-    gens = () if rows is None else algebra.generating_indices
-    images = [[rows[a].get(j) for j in range(n)] for a in gens]
-    images += [[rows[j].get(a) for j in range(n)] for a in gens]
-    perms = dict.fromkeys(tuple(pi) for pi in images if set(pi) == set(range(n)))
+    n = algebra.dim
+    perms = dict.fromkeys(pi for pi in algebra._generator_maps if set(pi) == set(range(n)))
     perms.pop(tuple(range(n)), None)
     return [itemgetter(*sorted(range(n), key=pi.__getitem__)) for pi in perms]
 

@@ -83,7 +83,7 @@ def nilpotent_action(field: Field) -> AlgebraAction:
 
     The single coefficient ideal squares to zero, so no semidirect
     product bundle exists over it."""
-    algebra = FiniteAlgebra(field, ("n",), {})
+    algebra = FiniteAlgebra(field, ("n",), [[None]])
     sg = InverseSemigroup(((0,),), (0,), ("e",))
     return AlgebraAction(sg, algebra, ({0: 0},))
 

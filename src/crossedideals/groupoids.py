@@ -204,7 +204,7 @@ def steinberg_algebra(groupoid: FiniteGroupoid, field: Field) -> FiniteAlgebra:
 def _convolution_algebra(groupoid: FiniteGroupoid, field: Field) -> FiniteAlgebra:
     """steinberg_algebra of a groupoid its caller has validated."""
     labels = tuple(groupoid.name(g) for g in range(groupoid.size))
-    return FiniteAlgebra.from_monomial_table(field, labels, groupoid.table())
+    return FiniteAlgebra(field, labels, groupoid.table())
 
 
 def groupoid_restriction(model: GermGroupoidModel, x: int, vec,

@@ -284,7 +284,7 @@ class Discretization:
     For each point x the fiber V_x is the quotient of the space by the
     span of the images of functions vanishing at x; the representation is
     rebuilt block-by-block over the fibers and re-verified against the
-    structure constants."""
+    algebra's table."""
 
     def __init__(self, cp: CrossedProduct, rep: Representation):
         self.cp = cp

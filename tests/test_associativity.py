@@ -361,11 +361,8 @@ def test_groupoid_witness_is_the_first_triple_whatever_the_insertion_order():
 def test_monomial_algebras_fail_at_the_reference_triple(field, zeros, data):
     table = data.draw(index_tables(zeros))
     labels = tuple(f"b{i}" for i in range(len(table)))
-    products = {(i, j): ((k, field.one),) for i, row in enumerate(table)
-                for j, k in enumerate(row) if k is not None}
-    expected = outcome(lambda: dense_check_associativity(field, labels, products))
-    assert outcome(lambda: FiniteAlgebra.from_monomial_table(field, labels, table)) == expected
-    assert outcome(lambda: FiniteAlgebra(field, labels, products)) == expected
+    expected = outcome(lambda: dense_check_associativity(field, labels, table))
+    assert outcome(lambda: FiniteAlgebra(field, labels, table)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +397,7 @@ def test_every_index_table_check_goes_through_the_kernel(monkeypatch):
         "isotropy-associativity", ("[g1@p0]", "[1@p0]", "[g1@p0]"))
     assert z2_groupoid.validate() == ValidationReport.failed("associativity", ("g", "1", "g"))
     with pytest.raises(AssociativityError) as err:
-        FiniteAlgebra.from_monomial_table(F2, ("1", "g"), ((0, 1), (1, 0)))
+        FiniteAlgebra(F2, ("1", "g"), ((0, 1), (1, 0)))
     assert (err.value.indices, err.value.witness) == ((1, 0, 1), ("g", "1", "g"))
     # total labels 0..3 are (1, a), (1, b), (g, a), (g, b): fiber 1 at
     # indices 1, 0, 1

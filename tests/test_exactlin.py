@@ -35,7 +35,6 @@ from crossedideals.exactlin import (
     lincomb,
     mat_from_columns,
     mat_lincomb,
-    mat_mul,
     nonzero_entries,
     unit_vector,
     vec_add,
@@ -300,18 +299,19 @@ def test_associativity_check_rejects_corrupted_table(monkeypatch):
     def product(self, u, v):
         raise RuntimeError("FiniteAlgebra.mul called")
 
-    # the check walks the structure constants, with no product per triple
+    # the check walks the table, with no product per triple
     monkeypatch.setattr(FiniteAlgebra, "mul", product)
     table = matrix_units_table()
     table[1][2] = 3  # e12 e21 = e22 breaks (e12 e21) e11 = e12 (e21 e11)
     with pytest.raises(StructureError) as err:
-        FiniteAlgebra.from_monomial_table(F2, ("e11", "e12", "e21", "e22"), table)
+        FiniteAlgebra(F2, ("e11", "e12", "e21", "e22"), table)
     assert err.value.rule == "associativity"
     assert err.value.witness == ("e11", "e12", "e21")
 
 
 # ---------------------------------------------------------------------------
-# the sparse kernels against the dense references in util
+# the product kernel and the associativity check against the dense
+# references in util
 
 SCALAR_FIELDS = (F2, F3, QQ)
 
@@ -321,116 +321,6 @@ def scalars(field):
         return st.fractions(min_value=-2, max_value=2, max_denominator=3)
     return st.integers(0, field.p - 1)
 
-
-def with_cancelling_pair(draw, field, n, terms):
-    """Sometimes append a term and its negative, so that the constant has
-    more terms than its sum and may cancel to zero."""
-    if draw(st.booleans()):
-        k, c = draw(st.integers(0, n - 1)), draw(scalars(field))
-        terms = list(terms) + [(k, c), (k, field.neg(c))]
-    return tuple(terms)
-
-
-@st.composite
-def structure_tables(draw, field):
-    """Random sparse structure constants on 1-4 basis elements: up to
-    three terms per pair, repeated targets allowed."""
-    n = draw(st.integers(1, 4))
-    index = st.integers(0, n - 1)
-    products = {}
-    for pair in sorted(draw(st.sets(st.tuples(index, index)))):
-        terms = draw(st.lists(st.tuples(index, scalars(field)), max_size=3))
-        products[pair] = with_cancelling_pair(draw, field, n, terms)
-    return n, products
-
-
-MONOMIAL_TABLES = (((None,),), ((0,),), ((0, 1), (1, 0)), tuple(map(tuple, matrix_units_table())))
-
-
-@st.composite
-def associative_tables(draw, field, tables=MONOMIAL_TABLES):
-    """A monomial algebra (by default zero, K, K[Z/2] or M_2(K)) written in
-    a random basis f_i = sum_a B[i][a] e_a, B = LU with unit-diagonal
-    triangular L and U, so that its structure constants have several
-    terms."""
-    table = draw(st.sampled_from(tables))
-    n = len(table)
-    lower = [[field.one if a == i else draw(scalars(field)) if a < i else field.zero
-              for a in range(n)] for i in range(n)]
-    upper = [[field.one if a == i else draw(scalars(field)) if a > i else field.zero
-              for a in range(n)] for i in range(n)]
-    b = mat_mul(field, lower, upper)
-    inverse = [row[n:] for row in rref(field, [
-        tuple(b[i]) + unit_vector(field, n, i) for i in range(n)])[0]]
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            w = [field.zero] * n
-            for a in range(n):
-                for c in range(n):
-                    if table[a][c] is not None:
-                        w[table[a][c]] = field.add(
-                            w[table[a][c]], field.mul(b[i][a], b[j][c]))
-            x = lincomb(field, w, inverse, n)
-            terms = [(m, x[m]) for m in range(n) if not field.is_zero(x[m])]
-            products[(i, j)] = with_cancelling_pair(draw, field, n, terms)
-    return n, products
-
-
-def associativity_outcome(check):
-    try:
-        check()
-    except StructureError as err:
-        return err.rule, err.witness
-    return None
-
-
-def assert_same_associativity_verdict(field, n, products):
-    labels = tuple(f"b{i}" for i in range(n))
-    library = associativity_outcome(lambda: FiniteAlgebra(field, labels, products))
-    reference = associativity_outcome(
-        lambda: dense_check_associativity(field, labels, products))
-    assert library == reference
-    return library
-
-
-@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_random_tables_fail_at_the_reference_witness(field, data):
-    n, products = data.draw(structure_tables(field))
-    assert_same_associativity_verdict(field, n, products)
-
-
-@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_associative_tables_multiply_like_the_reference(field, data):
-    n, products = data.draw(associative_tables(field))
-    assert assert_same_associativity_verdict(field, n, products) is None
-    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
-    vectors = st.tuples(*[scalars(field)] * n)
-    u, v = data.draw(vectors), data.draw(vectors)
-    want = dense_mul(field, products, n, u, v)
-    assert alg.mul(u, v) == want
-    assert alg.sparse_mul(nonzero_entries(field, u), nonzero_entries(field, v)) \
-        == dict(nonzero_entries(field, want))
-
-
-@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_perturbed_associative_tables_fail_at_the_reference_witness(field, data):
-    n, products = data.draw(associative_tables(field))
-    index = st.integers(0, n - 1)
-    pair = data.draw(st.tuples(index, index))
-    extra = data.draw(st.tuples(index, scalars(field)))
-    products[pair] = products[pair] + (extra,)
-    assert_same_associativity_verdict(field, n, products)
-
-
-# ---------------------------------------------------------------------------
-# the index branch of the associativity kernel
 
 def _cyclic(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -501,37 +391,53 @@ def index_tables(draw):
     return table
 
 
-def monomial_products(field, table):
-    return {(i, j): ((k, field.one),)
-            for i, row in enumerate(table) for j, k in enumerate(row) if k is not None}
+@st.composite
+def relabelled_algebras(draw, field, tables=ASSOCIATIVE_INDEX_TABLES + (((None,),),)):
+    """The algebra on one of the tables (by default an associative table
+    above or the zero algebra on K) with its basis permuted."""
+    source = draw(st.sampled_from(tables))
+    n = len(source)
+    table = relabelled_table(source, draw(st.permutations(range(n))))
+    return FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), table)
 
 
-def kernel_outcome(field, n, products, *, no_arithmetic=False):
-    """(verdict, whether the index branch ran) of FiniteAlgebra's
-    associativity check; with no_arithmetic, field add and mul raise."""
-    branch = []
-    check = exactlin.first_nonassociative
+@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_associative_tables_multiply_like_the_reference(field, data):
+    alg = data.draw(relabelled_algebras(field))
+    vectors = st.tuples(*[scalars(field)] * alg.dim)
+    u, v = data.draw(vectors), data.draw(vectors)
+    want = dense_mul(field, alg.table, u, v)
+    assert alg.mul(u, v) == want
+    assert alg.sparse_mul(nonzero_entries(field, u), nonzero_entries(field, v)) \
+        == dict(nonzero_entries(field, want))
 
-    def spy(table):
-        branch.append(True)
-        return check(table)
 
+def associativity_outcome(check):
+    try:
+        check()
+    except StructureError as err:
+        return err.rule, err.witness
+    return None
+
+
+def kernel_outcome(field, table):
+    """The verdict of FiniteAlgebra's associativity check on the table,
+    with field add and mul raising."""
     def arithmetic(self, a, b):
         raise RuntimeError("field arithmetic called")
 
-    labels = tuple(f"b{i}" for i in range(n))
+    labels = tuple(f"b{i}" for i in range(len(table)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactlin, "first_nonassociative", spy)
-        if no_arithmetic:
-            mp.setattr(type(field), "add", arithmetic)
-            mp.setattr(type(field), "mul", arithmetic)
-        verdict = associativity_outcome(lambda: FiniteAlgebra(field, labels, products))
-    return verdict, bool(branch)
+        mp.setattr(type(field), "add", arithmetic)
+        mp.setattr(type(field), "mul", arithmetic)
+        return associativity_outcome(lambda: FiniteAlgebra(field, labels, table))
 
 
-def reference_outcome(field, n, products):
-    labels = tuple(f"b{i}" for i in range(n))
-    return associativity_outcome(lambda: dense_check_associativity(field, labels, products))
+def reference_outcome(field, table):
+    labels = tuple(f"b{i}" for i in range(len(table)))
+    return associativity_outcome(lambda: dense_check_associativity(field, labels, table))
 
 
 @pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
@@ -539,36 +445,14 @@ def reference_outcome(field, n, products):
 @given(data=st.data())
 def test_index_tables_are_checked_without_arithmetic_at_the_reference_witness(field, data):
     table = data.draw(index_tables())
-    n, products = len(table), monomial_products(field, table)
-    verdict, index_branch = kernel_outcome(field, n, products, no_arithmetic=True)
-    assert index_branch
-    assert verdict == reference_outcome(field, n, products)
+    assert kernel_outcome(field, table) == reference_outcome(field, table)
 
 
 @pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
 @pytest.mark.parametrize("table", ASSOCIATIVE_INDEX_TABLES, ids=len)
 def test_semigroup_and_groupoid_tables_are_associative(field, table):
-    products = monomial_products(field, table)
-    assert reference_outcome(field, len(table), products) is None
-    assert kernel_outcome(field, len(table), products, no_arithmetic=True) == (None, True)
-
-
-@pytest.mark.parametrize("field", SCALAR_FIELDS, ids=str)
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_near_monomial_tables_take_the_general_branch(field, data):
-    table = data.draw(index_tables())
-    n, products = len(table), monomial_products(field, table)
-    index = st.integers(0, n - 1)
-    pair = data.draw(st.sampled_from(sorted(products)) if products else st.tuples(index, index))
-    k = products[pair][0][0] if pair in products else data.draw(index)
-    if field == F3 and data.draw(st.booleans()):
-        products[pair] = ((k, 2),)
-    else:
-        products[pair] = ((k, field.one), (data.draw(index), field.one))
-    verdict, index_branch = kernel_outcome(field, n, products)
-    assert not index_branch
-    assert verdict == reference_outcome(field, n, products)
+    assert reference_outcome(field, table) is None
+    assert kernel_outcome(field, table) is None
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +535,11 @@ def test_length_checks_survive_without_assert():
         vec_add(F2, (1, 0), (1,))
     with pytest.raises(ValueError):
         mat_from_columns(F2, [(1, 0), (1,)], 2)
+    # FiniteAlgebra tables: a row per label, an entry per label, and every
+    # target a basis index
+    for table in (((0, 1),), ((0, 1), (1,)), ((0, 1), (1, 2)), ((0, -1), (1, 0))):
+        with pytest.raises(ValueError):
+            FiniteAlgebra(F2, ("1", "g"), table)
 
 
 def test_identity_on_matrix_units_is_a_homomorphism():
@@ -672,9 +561,8 @@ def test_transpose_on_matrix_units_is_rejected_with_the_callers_rule():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_homomorphism_check_fails_at_the_reference_pair(field, data):
-    n, products = data.draw(associative_tables(field))
-    labels = tuple(f"b{i}" for i in range(n))
-    alg = FiniteAlgebra(field, labels, products)
+    alg = data.draw(relabelled_algebras(field))
+    n, labels = alg.dim, alg.labels
     images = [list(alg.basis_vector(i)) for i in range(n)]
     for _ in range(data.draw(st.integers(0, 2))):  # perturb a few images
         k = data.draw(st.integers(0, n - 1))
@@ -712,10 +600,8 @@ def basis_maps(draw, field):
         perm = draw(st.lists(st.integers(0, len(dst_table) - 1), min_size=n, max_size=n))
     if draw(st.booleans()):
         perm[draw(st.integers(0, n - 1))] = draw(st.integers(0, len(dst_table) - 1))
-    src = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)),
-                        monomial_products(field, src_table))
-    dst = FiniteAlgebra(field, tuple(f"c{i}" for i in range(len(dst_table))),
-                        monomial_products(field, dst_table))
+    src = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), src_table)
+    dst = FiniteAlgebra(field, tuple(f"c{i}" for i in range(len(dst_table))), dst_table)
     return src, dst, perm
 
 
@@ -792,7 +678,7 @@ def test_enumerate_subspaces_counts():
 
 
 def test_enumerate_ideals_of_the_field_itself():
-    alg = FiniteAlgebra.from_monomial_table(F2, ("u",), ((0,),))
+    alg = FiniteAlgebra(F2, ("u",), ((0,),))
     ideals = enumerate_ideals(alg)
     assert [i.dim for i in ideals] == [0, 1]
 
@@ -833,8 +719,8 @@ def random_vectors(data, field, n, max_size):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_basis_multiples_and_is_ideal_match_dense_products(field, data):
-    n, products = data.draw(associative_tables(field))
-    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
+    alg = data.draw(relabelled_algebras(field))
+    n = alg.dim
     v = data.draw(st.tuples(*[scalars(field)] * n))
     generators = alg.generating_indices
     reference = basis_multiples_reference(alg, v)
@@ -851,10 +737,8 @@ def test_ideals_over_generators_match_all_basis_multiples(field, data):
     """On monomial algebras, whose generators are often fewer than the
     basis, is_ideal and ideal_generate agree with the references that use
     every basis multiple, on ideals and on random subspaces."""
-    source = data.draw(st.sampled_from(ASSOCIATIVE_INDEX_TABLES + (_cyclic(6),)))
-    n = len(source)
-    table = relabelled_table(source, data.draw(st.permutations(range(n))))
-    alg = FiniteAlgebra.from_monomial_table(field, tuple(f"b{i}" for i in range(n)), table)
+    alg = data.draw(relabelled_algebras(field, ASSOCIATIVE_INDEX_TABLES + (_cyclic(6),)))
+    n = alg.dim
     generators = random_vectors(data, field, n, 2)
     ideal = ideal_generate(alg, generators)
     assert ideal == fixpoint_ideal_generate(alg, generators)
@@ -864,12 +748,10 @@ def test_ideals_over_generators_match_all_basis_multiples(field, data):
         assert is_ideal(alg, space) == reference_is_ideal(alg, space)
 
 
-def test_generating_indices_of_monomial_and_general_algebras():
+def test_generating_indices_of_monomial_algebras():
     for field in SCALAR_FIELDS:
-        assert FiniteAlgebra.from_monomial_table(
+        assert FiniteAlgebra(
             field, tuple(range(24)), _cyclic(24)).generating_indices == (0, 1)
-        products = {(0, 0): ((0, field.one), (1, field.one))}
-        assert FiniteAlgebra(field, ("a", "b"), products).generating_indices == (0, 1)
     for n in (6, 12):
         cp = crossed_product(rotation_system(n, 2), F3)
         assert cp.algebra.generating_indices == (0, 1, 2, 3)
@@ -878,7 +760,7 @@ def test_generating_indices_of_monomial_and_general_algebras():
 def test_is_ideal_on_a_cyclic_group_algebra_forms_only_generator_multiples(monkeypatch):
     """K[Z/24] is generated by e_0 and e_1, so is_ideal forms and tests 2 * 2
     multiples per basis vector of the subspace, not 2 * 24."""
-    alg = FiniteAlgebra.from_monomial_table(F3, tuple(range(24)), _cyclic(24))
+    alg = FiniteAlgebra(F3, tuple(range(24)), _cyclic(24))
     augmentation = ideal_generate(alg, [(1, 2) + (0,) * 22])
     line = Subspace.span(F3, 24, [(1, 2) + (0,) * 22])
     tested = []
@@ -901,8 +783,8 @@ def test_is_ideal_on_a_cyclic_group_algebra_forms_only_generator_multiples(monke
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_ideal_generate_matches_the_fixpoint_reference(field, data):
-    n, products = data.draw(associative_tables(field))
-    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
+    alg = data.draw(relabelled_algebras(field, ASSOCIATIVE_INDEX_TABLES + NON_PRINCIPAL_TABLES))
+    n = alg.dim
     generators = random_vectors(data, field, n, 3)
     ideal = ideal_generate(alg, generators)
     assert ideal == fixpoint_ideal_generate(alg, generators)
@@ -911,7 +793,7 @@ def test_ideal_generate_matches_the_fixpoint_reference(field, data):
 
 def test_ideal_generate_edge_cases():
     for field in SCALAR_FIELDS:
-        empty = FiniteAlgebra(field, (), {})
+        empty = FiniteAlgebra(field, (), ())
         assert ideal_generate(empty, []) == Subspace.zero(field, 0) == Subspace.full(field, 0)
         assert ideal_generate(empty, [()]) == Subspace.zero(field, 0)
         alg = matrix_units_algebra(field)
@@ -925,7 +807,7 @@ def test_ideal_generate_edge_cases():
 
 def upper_triangular_algebra(field) -> FiniteAlgebra:
     """T_2: upper triangular 2 x 2 matrices on e11, e12, e22."""
-    return FiniteAlgebra.from_monomial_table(
+    return FiniteAlgebra(
         field, ("e11", "e12", "e22"),
         ((0, 1, None), (None, None, 1), (None, None, 2)))
 
@@ -948,7 +830,7 @@ ONE_G_Z_TABLE = ((0, 1, 2), (1, 0, 2), (2, 2, 2))
 
 
 def test_noncommutative_group_algebra_ideals_match_brute_force():
-    alg = FiniteAlgebra.from_monomial_table(F2, tuple(map(str, S3_ELEMENTS)), S3_TABLE)
+    alg = FiniteAlgebra(F2, tuple(map(str, S3_ELEMENTS)), S3_TABLE)
     ideals = enumerate_ideals(alg)
     assert ideals == brute_force_ideals(alg)
     assert [i.dim for i in ideals] == [0, 1, 2, 4, 5, 6]
@@ -963,7 +845,7 @@ ORACLE_SYSTEMS["z2xz3on1"] = z2_times_z3_system
 # system, and a monoid algebra, which no crossed product's basis gives
 ORACLE_ALGEBRAS = {name: (lambda field, system=system: crossed_product(system(), field).algebra)
                    for name, system in ORACLE_SYSTEMS.items()}
-ORACLE_ALGEBRAS["monoid1gz"] = lambda field: FiniteAlgebra.from_monomial_table(
+ORACLE_ALGEBRAS["monoid1gz"] = lambda field: FiniteAlgebra(
     field, ("1", "g", "z"), ONE_G_Z_TABLE)
 
 
@@ -977,7 +859,7 @@ NON_PRINCIPAL_TABLES = (
 
 
 def test_sums_of_principal_ideals_are_enumerated():
-    alg = FiniteAlgebra.from_monomial_table(F3, ("1", "x", "y"), NON_PRINCIPAL_TABLES[0])
+    alg = FiniteAlgebra(F3, ("1", "x", "y"), NON_PRINCIPAL_TABLES[0])
     ideals = enumerate_ideals(alg)
     maximal = Subspace.span(F3, 3, [(0, 1, 0), (0, 0, 1)])
     assert maximal in ideals
@@ -1007,7 +889,7 @@ def test_basis_permutations_keep_the_principal_ideal(field, data):
     element on one side, and sends v to a generator of the same ideal."""
     table = data.draw(st.sampled_from(LEMMA_TABLES))
     n = len(table)
-    alg = FiniteAlgebra.from_monomial_table(field, tuple(f"b{i}" for i in range(n)), table)
+    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), table)
     v = data.draw(st.tuples(*[scalars(field)] * n))
     basis = [alg.basis_vector(a) for a in range(n)]
     multiples = {alg.mul(e, v) for e in basis} | {alg.mul(v, e) for e in basis}
@@ -1016,15 +898,6 @@ def test_basis_permutations_keep_the_principal_ideal(field, data):
     for perm in perms:
         assert perm(v) in multiples
         assert ideal_generate(alg, [perm(v)]) == ideal_generate(alg, [v])
-
-
-@pytest.mark.parametrize("field", (F2, F3), ids=str)
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_principal_ideal_oracle_on_basis_changed_algebras(field, data):
-    n, products = data.draw(associative_tables(field, MONOMIAL_TABLES + NON_PRINCIPAL_TABLES))
-    alg = FiniteAlgebra(field, tuple(f"b{i}" for i in range(n)), products)
-    assert enumerate_ideals(alg) == brute_force_ideals(alg)
 
 
 def test_f3_cyclic_six_oracle_uses_principal_ideals_only(monkeypatch):
@@ -1041,7 +914,7 @@ def test_f3_cyclic_six_oracle_uses_principal_ideals_only(monkeypatch):
     counted("ideal_generate")
     counted("is_ideal")
     table = tuple(tuple((a + b) % 6 for b in range(6)) for a in range(6))
-    alg = FiniteAlgebra.from_monomial_table(F3, tuple(f"g{k}" for k in range(6)), table)
+    alg = FiniteAlgebra(F3, tuple(f"g{k}" for k in range(6)), table)
     ideals = enumerate_ideals(alg)
     # one ideal_generate per orbit of the lines of F3^6 under the shift
     # g_k -> g_(k+1), which is multiplication by g1

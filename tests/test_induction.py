@@ -780,8 +780,7 @@ def test_modules_over_another_field_are_refused():
     # it has the same labels and table
     ctx = induction_context(crossed_product(FIXTURES["FIX-Z2FIX"](), F2), 0)
     group = ctx.group_algebra
-    table = [[row.get(j) for j in range(group.dim)] for row in group.index_rows]
-    over_f3 = FiniteAlgebra.from_monomial_table(F3, group.labels, table)
+    over_f3 = FiniteAlgebra(F3, group.labels, group.table)
     sign = tuple((((F3.one if i == ctx.iso.identity else F3.neg(F3.one)),),)
                  for i in range(group.dim))
     for module in (left_regular_mod(over_f3, Subspace.zero(F3, group.dim)),

@@ -21,7 +21,6 @@ from crossedideals.exactlin import (
     mat_vec,
     nonzero_entries,
     rref,
-    sparse_combination,
     subspace_intersect,
     unit_vector,
     zero_vector,
@@ -37,7 +36,7 @@ def z2_semigroup() -> InverseSemigroup:
 
 def z2_algebra(field) -> FiniteAlgebra:
     """The group algebra K[Z/2] on the basis {1, g}."""
-    return FiniteAlgebra.from_monomial_table(field, ("1", "g"), ((0, 1), (1, 0)))
+    return FiniteAlgebra(field, ("1", "g"), ((0, 1), (1, 0)))
 
 
 MATRIX_UNIT_POSITIONS = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
@@ -55,22 +54,32 @@ def matrix_units_table():
 
 def matrix_units_algebra(field) -> FiniteAlgebra:
     """M_2(K) on the matrix-unit basis e11, e12, e21, e22."""
-    return FiniteAlgebra.from_monomial_table(
-        field, ("e11", "e12", "e21", "e22"), matrix_units_table())
+    return FiniteAlgebra(field, ("e11", "e12", "e21", "e22"), matrix_units_table())
 
 
-def dense_mul(field, products, dim, u, v):
+def dense_mul(field, table, u, v):
     """Reference product: every coordinate pair (i, j) of u and v against
-    the raw structure constants {(i, j): ((k, coeff), ...)}."""
-    out = [field.zero] * dim
+    the index table (table[i][j] the index of e_i e_j, or None for zero)."""
+    out = [field.zero] * len(table)
     for i, a in enumerate(u):
         for j, b in enumerate(v):
-            for k, c in products.get((i, j), ()):
-                out[k] = field.add(out[k], field.mul(field.mul(a, b), c))
+            k = table[i][j]
+            if k is not None:
+                out[k] = field.add(out[k], field.mul(a, b))
     return tuple(out)
 
 
-def dense_check_associativity(field, labels, products):
+def sparse_combination(field, scaled) -> dict:
+    """sum c * terms over the (c, terms) pairs, where terms is a sparse
+    vector ((k, coeff), ...), as {k: entry} with zero entries dropped."""
+    acc = {}
+    for c, terms in scaled:
+        for k, d in terms:
+            acc[k] = field.add(acc.get(k, field.zero), field.mul(c, d))
+    return {k: a for k, a in acc.items() if not field.is_zero(a)}
+
+
+def dense_check_associativity(field, labels, table):
     """Reference associativity check: (e_i e_j) e_k against e_i (e_j e_k)
     with dense_mul on every basis triple in (i, j, k) order.  Raises
     StructureError("associativity", labels of the triple) at the first
@@ -80,11 +89,11 @@ def dense_check_associativity(field, labels, products):
              for i in range(n)]
     for i in range(n):
         for j in range(n):
-            pij = dense_mul(field, products, n, basis[i], basis[j])
+            pij = dense_mul(field, table, basis[i], basis[j])
             for k in range(n):
-                left = dense_mul(field, products, n, pij, basis[k])
-                right = dense_mul(field, products, n, basis[i],
-                                  dense_mul(field, products, n, basis[j], basis[k]))
+                left = dense_mul(field, table, pij, basis[k])
+                right = dense_mul(field, table, basis[i],
+                                  dense_mul(field, table, basis[j], basis[k]))
                 if left != right:
                     raise StructureError("associativity", (labels[i], labels[j], labels[k]))
 
@@ -160,9 +169,10 @@ def dense_check_algebra_hom(src, dst, images):
     f = src.field
     for i in range(src.dim):
         for j in range(src.dim):
-            terms = src.products.get((i, j), ())
+            k = src.table[i][j]
+            terms = () if k is None else ((k, f.one),)
             image = lincomb(f, [c for _, c in terms], [images[k] for k, _ in terms], dst.dim)
-            if image != dense_mul(f, dst.products, dst.dim, images[i], images[j]):
+            if image != dense_mul(f, dst.table, images[i], images[j]):
                 return i, j
     return None
 
@@ -236,8 +246,8 @@ def basis_multiples_reference(algebra, v):
     """e_i v and v e_i for every basis index i, by dense_mul."""
     f, n = algebra.field, algebra.dim
     basis = [tuple(f.one if j == i else f.zero for j in range(n)) for i in range(n)]
-    return ([dense_mul(f, algebra.products, n, e, v) for e in basis]
-            + [dense_mul(f, algebra.products, n, v, e) for e in basis])
+    return ([dense_mul(f, algebra.table, e, v) for e in basis]
+            + [dense_mul(f, algebra.table, v, e) for e in basis])
 
 
 def reference_is_ideal(algebra, space) -> bool:
@@ -349,8 +359,7 @@ def dense_pre_representation(bundle, target, fiber_images, total_order: bool):
         for k, c in mu_terms(bundle, s, t, i, j):
             for m, a in enumerate(fiber_images[st][k]):
                 image[m] = f.add(image[m], f.mul(c, a))
-        product = dense_mul(f, target.products, target.dim,
-                            fiber_images[s][i], fiber_images[t][j])
+        product = dense_mul(f, target.table, fiber_images[s][i], fiber_images[t][j])
         if tuple(image) != product:
             return (sg.name(s), sg.name(t), i, j)
     return None
@@ -410,17 +419,17 @@ def dense_restriction_triangle(iso):
 def dense_fiber_span(bundle):
     """Reference "fiber-span" rule: for each s in element order, the rank
     of the B_s coordinates of (e_i e_j) e_k over the basis vectors e_i,
-    e_k of B_s and e_j of B_s*, formed with dense_mul on the mu terms
-    placed at the fiber offsets and ranked with rref.  Returns (name s,
-    rank) at the first fiber that the products do not span, or None."""
+    e_k of B_s and e_j of B_s*, formed with dense_mul on the mu
+    constants placed at the fiber offsets and ranked with rref.  Returns
+    (name s, rank) at the first fiber that the products do not span, or
+    None."""
     sg, f = bundle.semigroup, bundle.field
     n = len(bundle.label_pairs)
-    products = {}
+    table = [[None] * n for _ in range(n)]
     for (s, t), entries in bundle.mu.items():
-        for i, j in entries:
-            products[(bundle.offsets[s] + i, bundle.offsets[t] + j)] = tuple(
-                (bundle.offsets[sg.product(s, t)] + k, c)
-                for k, c in mu_terms(bundle, s, t, i, j))
+        for (i, j), k in entries.items():
+            table[bundle.offsets[s] + i][bundle.offsets[t] + j] = \
+                bundle.offsets[sg.product(s, t)] + k
 
     def fiber(s):
         return range(bundle.offsets[s], bundle.offsets[s] + bundle.fiber_dim(s))
@@ -429,9 +438,9 @@ def dense_fiber_span(bundle):
         vectors = []
         for gi in fiber(s):
             for gj in fiber(sg.inv(s)):
-                mid = dense_mul(f, products, n, unit_vector(f, n, gi), unit_vector(f, n, gj))
+                mid = dense_mul(f, table, unit_vector(f, n, gi), unit_vector(f, n, gj))
                 for gk in fiber(s):
-                    prod = dense_mul(f, products, n, mid, unit_vector(f, n, gk))
+                    prod = dense_mul(f, table, mid, unit_vector(f, n, gk))
                     vectors.append(tuple(prod[g] for g in fiber(s)))
         _, rank = rref(f, vectors)
         if rank != bundle.fiber_dim(s):
@@ -606,7 +615,7 @@ def dense_semidirect_bundle(action):
             for i, u in enumerate(coeff[s].basis):
                 pulled = action.apply(sg.inv(s), u)
                 for j, v in enumerate(coeff[t].basis):
-                    w = action.apply(s, dense_mul(f, alg.products, alg.dim, pulled, v))
+                    w = action.apply(s, dense_mul(f, alg.table, pulled, v))
                     terms = nonzero_entries(f, coeff[st].coordinates(w))
                     if terms:
                         entries[(i, j)] = terms
@@ -639,8 +648,8 @@ def dense_action_validate(action):
     for s in range(sg.size):
         for u in domains[s].basis:
             for v in domains[s].basis:
-                lhs = action.apply(s, dense_mul(f, alg.products, n, u, v))
-                rhs = dense_mul(f, alg.products, n, action.apply(s, u), action.apply(s, v))
+                lhs = action.apply(s, dense_mul(f, alg.table, u, v))
+                rhs = dense_mul(f, alg.table, action.apply(s, u), action.apply(s, v))
                 if lhs != rhs:
                     return ValidationReport.failed("map-multiplicative", (sg.name(s),))
     for s in range(sg.size):
@@ -668,7 +677,8 @@ def dense_sections(bundle):
     e_{s,i} - e_{t,k} per inclusion entry j_{t,s}(e_i) = e_k and reduced
     with rref, checked two-sided with is_ideal, and the quotient table
     formed by projecting every product of coset representatives through
-    QuotientMap.  Returns (N, its QuotientMap, the quotient algebra), the
+    QuotientMap, each projection required to be a basis vector or zero.
+    Returns (N, its QuotientMap, the quotient algebra), the
     quotient being the total algebra when N = 0; raises AssociativityError
     or StructureError("redundancy-not-ideal") as the library does."""
     f, total = bundle.field, bundle.total
@@ -686,13 +696,14 @@ def dense_sections(bundle):
     qmap = QuotientMap.of(span)
     if span.dim == 0:
         return span, qmap, total
-    qproducts = {}
+    qtable = [[None] * qmap.dim for _ in range(qmap.dim)]
     for a, ga in enumerate(qmap.coset_positions):
         for b, gb in enumerate(qmap.coset_positions):
-            if (ga, gb) not in total.products:
-                continue  # a zero product projects to zero
             terms = nonzero_entries(f, qmap.project(total.basis_product(ga, gb)))
             if terms:
-                qproducts[(a, b)] = terms
+                [(c, coeff)] = terms
+                if coeff != f.one:
+                    raise ValueError(f"quotient product {terms} is not a basis vector")
+                qtable[a][b] = c
     labels = tuple(total.labels[g] for g in qmap.coset_positions)
-    return span, qmap, FiniteAlgebra(f, labels, qproducts)
+    return span, qmap, FiniteAlgebra(f, labels, qtable)
