@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
-from .dynsys import AmpleSystem, PartialBijection
+from .dynsys import AmpleSystem, PartialBijection, composition_mismatch
 from .exactlin import (
     AssociativityError,
     Field,
@@ -43,6 +43,7 @@ from .exactlin import (
     StructureError,
     Subspace,
     check_algebra_hom,
+    first_nonmultiplicative,
     lincomb,
     mat_from_columns,
     mat_lincomb,
@@ -281,9 +282,9 @@ class AlgebraAction:
 
     def _composition_failure(self) -> ValidationReport | None:
         """The rules map-inverse, composition-domain and composition-values,
-        in (s, t) order.  alpha_t* (dom s cap ran t) is spanned by the e_x
-        with x in dom t and t(x) in dom s, once map-inverse has shown that
-        moves[t*] inverts moves[t]."""
+        in (s, t) order, each pair by composition_mismatch.  alpha_t*
+        (dom s cap ran t) is spanned by the e_x with x in dom t and t(x) in
+        dom s, once map-inverse has shown that moves[t*] inverts moves[t]."""
         sg, moves = self.semigroup, self.moves
         for s in range(sg.size):
             back = moves[sg.inv(s)]
@@ -291,13 +292,10 @@ class AlgebraAction:
                 return ValidationReport.failed("map-inverse", (sg.name(s),))
         for s in range(sg.size):
             for t in range(sg.size):
-                ms, mt, mst = moves[s], moves[t], moves[sg.product(s, t)]
-                if mst.keys() != {x for x, y in mt.items() if y in ms}:
-                    return ValidationReport.failed(
-                        "composition-domain", (sg.name(s), sg.name(t)))
-                if any(q != ms[mt[x]] for x, q in mst.items()):
-                    return ValidationReport.failed(
-                        "composition-values", (sg.name(s), sg.name(t)))
+                mismatch = composition_mismatch(moves[s], moves[t], moves[sg.product(s, t)])
+                if mismatch is not None:
+                    rule = "composition-domain" if mismatch[0] else "composition-values"
+                    return ValidationReport.failed(rule, (sg.name(s), sg.name(t)))
         return None
 
 
@@ -641,14 +639,12 @@ class CovariantRep:
     def validate(self) -> ValidationReport:
         sys, f, d = self.system, self.field, self.space_dim
         sg = sys.semigroup
-        zero = tuple(zero_vector(f, d) for _ in range(d))
-        for y in range(sys.space_size):
-            for z in range(sys.space_size):
-                prod = mat_mul(f, self.pi[y], self.pi[z])
-                want = self.pi[y] if y == z else zero
-                if prod != want:
-                    return ValidationReport.failed(
-                        "function-rep", (sys.point_name(y), sys.point_name(z)))
+        # K^X has the diagonal table: delta_y delta_z is delta_y when y = z
+        points = range(sys.space_size)
+        diagonal = [[y if y == z else None for z in points] for y in points]
+        failure = first_nonmultiplicative(f, diagonal, self.pi, d)
+        if failure is not None:
+            return ValidationReport.failed("function-rep", tuple(map(sys.point_name, failure)))
         cols = []
         for m in self.pi:
             for k in range(d):
@@ -656,11 +652,9 @@ class CovariantRep:
         _, rank = rref(f, cols)
         if rank != d:
             return ValidationReport.failed("nondegenerate", (rank, d))
-        for s in range(sg.size):
-            for t in range(sg.size):
-                if mat_mul(f, self.sigma[s], self.sigma[t]) != self.sigma[sg.product(s, t)]:
-                    return ValidationReport.failed(
-                        "sigma-homomorphism", (sg.name(s), sg.name(t)))
+        failure = first_nonmultiplicative(f, sg.mult, self.sigma, d)
+        if failure is not None:
+            return ValidationReport.failed("sigma-homomorphism", tuple(map(sg.name, failure)))
         for s in range(sg.size):
             si = sg.inv(s)
             for z in sys.theta[s].domain():

@@ -82,6 +82,18 @@ class PartialBijection:
         return f"PartialBijection({{{body}}})"
 
 
+def composition_mismatch(ms: dict, mt: dict, mst: dict):
+    """Compare ms after mt with mst, partial maps as dicts {x: y}: None when
+    they agree, else (domains differ, x) for the smallest x in one domain
+    only or in both with different values."""
+    composite = {x: ms[y] for x, y in mt.items() if y in ms}
+    if composite == mst:
+        return None
+    differ = composite.keys() ^ mst.keys()
+    return bool(differ), min(differ.union(
+        x for x in composite.keys() & mst.keys() if composite[x] != mst[x]))
+
+
 @dataclass(frozen=True)
 class Germ:
     """Germ class of (element, point), stored by its canonical (minimal
@@ -168,17 +180,14 @@ class AmpleSystem:
         inner = sg.validate()
         if not inner.ok:
             return inner
+        maps = [pb._map for pb in self.theta]
         for s in range(sg.size):
             for t in range(sg.size):
-                compose = self.theta[s].compose(self.theta[t])
-                target = self.theta[sg.product(s, t)]
-                if compose != target:
-                    got, want = set(compose.pairs), set(target.pairs)
-                    diff = sorted(p for p, _ in got.symmetric_difference(want))
-                    witness_pt = diff[0] if diff else -1
+                mismatch = composition_mismatch(maps[s], maps[t], maps[sg.product(s, t)])
+                if mismatch is not None:
                     return ValidationReport.failed(
                         "action-homomorphism",
-                        (sg.name(s), sg.name(t), self.point_name(witness_pt)))
+                        (sg.name(s), sg.name(t), self.point_name(mismatch[1])))
         for s in range(sg.size):
             if self.theta[sg.inv(s)] != self.theta[s].inverse():
                 return ValidationReport.failed("action-involution", (sg.name(s),))

@@ -734,8 +734,8 @@ def check_algebra_hom(src: FiniteAlgebra, dst: FiniteAlgebra, images: Sequence, 
         raise ValueError("one image of length dst.dim per basis element required")
     entries = [nonzero_entries(f, v) for v in images]
     if all(len(e) == 1 and e[0][1] == f.one for e in entries):
-        _check_permutation_hom(src.table, dst.table, [e[0][0] for e in entries],
-                               rule, src.labels)
+        check_permutation_hom(src.table, dst.table, [e[0][0] for e in entries],
+                              rule, src.labels)
         return
     for i, row in enumerate(src.table):
         for j, k in enumerate(row):
@@ -744,12 +744,12 @@ def check_algebra_hom(src: FiniteAlgebra, dst: FiniteAlgebra, images: Sequence, 
                 raise HomomorphismError(rule, (i, j), src.labels)
 
 
-def _check_permutation_hom(src_table, dst_table, perm, rule: str, labels):
-    """The basis-map branch: images[i] = e_perm[i].  The image of e_i e_j
-    is e_perm[k] for k = src_table[i][j], or zero, and images[i] images[j]
-    is e_k' for k' = dst_table[perm[i]][perm[j]], or zero, so each pair is
-    compared as an index or None, in the general branch's (i, j) order.
-    perm need not be injective."""
+def check_permutation_hom(src_table, dst_table, perm, rule: str, labels):
+    """The basis-map branch of check_algebra_hom, images[i] = e_perm[i], on
+    index tables alone (a groupoid's will do): e_i e_j maps to e_perm[k] for
+    k = src_table[i][j], or zero, and images[i] images[j] is e_k' for
+    k' = dst_table[perm[i]][perm[j]], or zero, so each pair is compared as
+    an index or None, in (i, j) order.  perm need not be injective."""
     for i, row in enumerate(src_table):
         dst_row = dst_table[perm[i]]
         for j, pj in enumerate(perm):
@@ -811,6 +811,18 @@ def ideal_generate(algebra: FiniteAlgebra, generators: Iterable) -> Subspace:
 # ---------------------------------------------------------------------------
 # representations
 
+def first_nonmultiplicative(field: Field, table, images: Sequence, d: int):
+    """The first (i, j), in (i, j) order, at which the d x d matrices
+    images[i] images[j] and images[table[i][j]] (zero where table[i][j]
+    is None) differ, or None: representations and covariant pairs."""
+    zero = tuple(zero_vector(field, d) for _ in range(d))
+    for i, row in enumerate(table):
+        for j, k in enumerate(row):
+            if mat_mul(field, images[i], images[j]) != (zero if k is None else images[k]):
+                return i, j
+    return None
+
+
 class Representation:
     """Algebra homomorphism into matrices acting on column vectors.
 
@@ -830,23 +842,15 @@ class Representation:
         self._check_multiplicative()
 
     def _check_multiplicative(self):
-        """images[i] images[j] against the image of e_i e_j (images[k] for
-        e_i e_j = e_k, or the zero matrix) on every basis pair.  This stays
-        a loop of its own rather than a check_algebra_hom into M_d(K): the
-        product here is a d x d matrix product, d reaches the dimension of
-        the algebra (left_regular_mod), and realising M_d(K) as a
-        FiniteAlgebra would take d^2 basis elements and an associativity
-        check over them."""
-        f, d = self.algebra.field, self.space_dim
-        zero = tuple(zero_vector(f, d) for _ in range(d))
-        for i, row in enumerate(self.algebra.table):
-            for j, k in enumerate(row):
-                expected = zero if k is None else self.images[k]
-                if mat_mul(f, self.images[i], self.images[j]) != expected:
-                    raise StructureError(
-                        "representation-multiplicativity",
-                        (self.algebra.labels[i], self.algebra.labels[j]),
-                    )
+        """first_nonmultiplicative over the algebra's table, rather than a
+        check_algebra_hom into M_d(K): d reaches the dimension of the
+        algebra (left_regular_mod), and realising M_d(K) as a FiniteAlgebra
+        would take d^2 basis elements and an associativity check."""
+        alg = self.algebra
+        failure = first_nonmultiplicative(alg.field, alg.table, self.images, self.space_dim)
+        if failure is not None:
+            raise StructureError("representation-multiplicativity",
+                                 tuple(alg.labels[m] for m in failure))
 
     def apply(self, coords) -> tuple:
         return mat_lincomb(self.algebra.field, coords, self.images, self.space_dim)

@@ -260,21 +260,20 @@ def parse_groupoid(text: str):
     target = tuple(_lookup(names, t, n, "element")
                    for t in _split_row(tgt_text, size, n, "target entries"))
     lines.expect_key("compose")
-    compose = {}
-    for a in range(size):
+    table = []
+    for _ in range(size):
         if lines.done():
             raise ParseError(lines.rows[-1][0], "composition table is short")
         n, body = lines.take()
         row = body.split()
         if len(row) != size:
             raise ParseError(n, f"expected {size} entries, found {len(row)}")
-        for b, token in enumerate(row):
-            if token != ".":
-                compose[(a, b)] = _lookup(names, token, n, "element")
+        table.append([None if token == "." else _lookup(names, token, n, "element")
+                      for token in row])
     if not lines.done():
         raise ParseError(lines.peek()[0], f"unexpected trailing line {lines.peek()[1]!r}")
     try:
-        groupoid = FiniteGroupoid(size, units, source, target, compose, names)
+        groupoid = FiniteGroupoid(size, units, source, target, table, names)
     except ValueError as exc:
         raise ParseError(lines.rows[-1][0], str(exc))
     return groupoid, field
@@ -295,12 +294,8 @@ def serialize_groupoid(groupoid: FiniteGroupoid, field: Field) -> str:
         f"  target: {' '.join(names[groupoid.target[g]] for g in range(groupoid.size))}",
         "  compose:",
     ]
-    for a in range(groupoid.size):
-        row = []
-        for b in range(groupoid.size):
-            c = groupoid.compose.get((a, b))
-            row.append("." if c is None else names[c])
-        out.append("    " + " ".join(row))
+    for row in groupoid.table:
+        out.append("    " + " ".join("." if c is None else names[c] for c in row))
     return "\n".join(out) + "\n"
 
 

@@ -5,12 +5,12 @@ Two bridges are built and verified exhaustively: the basis bijection
 from a crossed product onto the convolution algebra of its germ
 groupoid, and the reconstruction of the convolution algebra of any
 finite groupoid as the crossed product of the intrinsic action of its
-bisection inverse semigroup.  Both bridges send basis vectors to basis
-vectors, so they are verified by index: multiplicativity compares
-product indices in the two monomial tables, and the restriction
-triangle compares the isotropy germ, if any, that each side assigns to
-a basis vector.  A groupoid's composition, as one index table, is checked
-by exactlin.first_nonassociative and is its convolution algebra's table.
+bisection inverse semigroup.  Both send basis vectors to basis vectors,
+so they are verified by index against the groupoid's one index table
+(exactlin.check_permutation_hom), which is also its convolution
+algebra's; the restriction triangle compares the isotropy germ, if any,
+that each side assigns to a basis vector.  The convolution algebra is
+built only when read, so validate alone checks a table's associativity.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from .exactlin import (
     Field,
     FiniteAlgebra,
     GuardError,
+    HomomorphismError,
     StructureError,
-    check_algebra_hom,
+    check_permutation_hom,
     first_nonassociative,
     lincomb,
     mat_from_columns,
@@ -37,14 +38,15 @@ from .validation import ValidationReport
 
 class FiniteGroupoid:
     """A finite groupoid given by source/target maps into a chosen unit
-    set and a partial composition table."""
+    set and one composition table, table[a][b] the index of ab or None
+    where a and b do not compose (its shape and indices checked here)."""
 
-    def __init__(self, size: int, units, source, target, compose, names=None):
+    def __init__(self, size: int, units, source, target, table, names=None):
         self.size = size
         self.units = tuple(sorted(units))
         self.source = tuple(source)
         self.target = tuple(target)
-        self.compose = dict(compose)
+        self.table = tuple(map(tuple, table))
         self.names = tuple(names) if names is not None else None
         if len(self.source) != size or len(self.target) != size:
             raise ValueError("one source and one target per element required")
@@ -55,34 +57,33 @@ class FiniteGroupoid:
         for v in (*self.units, *self.source, *self.target):
             if not 0 <= v < size:
                 raise ValueError(f"element {v} out of range")
-        for (a, b), c in self.compose.items():
-            if not (0 <= a < size and 0 <= b < size and 0 <= c < size):
-                raise ValueError("composition table leaves the element set")
+        if len(self.table) != size or any(len(row) != size for row in self.table):
+            raise ValueError(f"a table of {size} rows of {size} entries is required")
+        if set().union(*self.table) - set(range(size)) - {None}:
+            raise ValueError("composition table leaves the element set")
 
     def name(self, g: int) -> str:
         return self.names[g] if self.names else str(g)
 
     def composable(self, a: int, b: int) -> bool:
-        return self.source[a] == self.target[b]
+        return self.table[a][b] is not None
 
-    def product(self, a: int, b: int) -> int:
-        return self.compose[(a, b)]
+    def product(self, a: int, b: int):
+        """ab, or None where a and b do not compose."""
+        return self.table[a][b]
+
+    def _inverses(self, g: int) -> list:
+        """Every h with gh = target(g) and hg = source(g)."""
+        row, s = self.table[g], self.source[g]
+        return [h for h, gh in enumerate(row)
+                if gh == self.target[g] and self.table[h][g] == s]
 
     def inverse_of(self, g: int) -> int:
-        candidates = [
-            h for h in range(self.size)
-            if self.source[h] == self.target[g] and self.target[h] == self.source[g]
-            and self.compose.get((g, h)) == self.target[g]
-            and self.compose.get((h, g)) == self.source[g]
-        ]
+        candidates = self._inverses(g)
         if len(candidates) != 1:
             raise StructureError("inverses", (self.name(g),),
                                  f"element {self.name(g)} lacks a unique inverse")
         return candidates[0]
-
-    def table(self) -> list:
-        """table[a][b] = ab, or None where a and b do not compose."""
-        return [[self.compose.get((a, b)) for b in range(self.size)] for a in range(self.size)]
 
     def validate(self) -> ValidationReport:
         unit_set = set(self.units)
@@ -92,43 +93,29 @@ class FiniteGroupoid:
         for g in range(self.size):
             if self.source[g] not in unit_set or self.target[g] not in unit_set:
                 return ValidationReport.failed("source-target-range", (self.name(g),))
-        for a in range(self.size):
-            for b in range(self.size):
-                defined = (a, b) in self.compose
-                if defined != self.composable(a, b):
+        for a, row in enumerate(self.table):
+            for b, c in enumerate(row):
+                if (c is not None) != (self.source[a] == self.target[b]):
                     return ValidationReport.failed(
                         "composability", (self.name(a), self.name(b)))
-        for (a, b), c in self.compose.items():
-            if self.source[c] != self.source[b] or self.target[c] != self.target[a]:
-                return ValidationReport.failed(
-                    "composite-endpoints", (self.name(a), self.name(b)))
-        for g in range(self.size):
-            if self.compose[(g, self.source[g])] != g or \
-                    self.compose[(self.target[g], g)] != g:
+        for a, row in enumerate(self.table):
+            for b, c in enumerate(row):
+                if c is not None and (self.source[c] != self.source[b]
+                                      or self.target[c] != self.target[a]):
+                    return ValidationReport.failed(
+                        "composite-endpoints", (self.name(a), self.name(b)))
+        for g, row in enumerate(self.table):
+            if row[self.source[g]] != g or self.table[self.target[g]][g] != g:
                 return ValidationReport.failed("identity-laws", (self.name(g),))
         # by the rules above, (ab)c and a(bc) are each defined exactly when
         # ab and bc are, so only such triples can fail in the table
-        failure = first_nonassociative(self.table())
+        failure = first_nonassociative(self.table)
         if failure is not None:
             return ValidationReport.failed("associativity", map(self.name, failure))
         for g in range(self.size):
-            matches = [
-                h for h in range(self.size)
-                if self.compose.get((g, h)) == self.target[g]
-                and self.compose.get((h, g)) == self.source[g]
-            ]
-            if len(matches) != 1:
+            if len(self._inverses(g)) != 1:
                 return ValidationReport.failed("inverses", (self.name(g),))
         return ValidationReport.passed()
-
-    def to_json(self):
-        return {
-            "size": self.size,
-            "names": [self.name(g) for g in range(self.size)],
-            "units": [self.name(u) for u in self.units],
-            "source": [self.name(self.source[g]) for g in range(self.size)],
-            "target": [self.name(self.target[g]) for g in range(self.size)],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +140,19 @@ class GermGroupoidModel:
         target_points = [system.germ_target(g) for g in self.germs]
         source = [self._unit_of_point[g.point] for g in self.germs]
         target = [self._unit_of_point[y] for y in target_points]
-        # gi gj is defined when gj ends where gi starts; the pairs are
-        # inserted in (i, j) order
+        # gi gj is defined when gj ends where gi starts
         ending_at = [[] for _ in range(system.space_size)]
         for j, y in enumerate(target_points):
             ending_at[y].append(j)
-        compose = {}
+        table = [[None] * len(self.germs) for _ in self.germs]
         for i, gi in enumerate(self.germs):
             for j in ending_at[gi.point]:
                 gj = self.germs[j]
-                prod = system.germ_of(
-                    system.semigroup.product(gi.element, gj.element), gj.point)
-                compose[(i, j)] = self.index[prod]
+                table[i][j] = self.index[system.germ_of(
+                    system.semigroup.product(gi.element, gj.element), gj.point)]
         names = tuple(system.germ_name(g) for g in self.germs)
         self.groupoid = FiniteGroupoid(
-            len(self.germs), units, source, target, compose, names)
+            len(self.germs), units, source, target, table, names)
         self.groupoid.validate().require("germ groupoid")
 
     def _unit_germ(self, x: int) -> Germ:
@@ -204,7 +189,7 @@ def steinberg_algebra(groupoid: FiniteGroupoid, field: Field) -> FiniteAlgebra:
 def _convolution_algebra(groupoid: FiniteGroupoid, field: Field) -> FiniteAlgebra:
     """steinberg_algebra of a groupoid its caller has validated."""
     labels = tuple(groupoid.name(g) for g in range(groupoid.size))
-    return FiniteAlgebra(field, labels, groupoid.table())
+    return FiniteAlgebra(field, labels, groupoid.table)
 
 
 def groupoid_restriction(model: GermGroupoidModel, x: int, vec,
@@ -231,7 +216,6 @@ class SteinbergIso:
     def __init__(self, cp: CrossedProduct):
         self.cp = cp
         self.model = germ_groupoid(cp.system)
-        self.algebra = _convolution_algebra(self.model.groupoid, cp.field)
         if self.model.size != cp.dim:
             raise StructureError("dimension", (self.model.size, cp.dim),
                                  "germ count differs from crossed product dimension")
@@ -250,6 +234,10 @@ class SteinbergIso:
         self._verify()
 
     @cached_property
+    def algebra(self) -> FiniteAlgebra:
+        return _convolution_algebra(self.model.groupoid, self.cp.field)
+
+    @cached_property
     def matrix(self) -> tuple:
         return mat_from_columns(self.cp.field, self.images, self.cp.dim)
 
@@ -257,15 +245,16 @@ class SteinbergIso:
         return lincomb(self.cp.field, b, self.images, self.cp.dim)
 
     def _verify(self):
-        """Multiplicativity on every basis pair, then the restriction
-        triangle at every (x, i): isotropy_restriction of e_i and
+        """Multiplicativity on every basis pair, by index, then the
+        restriction triangle at every (x, i): isotropy_restriction of e_i and
         groupoid_restriction of its image are each zero or one unit
         vector, so each is compared as the isotropy index it marks, or
         None.  On the crossed product side that is the germ [s@x] when
         e_i is delta_x at s and theta_s fixes x; on the groupoid side it
         is the germ e_i maps to, when that germ starts and ends at x."""
         cp, sys, germs = self.cp, self.cp.system, self.model.germs
-        check_algebra_hom(cp.algebra, self.algebra, self.images, "not-multiplicative")
+        check_permutation_hom(cp.algebra.table, self.model.groupoid.table, self.targets,
+                              "not-multiplicative", cp.algebra.labels)
         for x in range(sys.space_size):
             iso = sys.isotropy_group(x)
             for i in range(cp.dim):
@@ -327,8 +316,8 @@ def bisection_semigroup(groupoid: FiniteGroupoid, guard: int = 12):
         row = []
         for v_set in bis:
             prod = tuple(sorted(
-                groupoid.compose[(u, v)]
-                for u in u_set for v in v_set if groupoid.composable(u, v)))
+                c for u in u_set for v in v_set
+                if (c := groupoid.table[u][v]) is not None))
             row.append(index[prod])
         mult.append(tuple(row))
     star = tuple(index[tuple(sorted(groupoid.inverse_of(u) for u in u_set))]
@@ -419,7 +408,6 @@ class GroupoidModelIso:
     def __init__(self, action: IntrinsicAction, model: GermGroupoidModel):
         self.action = action
         self.model = model
-        g = action.groupoid
         mapping = []
         for germ in model.germs:
             mapping.append(self._member_over(germ.element, germ.point))
@@ -456,16 +444,19 @@ class GroupoidModelIso:
         for u in gg.units:
             if self.mapping[u] not in g.units:
                 raise StructureError("germ-map-units", (gg.name(u),))
-        for a in range(gg.size):
-            for b in range(gg.size):
-                ours = gg.compose.get((a, b))
-                theirs = g.compose.get((self.mapping[a], self.mapping[b]))
-                if (ours is None) != (theirs is None):
-                    raise StructureError("germ-map-composability",
-                                         (gg.name(a), gg.name(b)))
-                if ours is not None and self.mapping[ours] != theirs:
-                    raise StructureError("germ-map-composition",
-                                         (gg.name(a), gg.name(b)))
+        self._check_composition()
+
+    def _check_composition(self):
+        """The mapping against both tables: a failing pair (a, b) is
+        germ-map-composability where either product is None."""
+        g, gg, perm = self.action.groupoid, self.model.groupoid, self.mapping
+        try:
+            check_permutation_hom(gg.table, g.table, perm, "germ-map-composition", gg.names)
+        except HomomorphismError as err:
+            a, b = err.indices
+            if gg.product(a, b) is None or g.product(perm[a], perm[b]) is None:
+                raise StructureError("germ-map-composability", err.witness) from None
+            raise
 
 
 class CrossedProductModel:
@@ -481,12 +472,15 @@ class CrossedProductModel:
         self.section_iso = steinberg_isomorphism(self.cp)
         self.model = self.section_iso.model
         self.groupoid_iso = GroupoidModelIso(self.action, self.model)
-        # intrinsic_action has validated the groupoid
-        self.algebra = _convolution_algebra(groupoid, field)
         perm = self.groupoid_iso.mapping
         self.targets = tuple(perm[t] for t in self.section_iso.targets)
         self.images = tuple(unit_vector(field, groupoid.size, t) for t in self.targets)
         self._verify()
+
+    @cached_property
+    def algebra(self) -> FiniteAlgebra:
+        # intrinsic_action has validated the groupoid
+        return _convolution_algebra(self.groupoid, self.field)
 
     @cached_property
     def matrix(self) -> tuple:
@@ -501,7 +495,8 @@ class CrossedProductModel:
         rank = len(set(self.targets))
         if rank != self.groupoid.size or self.cp.dim != self.groupoid.size:
             raise StructureError("model-dimension", (self.cp.dim, self.groupoid.size))
-        check_algebra_hom(self.cp.algebra, self.algebra, self.images, "model-not-multiplicative")
+        check_permutation_hom(self.cp.algebra.table, self.groupoid.table, self.targets,
+                              "model-not-multiplicative", self.cp.algebra.labels)
 
     def to_json(self):
         return {

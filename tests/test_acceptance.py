@@ -100,14 +100,14 @@ def test_criterion_2_crossed_product_matches_germ_groupoid_algebra():
 
 
 def test_criterion_3_groupoid_algebras_are_bisection_crossed_products():
-    one_unit = FiniteGroupoid(1, (0,), (0,), (0,), {(0, 0): 0}, ("u",))
-    order_two = FiniteGroupoid(2, (0,), (0, 0), (0, 0),
-                               {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
-                               ("1", "g"))
+    one_unit = FiniteGroupoid(1, (0,), (0,), (0,), ((0,),), ("u",))
+    order_two = FiniteGroupoid(2, (0,), (0, 0), (0, 0), ((0, 1), (1, 0)), ("1", "g"))
     pair = FiniteGroupoid(
         4, (0, 1), (0, 1, 0, 1), (0, 1, 1, 0),
-        {(0, 0): 0, (0, 3): 3, (1, 1): 1, (1, 2): 2,
-         (2, 0): 2, (2, 3): 1, (3, 1): 3, (3, 2): 0},
+        ((0, None, None, 3),
+         (None, 1, 2, None),
+         (2, None, None, 1),
+         (None, 3, 0, None)),
         ("ua", "ub", "p", "q"))
     for groupoid in (one_unit, order_two, pair):
         model = steinberg_as_crossed_product(groupoid, F2)
@@ -123,8 +123,8 @@ def test_criterion_3_groupoid_algebras_are_bisection_crossed_products():
             assert groupoid.target[mapping[g]] == mapping[germs.target[g]]
         for a in range(germs.size):
             for b in range(germs.size):
-                ours = germs.compose.get((a, b))
-                theirs = groupoid.compose.get((mapping[a], mapping[b]))
+                ours = germs.product(a, b)
+                theirs = groupoid.product(mapping[a], mapping[b])
                 if ours is None:
                     assert theirs is None
                 else:

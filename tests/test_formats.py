@@ -38,8 +38,7 @@ def system_shape(system):
 
 
 def groupoid_shape(g):
-    return (g.names, g.units, g.source, g.target,
-            tuple(sorted(g.compose.items())))
+    return (g.names, g.units, g.source, g.target, g.table)
 
 
 # ---------------------------------------------------------------------------

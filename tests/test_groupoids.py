@@ -7,6 +7,7 @@ import itertools
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossedideals
-from crossedideals import cli, groupoids
+from crossedideals import cli, exactlin, groupoids
 from crossedideals import (
     GF,
     QQ,
@@ -35,6 +36,9 @@ from crossedideals import (
     intrinsic_action,
     is_ideal,
     isotropy_restriction,
+    parse_groupoid,
+    parse_system,
+    serialize_groupoid,
     steinberg_algebra,
     steinberg_as_crossed_product,
     steinberg_isomorphism,
@@ -47,10 +51,11 @@ from util import (
     MATRIX_UNIT_POSITIONS,
     SMALL_SYSTEMS,
     brandt_k_system,
-    corrupt_hom_check,
+    corrupt_permutation_check,
     dense_check_algebra_hom,
     dense_restriction_triangle,
     matrix_units_algebra,
+    reference_germ_map_composition,
     rotation_system,
     z2_algebra,
 )
@@ -62,22 +67,31 @@ DATA = Path(crossedideals.__file__).parent / "data"
 
 
 def one_unit_groupoid():
-    return FiniteGroupoid(1, (0,), (0,), (0,), {(0, 0): 0}, ("u",))
+    return FiniteGroupoid(1, (0,), (0,), (0,), ((0,),), ("u",))
 
 
 def pair_groupoid():
     """Two units and one arrow each way between them."""
     return FiniteGroupoid(
         4, (0, 1), (0, 1, 0, 1), (0, 1, 1, 0),
-        {(0, 0): 0, (0, 3): 3, (1, 1): 1, (1, 2): 2,
-         (2, 0): 2, (2, 3): 1, (3, 1): 3, (3, 2): 0},
+        ((0, None, None, 3),
+         (None, 1, 2, None),
+         (2, None, None, 1),
+         (None, 3, 0, None)),
         ("ua", "ub", "p", "q"))
 
 
 def z2_groupoid():
-    return FiniteGroupoid(
-        2, (0,), (0, 0), (0, 0),
-        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, ("1", "g"))
+    return FiniteGroupoid(2, (0,), (0, 0), (0, 0), ((0, 1), (1, 0)), ("1", "g"))
+
+
+def edited(groupoid, entries):
+    """A copy of the groupoid with table[a][b] = c for each (a, b): c."""
+    table = [list(row) for row in groupoid.table]
+    for (a, b), c in entries.items():
+        table[a][b] = c
+    return FiniteGroupoid(groupoid.size, groupoid.units, groupoid.source,
+                          groupoid.target, table, groupoid.names)
 
 
 # ---------------------------------------------------------------------------
@@ -89,60 +103,56 @@ def test_reference_groupoids_validate():
 
 
 def test_unit_with_wrong_source_is_rejected():
-    g = FiniteGroupoid(2, (0,), (1, 0), (0, 0),
-                       {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, ("1", "g"))
+    g = FiniteGroupoid(2, (0,), (1, 0), (0, 0), ((0, 1), (1, 0)), ("1", "g"))
     report = g.validate()
     assert (report.rule, report.witness) == ("unit-maps", ("1",))
 
 
 def test_source_outside_the_unit_space_is_rejected():
-    g = FiniteGroupoid(2, (0,), (0, 1), (0, 0),
-                       {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, ("1", "g"))
+    g = FiniteGroupoid(2, (0,), (0, 1), (0, 0), ((0, 1), (1, 0)), ("1", "g"))
     report = g.validate()
     assert (report.rule, report.witness) == ("source-target-range", ("g",))
 
 
 def test_composing_non_composable_arrows_is_rejected():
-    g = pair_groupoid()
-    table = dict(g.compose)
-    table[(2, 2)] = 0
-    report = FiniteGroupoid(4, g.units, g.source, g.target, table, g.names).validate()
+    report = edited(pair_groupoid(), {(2, 2): 0}).validate()
     assert (report.rule, report.witness) == ("composability", ("p", "p"))
 
 
 def test_composite_with_wrong_endpoints_is_rejected():
-    g = pair_groupoid()
-    table = dict(g.compose)
-    table[(2, 3)] = 0  # p after q should end at ub, not ua
-    report = FiniteGroupoid(4, g.units, g.source, g.target, table, g.names).validate()
+    # p after q should end at ub, not ua
+    report = edited(pair_groupoid(), {(2, 3): 0}).validate()
     assert report.rule == "composite-endpoints"
     assert report.witness == ("p", "q")
 
 
 def test_broken_identity_law_is_rejected():
-    g = z2_groupoid()
-    table = dict(g.compose)
-    table[(1, 0)] = 0
-    report = FiniteGroupoid(2, g.units, g.source, g.target, table, g.names).validate()
+    report = edited(z2_groupoid(), {(1, 0): 0}).validate()
     assert (report.rule, report.witness) == ("identity-laws", ("g",))
 
 
 def test_non_associative_table_is_rejected():
-    table = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
-    table[(1, 2)] = 1
+    table = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+    table[1][2] = 1
     g = FiniteGroupoid(3, (0,), (0,) * 3, (0,) * 3, table, ("0", "1", "2"))
     assert g.validate().rule == "associativity"
 
 
 def test_repeated_units_are_refused():
-    # parse_groupoid refuses the same list with a ParseError
+    # parse_groupoid refuses the same list, and every table below, with a
+    # ParseError
     with pytest.raises(ValueError, match="repeated unit"):
-        FiniteGroupoid(1, (0, 0), (0,), (0,), {(0, 0): 0})
+        FiniteGroupoid(1, (0, 0), (0,), (0,), ((0,),))
+    for table in (((0, 1),), ((0, 1), (1, 0), (0, 1)), ((0, 1), (1,))):
+        with pytest.raises(ValueError, match="a table of 2 rows of 2 entries"):
+            FiniteGroupoid(2, (0,), (0, 0), (0, 0), table)
+    for bad in (2, -1, "1"):
+        with pytest.raises(ValueError, match="composition table leaves the element set"):
+            FiniteGroupoid(2, (0,), (0, 0), (0, 0), ((0, 1), (1, bad)))
 
 
 def test_element_without_an_inverse_is_rejected():
-    g = FiniteGroupoid(2, (0,), (0, 0), (0, 0),
-                       {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}, ("1", "g"))
+    g = FiniteGroupoid(2, (0,), (0, 0), (0, 0), ((0, 1), (1, 1)), ("1", "g"))
     report = g.validate()
     assert (report.rule, report.witness) == ("inverses", ("g",))
     with pytest.raises(StructureError) as err:
@@ -155,8 +165,7 @@ def test_missing_inverse_is_reported_under_python_optimize():
     script = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
         "from crossedideals import FiniteGroupoid, StructureError\n"
-        "g = FiniteGroupoid(2, (0,), (0, 0), (0, 0),\n"
-        "                   {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})\n"
+        "g = FiniteGroupoid(2, (0,), (0, 0), (0, 0), ((0, 1), (1, 1)))\n"
         "try:\n"
         "    print('answer', g.inverse_of(1))\n"
         "except StructureError as exc:\n"
@@ -175,7 +184,7 @@ def test_flip_germs_form_the_pair_groupoid():
     assert g.names == ("[1@a]", "[g@a]", "[1@b]", "[g@b]")
     assert g.units == (0, 2)
     assert g.source[1] == 0 and g.target[1] == 2
-    assert g.compose[(3, 1)] == 0  # the flip squares to the unit at a
+    assert g.product(3, 1) == 0  # the flip squares to the unit at a
     assert g.inverse_of(1) == 3
 
 
@@ -184,7 +193,7 @@ def test_semilattice_germs_collapse_to_the_unit_space():
     g = model.groupoid
     assert g.names == ("[1@x]", "[1@y]")
     assert g.units == (0, 1)
-    assert set(g.compose) == {(0, 0), (1, 1)}
+    assert g.table == ((0, None), (None, 1))
 
 
 def test_brandt_germs_form_the_pair_groupoid():
@@ -213,11 +222,11 @@ def test_germ_composition_is_tabled_in_pair_order(name):
     # the reference: every pair (i, j) tested for composability
     model = germ_groupoid(SMALL_SYSTEMS[name]())
     sys = model.system
-    want = [((i, j), model.index[sys.germ_of(
-                sys.semigroup.product(gi.element, gj.element), gj.point)])
-            for i, gi in enumerate(model.germs) for j, gj in enumerate(model.germs)
-            if gi.point == sys.germ_target(gj)]
-    assert list(model.groupoid.compose.items()) == want
+    want = tuple(tuple(
+        model.index[sys.germ_of(sys.semigroup.product(gi.element, gj.element), gj.point)]
+        if gi.point == sys.germ_target(gj) else None
+        for gj in model.germs) for gi in model.germs)
+    assert model.groupoid.table == want
 
 
 def test_unit_point_dictionary_round_trips():
@@ -304,7 +313,7 @@ def test_isomorphism_dimension_matches_the_germ_count():
 
 
 def test_isomorphism_reports_a_non_multiplicative_image_list(monkeypatch):
-    corrupt_hom_check(monkeypatch, groupoids, "not-multiplicative")
+    corrupt_permutation_check(monkeypatch, groupoids, "not-multiplicative")
     cp = crossed_product(flip_system(), F2)
     with pytest.raises(StructureError) as err:
         steinberg_isomorphism(cp)
@@ -400,7 +409,7 @@ def test_rerouted_bridges_fail_at_the_dense_reference_witness(data):
     else:
         assert verify_outcome(bad) == (triangle and ("restriction-triangle", triangle))
     with pytest.MonkeyPatch.context() as mp:  # the triangle alone
-        mp.setattr(groupoids, "check_algebra_hom", lambda *args: None)
+        mp.setattr(groupoids, "check_permutation_hom", lambda *args: None)
         assert verify_outcome(bad) == (triangle and ("restriction-triangle", triangle))
 
 
@@ -445,6 +454,51 @@ def test_one_bisect_walks_each_groupoid_and_system_once(monkeypatch):
     walks = count_walks(monkeypatch)
     steinberg_as_crossed_product(pair_groupoid(), F2)
     assert walks == ["groupoid", "system", "groupoid"]
+
+
+def record_kernel_tables(monkeypatch):
+    """Record the table of every first_nonassociative call, whichever
+    module makes it, as a tuple of row tuples."""
+    tables = []
+    kernel = exactlin.first_nonassociative
+
+    def recording(table):
+        tables.append(tuple(map(tuple, table)))
+        return kernel(table)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("crossedideals") and \
+                getattr(module, "first_nonassociative", None) is kernel:
+            monkeypatch.setattr(module, "first_nonassociative", recording)
+    return tables
+
+
+@pytest.mark.parametrize("path", ("matrix_units.system", "two_point_flip.system"))
+def test_one_isocheck_checks_the_germ_groupoid_table_once(monkeypatch, capsys, path):
+    tables = record_kernel_tables(monkeypatch)
+    assert cli.main(["isocheck", str(DATA / path)]) == 0
+    calls = list(tables)
+    system, field = parse_system((DATA / path).read_text())
+    table = germ_groupoid(system).groupoid.table
+    # no other table checked here equals it, so each count is one check
+    assert crossed_product(system, field).algebra.table != table
+    assert calls.count(table) == 1
+
+
+@pytest.mark.parametrize("system", (flip_system(), brandt_k_system(3)), ids=("flip", "brandt3"))
+def test_one_bisect_checks_each_groupoid_table_once(monkeypatch, capsys, tmp_path, system):
+    path = tmp_path / "g.groupoid"
+    path.write_text(serialize_groupoid(germ_groupoid(system).groupoid, F2))
+    tables = record_kernel_tables(monkeypatch)
+    assert cli.main(["bisect", str(path)]) == 0
+    calls = list(tables)
+    groupoid, _ = parse_groupoid(path.read_text())
+    model = steinberg_as_crossed_product(groupoid, F2)
+    # the given groupoid and the germ groupoid of its bisection action,
+    # whose tables may be equal; the crossed product's table is neither
+    expected = Counter((groupoid.table, model.model.groupoid.table))
+    assert model.cp.algebra.table not in expected
+    assert {table: calls.count(table) for table in expected} == expected
 
 
 def test_a_failing_system_keeps_its_report(monkeypatch):
@@ -524,7 +578,7 @@ def test_family_missing_the_arrows_fails_covering():
 def test_family_without_refined_intersections_is_rejected():
     g = FiniteGroupoid(
         3, (0, 2), (0, 0, 2), (0, 0, 2),
-        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0, (2, 2): 2},
+        ((0, 1, None), (1, 0, None), (None, None, 2)),
         ("u", "g", "w"))
     assert g.validate().ok
     bis = bisections(g)
@@ -568,11 +622,62 @@ def test_group_model_over_the_rationals():
 
 
 def test_model_reports_a_non_multiplicative_image_list(monkeypatch):
-    corrupt_hom_check(monkeypatch, groupoids, "model-not-multiplicative")
+    corrupt_permutation_check(monkeypatch, groupoids, "model-not-multiplicative")
     with pytest.raises(StructureError) as err:
         steinberg_as_crossed_product(pair_groupoid(), F2)
     assert err.value.rule == "model-not-multiplicative"
     assert len(err.value.witness) == 2
+
+
+BISECTED = {
+    "pair": pair_groupoid,
+    "z2": z2_groupoid,
+    "flip": lambda: germ_groupoid(flip_system()).groupoid,
+    "brandt3": lambda: germ_groupoid(brandt_k_system(3)).groupoid,
+    "rot4on2": lambda: germ_groupoid(rotation_system(4, 2)).groupoid,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def bisection_model(name):
+    return steinberg_as_crossed_product(BISECTED[name](), F2)
+
+
+def composition_outcome(groupoid_iso, mapping):
+    """The rule and witness of GroupoidModelIso's composition check on a
+    copy sending germ a to mapping[a], or None."""
+    bad = copy.copy(groupoid_iso)
+    bad.mapping = tuple(mapping)
+    try:
+        bad._check_composition()
+    except StructureError as err:
+        return err.rule, err.witness
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_germ_map_composition_fails_at_the_reference_pair(data):
+    iso = bisection_model(data.draw(st.sampled_from(sorted(BISECTED)))).groupoid_iso
+    n = len(iso.mapping)
+    mapping = list(iso.mapping)
+    if data.draw(st.booleans()):
+        mapping = data.draw(st.permutations(mapping))
+    for _ in range(data.draw(st.integers(0, 2))):  # not injective, or not moved
+        mapping[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(0, n - 1))
+    assert composition_outcome(iso, mapping) == reference_germ_map_composition(
+        iso.model.groupoid, iso.action.groupoid, mapping)
+
+
+def test_every_germ_map_of_the_pair_groupoid_meets_the_reference():
+    iso = bisection_model("pair").groupoid_iso
+    rules = set()
+    for mapping in itertools.product(range(4), repeat=4):
+        outcome = composition_outcome(iso, mapping)
+        assert outcome == reference_germ_map_composition(
+            iso.model.groupoid, iso.action.groupoid, mapping)
+        rules.add(outcome and outcome[0])
+    assert rules == {None, "germ-map-composability", "germ-map-composition"}
 
 
 def test_model_dimension_counts_the_distinct_targets():
@@ -622,7 +727,7 @@ def test_transported_module_action_is_groupoid_convolution():
                 acted = ctx.act(b)
                 for r, gr in enumerate(arrows):
                     for c, gc in enumerate(arrows):
-                        composite = g.compose[(gr, g.inverse_of(gc))]
+                        composite = g.product(gr, g.inverse_of(gc))
                         assert acted[r][c] == f_vec[composite]
 
 

@@ -146,18 +146,37 @@ def reference_isotropy_associativity(group):
 
 def reference_groupoid_associativity(groupoid):
     """The associativity loop of FiniteGroupoid.validate before it called
-    exactlin.first_nonassociative: the composable pairs (a, b) in the
-    insertion order of compose, then c in index order.  Returns the failed
-    report at the first triple, or None; meaningful only when the
-    composability, endpoint and identity rules pass."""
-    compose = groupoid.compose
-    for (a, b) in compose:
-        for c in range(groupoid.size):
-            if groupoid.composable(b, c):
-                if compose[(compose[(a, b)], c)] != compose[(a, compose[(b, c)])]:
+    exactlin.first_nonassociative: the composable pairs (a, b) row by row,
+    then c in index order.  Returns the failed report at the first triple,
+    or None; meaningful only when the composability, endpoint and identity
+    rules pass."""
+    table = groupoid.table
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            if ab is None:
+                continue
+            for c, bc in enumerate(table[b]):
+                if bc is not None and table[ab][c] != row[bc]:
                     return ValidationReport.failed(
                         "associativity",
                         (groupoid.name(a), groupoid.name(b), groupoid.name(c)))
+    return None
+
+
+def reference_germ_map_composition(germs, groupoid, mapping):
+    """The composability and composition loop of GroupoidModelIso before
+    it called exactlin.check_permutation_hom: every pair (a, b) of the
+    germ groupoid in (a, b) order, its product against the product of the
+    images.  Returns (rule, witness) at the first pair that fails, or
+    None."""
+    for a in range(germs.size):
+        for b in range(germs.size):
+            ours = germs.product(a, b)
+            theirs = groupoid.product(mapping[a], mapping[b])
+            if (ours is None) != (theirs is None):
+                return "germ-map-composability", (germs.name(a), germs.name(b))
+            if ours is not None and mapping[ours] != theirs:
+                return "germ-map-composition", (germs.name(a), germs.name(b))
     return None
 
 
@@ -291,6 +310,20 @@ def corrupt_hom_check(monkeypatch, module, rule):
         return check(src, dst, images, called_rule)
 
     monkeypatch.setattr(module, "check_algebra_hom", corrupted)
+
+
+def corrupt_permutation_check(monkeypatch, module, rule):
+    """Make the module's basis-map check see the images of 0 and 1
+    swapped whenever it is called with the given rule."""
+    check = module.check_permutation_hom
+
+    def corrupted(src_table, dst_table, perm, called_rule, labels):
+        if called_rule == rule:
+            perm = list(perm)
+            perm[0], perm[1] = perm[1], perm[0]
+        return check(src_table, dst_table, perm, called_rule, labels)
+
+    monkeypatch.setattr(module, "check_permutation_hom", corrupted)
 
 
 def mu_terms(bundle, s, t, i, j) -> tuple:
