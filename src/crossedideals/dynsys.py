@@ -94,6 +94,37 @@ def composition_mismatch(ms: dict, mt: dict, mst: dict):
         x for x in composite.keys() & mst.keys() if composite[x] != mst[x]))
 
 
+def first_composition_mismatch(semigroup: InverseSemigroup, maps):
+    """The first (s, t, mismatch) in (s, t) order at which maps[s] after
+    maps[t] differs from maps[st], mismatch as in composition_mismatch, or
+    None when the maps compose like the semigroup.
+
+    On a semigroup that passes validation, pass or fail is decided with s
+    over its generators only, for every t.  That suffices: T = {s :
+    maps[s] maps[t] = maps[st] for all t} is closed under products, since
+    for a, b in T and any t, maps[ab] maps[t] = maps[a] maps[b] maps[t] =
+    maps[a] maps[bt] = maps[a(bt)] = maps[(ab)t] (partial maps compose
+    associatively, and so does the semigroup), and every element is a
+    product of generators.  The full scan runs only on a fail, or on a
+    semigroup that fails validation, so the witness is that of the scan."""
+    mult = semigroup.mult
+    if semigroup.validate().ok and all(
+            composition_mismatch(maps[a], mt, maps[mult[a][t]]) is None
+            for a in semigroup.generators for t, mt in enumerate(maps)):
+        return None
+    return _composition_scan(mult, maps)
+
+
+def _composition_scan(mult, maps):
+    """first_composition_mismatch over every pair (s, t)."""
+    for s, row in enumerate(mult):
+        for t, st in enumerate(row):
+            mismatch = composition_mismatch(maps[s], maps[t], maps[st])
+            if mismatch is not None:
+                return s, t, mismatch
+    return None
+
+
 @dataclass(frozen=True)
 class Germ:
     """Germ class of (element, point), stored by its canonical (minimal
@@ -180,14 +211,11 @@ class AmpleSystem:
         inner = sg.validate()
         if not inner.ok:
             return inner
-        maps = [pb._map for pb in self.theta]
-        for s in range(sg.size):
-            for t in range(sg.size):
-                mismatch = composition_mismatch(maps[s], maps[t], maps[sg.product(s, t)])
-                if mismatch is not None:
-                    return ValidationReport.failed(
-                        "action-homomorphism",
-                        (sg.name(s), sg.name(t), self.point_name(mismatch[1])))
+        failure = first_composition_mismatch(sg, [pb._map for pb in self.theta])
+        if failure is not None:
+            s, t, (_, x) = failure
+            return ValidationReport.failed(
+                "action-homomorphism", (sg.name(s), sg.name(t), self.point_name(x)))
         for s in range(sg.size):
             if self.theta[sg.inv(s)] != self.theta[s].inverse():
                 return ValidationReport.failed("action-involution", (sg.name(s),))

@@ -4,7 +4,9 @@ Elements are dense indices 0..size-1 with optional display names.  The
 involution is part of the data; validation checks associativity, the
 involutive anti-homomorphism laws, s s* s = s, and that idempotents
 commute (which forces uniqueness of generalized inverses);
-associativity is exactlin.first_nonassociative on the table.
+associativity is exactlin.first_nonassociative on the table.  The
+semigroup is frozen, so its report and a generating set of its table are
+computed once and kept.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactlin import first_nonassociative
+from .exactlin import first_nonassociative, generating_indices
 from .validation import ValidationReport
 
 
@@ -68,6 +70,12 @@ class InverseSemigroup:
         return tuple(e for e in range(self.size) if self.mult[e][e] == e)
 
     @cached_property
+    def generators(self) -> tuple:
+        """exactlin.generating_indices of the table: every element is a
+        product of these."""
+        return generating_indices(self.mult)
+
+    @cached_property
     def _leq_pairs(self) -> frozenset:
         """Every (s, t) with s <= t, from one walk of t e over the
         idempotents e."""
@@ -98,6 +106,12 @@ class InverseSemigroup:
         return InverseSemigroup(tuple(tuple(r) for r in mult), tuple(star), names)
 
     def validate(self) -> ValidationReport:
+        """The first failing law with its witness, or a pass, kept after
+        the first call."""
+        return self._report
+
+    @cached_property
+    def _report(self) -> ValidationReport:
         n = self.size
         mult, star = self.mult, self.star
         failure = first_nonassociative(mult)

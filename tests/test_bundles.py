@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,8 @@ from crossedideals import (
     transport,
     unitization_isomorphism,
 )
-from crossedideals import bundles, induction
+from crossedideals import bundles, dynsys, induction
+from crossedideals.dynsys import composition_mismatch
 from crossedideals.exactlin import lincomb, mat_mul, unit_vector, zero_vector
 from crossedideals.fixtures import (
     FIXTURES,
@@ -51,6 +53,7 @@ from crossedideals.validation import ValidationReport
 from util import (
     SMALL_SYSTEMS,
     brandt_k_system,
+    chain_system,
     corrupt_hom_check,
     dense_action_validate,
     dense_bundle_validate,
@@ -61,8 +64,13 @@ from util import (
     dense_semidirect_bundle,
     klein_four_system,
     matrix_units_algebra,
+    nonassociative_system,
+    rectangular_band_system,
+    reference_action_composition,
+    reference_action_homomorphism,
     rotation_system,
     unitized_brandt_system,
+    wide_semilattice_system,
 )
 
 F2 = GF(2)
@@ -277,15 +285,6 @@ def test_inclusion_multiplicative_failure_names_both_order_pairs():
     assert dense_bundle_validate(corrupted) == report
 
 
-def chain_system():
-    """The chain 1 > e > f > z of idempotents restricting four points to
-    their first 4, 3, 2 and 1."""
-    sg = InverseSemigroup(tuple(tuple(max(a, b) for b in range(4)) for a in range(4)),
-                          range(4), ("1", "e", "f", "z"))
-    theta = [PartialBijection.identity(range(4 - a)) for a in range(4)]
-    return AmpleSystem(sg, 4, theta)
-
-
 def test_inclusion_transitivity_failure_names_the_first_chain():
     # j_{1,z} retargeted: the chains z < e < 1 and z < f < 1 both fail,
     # and the first in (r, s, t) element order is reported
@@ -326,13 +325,6 @@ def rebased_bundle(bundle, rng):
     return FellBundle(sg, bundle.field, labels, mu, order_maps)
 
 
-def wide_semilattice_system():
-    """{1, e} on three points, e restricting to two: B_e has dimension 2."""
-    sg = InverseSemigroup(((0, 1), (1, 1)), (0, 1), ("1", "e"))
-    theta = (PartialBijection.identity([0, 1, 2]), PartialBijection.identity([0, 1]))
-    return AmpleSystem(sg, 3, theta, ("x", "y", "z"))
-
-
 REBASED_SYSTEMS = {**FIXTURES, "wide-semilattice": wide_semilattice_system}
 
 
@@ -355,7 +347,11 @@ def test_rebased_bundles_validate_and_fail_closed(system):
 # ---------------------------------------------------------------------------
 # corrupted index bundles against the dense reference
 
+# Brandt B_3 (in SMALL_SYSTEMS) has a zero, whose empty fiber lies below
+# every other, and the 6-chain has order pairs between nonempty fibers, so
+# the one-sided inclusion rule meets both empty and nonempty combinations.
 CORRUPTION_SYSTEMS = {**SMALL_SYSTEMS, "chain": chain_system,
+                      "chain6": functools.partial(chain_system, 6),
                       "wide-semilattice": wide_semilattice_system}
 
 
@@ -420,6 +416,71 @@ def test_corrupted_index_bundles_validate_like_the_dense_reference(data):
     corrupted = corrupted_bundle(bundle, mu_changes, order_maps)
     report = corrupted.validate()
     assert report == dense_bundle_validate(corrupted)
+
+
+def moved_along(bundle, t, perm):
+    """The bundle with every inclusion into fiber t followed by the
+    permutation perm of its basis, and every inclusion out of it preceded
+    by the inverse permutation: j_{t,s} becomes perm o j_{t,s} and j_{u,t}
+    becomes j_{u,t} o perm^-1.  The inclusions stay injective and
+    transitive, and mu does not move, so only inclusion-multiplicative can
+    fail."""
+    inverse = {p: i for i, p in enumerate(perm)}
+    order_maps = {}
+    for (u, s), ks in bundle.order_maps.items():
+        if u == t:
+            ks = tuple(perm[k] for k in ks)
+        if s == t:
+            ks = tuple(ks[inverse[i]] for i in range(len(ks)))
+        order_maps[(u, s)] = ks
+    return corrupted_bundle(bundle, order_maps=order_maps)
+
+
+def movable_fibers(bundle):
+    """The elements whose fiber has two or more basis vectors and meets an
+    inclusion."""
+    return [t for t in range(bundle.semigroup.size) if bundle.fiber_dim(t) >= 2
+            and any(t in key for key in bundle.order_maps)]
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+@pytest.mark.parametrize("name", ["chain", "chain6", "wide-semilattice", "FIX-SEMILAT"])
+def test_inclusions_moved_along_the_order_break_only_multiplicativity(name, field):
+    bundle = index_bundle(name, field)
+    for t in movable_fibers(bundle):
+        shift = tuple(range(1, bundle.fiber_dim(t))) + (0,)
+        moved = moved_along(bundle, t, shift)
+        report = moved.validate()
+        assert report.rule == "inclusion-multiplicative", (name, t)
+        assert report == dense_bundle_validate(moved)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+@pytest.mark.parametrize("changes, witness", [
+    # y|1 x|1 = y|1 and y|1 y|1 = 0: B_1 stays associative, but
+    # y|1 j(x|e) = y|1 while j(y|1 x|e) = 0, caught at r = r', s < s'
+    ([((0, 0, 1, 0), 1), ((0, 0, 1, 1), None)], ("1", "1", "e", "1")),
+    # the mirror image, x|1 y|1 = y|1, caught at r < r', s = s'
+    ([((0, 0, 0, 1), 1), ((0, 0, 1, 1), None)], ("e", "1", "1", "1")),
+], ids=["right", "left"])
+def test_each_one_sided_half_catches_a_bundle(changes, witness, field):
+    bundle = corrupted_bundle(index_bundle("FIX-SEMILAT", field), changes)
+    report = bundle.validate()
+    assert (report.rule, report.witness) == ("inclusion-multiplicative", witness)
+    assert report == dense_bundle_validate(bundle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_moved_inclusions_validate_like_the_dense_reference(data):
+    field = data.draw(st.sampled_from((F2, F3, QQ)))
+    names = sorted(name for name in CORRUPTION_SYSTEMS if movable_fibers(index_bundle(name, F2)))
+    bundle = index_bundle(data.draw(st.sampled_from(names)), field)
+    t = data.draw(st.sampled_from(movable_fibers(bundle)))
+    moved = moved_along(bundle, t, data.draw(st.permutations(range(bundle.fiber_dim(t)))))
+    report = moved.validate()
+    assert report.rule in (None, "inclusion-multiplicative")
+    assert report == dense_bundle_validate(moved)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +659,85 @@ def test_action_constructor_rejects_malformed_index_maps(algebra, moves, message
         AlgebraAction(sg, algebra, moves)
 
 
+# ---------------------------------------------------------------------------
+# the composition rules over generators, against the full scans
+
+THETA_SYSTEMS = {**SMALL_SYSTEMS, "nonassociative": nonassociative_system,
+                 "rectangular-band": rectangular_band_system}
+
+
+def test_the_invalid_theta_systems_fail_their_semigroup_laws():
+    assert nonassociative_system().semigroup.validate().rule == "associativity"
+    assert rectangular_band_system().semigroup.validate().rule == "commuting-idempotents"
+    for make in (nonassociative_system, rectangular_band_system):
+        system = make()
+        assert system.validate() == system.semigroup.validate()
+
+
+def with_theta(system, s, pairs):
+    theta = list(system.theta)
+    theta[s] = PartialBijection(pairs)
+    return AmpleSystem(system.semigroup, system.space_size, theta, system.point_names)
+
+
+@st.composite
+def theta_corruptions(draw, system):
+    """The system with one pair of one theta_s deleted, added, or moved
+    (deleted, then another added)."""
+    s = draw(st.integers(0, system.semigroup.size - 1))
+    pairs = dict(system.theta[s].pairs)
+    op = draw(st.sampled_from(("delete", "add", "move")))
+    if op != "add" and pairs:
+        del pairs[draw(st.sampled_from(sorted(pairs)))]
+    points = range(system.space_size)
+    sources = [x for x in points if x not in pairs]
+    targets = [y for y in points if y not in pairs.values()]
+    if op != "delete" and sources and targets:
+        pairs[draw(st.sampled_from(sources))] = draw(st.sampled_from(targets))
+    return with_theta(system, s, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_thetas_compose_like_the_full_scans(data):
+    system = THETA_SYSTEMS[data.draw(st.sampled_from(sorted(THETA_SYSTEMS)))]()
+    corrupted = data.draw(theta_corruptions(system))
+    inner = corrupted.semigroup.validate()
+    want = inner if not inner.ok else reference_action_homomorphism(corrupted)
+    report = corrupted.validate()
+    if want is None:
+        assert report.rule != "action-homomorphism"
+    else:
+        assert report == want
+    action = function_action(corrupted, F2)
+    assert action._composition_failure() == reference_action_composition(action)
+    assert action.validate() == dense_action_validate(action)
+
+
+def test_an_invalid_semigroup_gets_the_full_composition_scan():
+    # the generators of the nonassociative table compose like it, so a
+    # test over generators alone would pass this action
+    action = function_action(nonassociative_system(), F2)
+    sg, moves = action.semigroup, action.moves
+    assert all(composition_mismatch(moves[a], moves[t], moves[sg.product(a, t)]) is None
+               for a in sg.generators for t in range(sg.size))
+    report = action.validate()
+    assert (report.rule, report.witness) == ("composition-domain", ("1", "2"))
+    assert report == dense_action_validate(action)
+
+
+def test_a_bundle_over_an_invalid_semigroup_gets_the_full_inclusion_scan(full_scans):
+    # a nonassociative table with 0 <= 1 and empty fibers: the rules before
+    # order-multiplication pass, and it fails at (0, 1)
+    sg = InverseSemigroup(((0, 1), (0, 0)), (0, 0))
+    assert sg.validate().rule == "associativity"
+    bundle = FellBundle(sg, F2, [(), ()], {}, {(1, 0): ()})
+    report = bundle.validate()
+    assert (report.rule, report.witness) == ("order-multiplication", ("0", "1"))
+    assert report == dense_bundle_validate(bundle)
+    assert full_scans == {"_inclusion_scan": 1}
+
+
 GUARD_SYSTEMS = {
     "rot6on6": functools.partial(rotation_system, 6, 6),
     "brandt6": functools.partial(brandt_k_system, 6),
@@ -625,6 +765,59 @@ def test_crossed_products_build_without_apply_or_coordinates(monkeypatch):
         for x in range(cp.system.space_size):
             InductionContext(cp, x)
         assert "redundancy" not in vars(cp.sections), name   # N never formed densely
+
+
+# ---------------------------------------------------------------------------
+# the full scans run only on a fail or an invalid semigroup
+
+SCAN_SYSTEMS = {
+    **FIXTURES,
+    **{f"brandt{k}": functools.partial(brandt_k_system, k) for k in range(3, 7)},
+    "chain6": functools.partial(chain_system, 6),
+    "rot6on6": functools.partial(rotation_system, 6, 6),
+}
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """Calls of the full scans behind the composition rules and the
+    inclusion rule, by name."""
+    counts = Counter()
+    for owner, name in ((dynsys, "_composition_scan"), (FellBundle, "_inclusion_scan")):
+        def counting(*args, original=getattr(owner, name), name=name):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def test_passing_crossed_products_build_without_a_full_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("full scan run on a passing input")
+
+    monkeypatch.setattr(dynsys, "_composition_scan", refuse)
+    monkeypatch.setattr(FellBundle, "_inclusion_scan", refuse)
+    for name, make in SCAN_SYSTEMS.items():
+        cp = crossed_product(make(), F2)
+        assert cp.bundle.validate().ok, name
+        assert function_action(cp.system, F2).validate().ok, name
+
+
+def test_a_single_corruption_runs_its_full_scan_once(full_scans):
+    system = rotation_system(3, 3)
+    broken = with_theta(system, 1, {0: 1, 1: 2})   # theta_g1 loses the pair 2 -> 0
+    assert broken.validate().rule == "action-homomorphism"
+    broken.validate()   # the report is kept
+    assert full_scans == {"_composition_scan": 1}
+    full_scans.clear()
+    action = function_action(with_theta(system, 0, {0: 0, 1: 2, 2: 1}), F2)   # theta_1 a swap
+    assert action.validate().rule == "composition-values"
+    assert full_scans == {"_composition_scan": 1}
+    full_scans.clear()
+    bundle = index_bundle("chain6", F3)
+    moved = moved_along(bundle, 0, tuple(range(1, 6)) + (0,))
+    assert moved.validate().rule == "inclusion-multiplicative"
+    assert full_scans == {"_inclusion_scan": 1}
 
 
 # ---------------------------------------------------------------------------

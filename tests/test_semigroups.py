@@ -2,7 +2,8 @@
 
 import pytest
 
-from crossedideals import InverseSemigroup
+from crossedideals import InverseSemigroup, semigroups
+from crossedideals.exactlin import generating_indices
 from crossedideals.fixtures import FIXTURES, brandt_system
 
 from util import brandt_k_system, z2_semigroup
@@ -27,6 +28,23 @@ def test_brandt_semigroup_is_valid():
     sg = brandt_semigroup()
     assert sg.size == 5
     assert sg.validate().ok
+
+
+def test_the_report_and_generators_are_computed_once(monkeypatch):
+    checked = []
+    check = semigroups.first_nonassociative
+
+    def recording(table):
+        checked.append(table)
+        return check(table)
+
+    monkeypatch.setattr(semigroups, "first_nonassociative", recording)
+    sg = brandt_k_system(3).semigroup
+    report = sg.validate()
+    assert sg.validate() is report and report.ok
+    assert checked == [sg.mult]
+    assert sg.generators is sg.generators
+    assert sg.generators == generating_indices(sg.mult)
 
 
 def test_swapped_involution_fails_antihomomorphism():

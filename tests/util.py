@@ -25,6 +25,7 @@ from crossedideals.exactlin import (
     unit_vector,
     zero_vector,
 )
+from crossedideals.dynsys import composition_mismatch
 from crossedideals.fixtures import FIXTURES, brandt_system
 from crossedideals.groupoids import groupoid_restriction
 from crossedideals.validation import ValidationReport
@@ -251,6 +252,76 @@ def z2_times_z3_system() -> AmpleSystem:
     return AmpleSystem(sg, 1, [PartialBijection({0: 0})] * 6, ["x"])
 
 
+def chain_system(k: int = 4) -> AmpleSystem:
+    """A chain of k idempotents, element a restricting k points to their
+    first k - a; for k = 4 the chain 1 > e > f > z."""
+    sg = InverseSemigroup(tuple(tuple(max(a, b) for b in range(k)) for a in range(k)),
+                          range(k), ("1", "e", "f", "z") if k == 4 else None)
+    theta = [PartialBijection.identity(range(k - a)) for a in range(k)]
+    return AmpleSystem(sg, k, theta)
+
+
+def wide_semilattice_system() -> AmpleSystem:
+    """{1, e} on three points, e restricting to two: B_e has dimension 2."""
+    sg = InverseSemigroup(((0, 1), (1, 1)), (0, 1), ("1", "e"))
+    theta = (PartialBijection.identity([0, 1, 2]), PartialBijection.identity([0, 1]))
+    return AmpleSystem(sg, 3, theta, ("x", "y", "z"))
+
+
+def nonassociative_system() -> AmpleSystem:
+    """A table that fails associativity, acting on two points.  Its
+    generating set (0, 2) composes like the table, but theta_1 theta_2 = 0
+    while 1 2 = 2, so only a scan of every pair finds that failure."""
+    sg = InverseSemigroup(((1, 1, 1), (1, 0, 2), (0, 0, 2)), (0, 0, 2))
+    theta = (PartialBijection({}), PartialBijection({}), PartialBijection.identity([0, 1]))
+    return AmpleSystem(sg, 2, theta)
+
+
+def rectangular_band_system() -> AmpleSystem:
+    """The 2 x 2 rectangular band, (i, j)(k, l) = (i, l) with (i, j)* =
+    (j, i), at index 2 i + j: every law of an inverse semigroup holds but
+    commuting idempotents.  Every element acts as the identity on two
+    points."""
+    mult = tuple(tuple(2 * (a // 2) + b % 2 for b in range(4)) for a in range(4))
+    star = tuple(2 * (a % 2) + a // 2 for a in range(4))
+    sg = InverseSemigroup(mult, star, ("00", "01", "10", "11"))
+    return AmpleSystem(sg, 2, [PartialBijection.identity([0, 1])] * 4)
+
+
+def reference_action_homomorphism(system):
+    """AmpleSystem's "action-homomorphism" rule as a scan of every pair
+    (s, t) in order, with no reduction to generators: the first failing
+    report, or None."""
+    sg = system.semigroup
+    maps = [dict(pb.pairs) for pb in system.theta]
+    for s in range(sg.size):
+        for t in range(sg.size):
+            mismatch = composition_mismatch(maps[s], maps[t], maps[sg.product(s, t)])
+            if mismatch is not None:
+                return ValidationReport.failed(
+                    "action-homomorphism",
+                    (sg.name(s), sg.name(t), system.point_name(mismatch[1])))
+    return None
+
+
+def reference_action_composition(action):
+    """AlgebraAction's rules map-inverse, composition-domain and
+    composition-values, with every pair (s, t) scanned in order and no
+    reduction to generators: the first failing report, or None."""
+    sg, moves = action.semigroup, action.moves
+    for s in range(sg.size):
+        back = moves[sg.inv(s)]
+        if any(back.get(q) != p for p, q in moves[s].items()):
+            return ValidationReport.failed("map-inverse", (sg.name(s),))
+    for s in range(sg.size):
+        for t in range(sg.size):
+            mismatch = composition_mismatch(moves[s], moves[t], moves[sg.product(s, t)])
+            if mismatch is not None:
+                rule = "composition-domain" if mismatch[0] else "composition-values"
+                return ValidationReport.failed(rule, (sg.name(s), sg.name(t)))
+    return None
+
+
 # The fixtures and small generated systems, with and without isotropy.
 SMALL_SYSTEMS = {
     **FIXTURES,
@@ -344,26 +415,27 @@ def dense_fiber_associativity(bundle, total_order: bool):
 
     def mul(s, t, u, v):
         out = [f.zero] * bundle.fiber_dim(sg.product(s, t))
-        for i, a in enumerate(u):
-            for j, b in enumerate(v):
+        for i, a in nonzero_entries(f, u):   # zero coordinates add nothing
+            for j, b in nonzero_entries(f, v):
                 for k, c in mu_terms(bundle, s, t, i, j):
                     out[k] = f.add(out[k], f.mul(f.mul(a, b), c))
         return tuple(out)
 
-    def unit(s, i):
-        return tuple(f.one if m == i else f.zero for m in range(bundle.fiber_dim(s)))
-
-    triples = [
-        (r, s, t, i, j, k)
-        for r, s, t in itertools.product(range(sg.size), repeat=3)
-        for i, j, k in itertools.product(range(bundle.fiber_dim(r)),
-                                         range(bundle.fiber_dim(s)),
-                                         range(bundle.fiber_dim(t)))
-    ]
+    labels = [(s, i) for s in range(sg.size) for i in range(bundle.fiber_dim(s))]
+    unit = {(s, i): unit_vector(f, bundle.fiber_dim(s), i) for s, i in labels}
     if total_order:
-        triples.sort(key=lambda x: (x[0], x[3], x[1], x[4], x[2], x[5]))
+        triples = ((r, s, t, i, j, k)
+                   for (r, i), (s, j), (t, k) in itertools.product(labels, repeat=3))
+    else:
+        triples = ((r, s, t, i, j, k)
+                   for r, s, t in itertools.product(range(sg.size), repeat=3)
+                   for i, j, k in itertools.product(range(bundle.fiber_dim(r)),
+                                                    range(bundle.fiber_dim(s)),
+                                                    range(bundle.fiber_dim(t))))
     for r, s, t, i, j, k in triples:
-        a, b, c = unit(r, i), unit(s, j), unit(t, k)
+        if not (mu_terms(bundle, r, s, i, j) or mu_terms(bundle, s, t, j, k)):
+            continue   # a b = 0 and b c = 0, so both sides are zero
+        a, b, c = unit[(r, i)], unit[(s, j)], unit[(t, k)]
         left = mul(sg.product(r, s), t, mul(r, s, a, b), c)
         right = mul(r, sg.product(s, t), a, mul(s, t, b, c))
         if left != right:
