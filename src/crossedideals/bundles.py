@@ -196,7 +196,9 @@ class FellBundle:
             if rank != self.fiber_dim(s):
                 return ValidationReport.failed("fiber-span", (sg.name(s), rank))
         # inclusions compose transitively, over the chains r < s < t of
-        # strict order pairs in (r, s, t) order
+        # strict order pairs in (r, s, t) order; the semigroup is not
+        # validated here, so a chain whose (r, t) is not a strict order
+        # pair (the order is not transitive) fails too
         maps = self.order_maps
         above = [[] for _ in range(n)]
         for s, t in sg.order_pairs():
@@ -204,7 +206,7 @@ class FellBundle:
         for r in range(n):
             for s in above[r]:
                 for t in above[s]:
-                    if tuple(maps[(t, s)][k] for k in maps[(s, r)]) != maps[(t, r)]:
+                    if tuple(maps[(t, s)][k] for k in maps[(s, r)]) != maps.get((t, r)):
                         return ValidationReport.failed(
                             "inclusion-transitivity", (sg.name(r), sg.name(s), sg.name(t)))
         # inclusions are multiplicative against mu: j(e_i) j(e_j) = j(e_i e_j)

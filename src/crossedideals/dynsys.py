@@ -5,14 +5,17 @@ Two elements s, t acting around a point x have the same germ when some
 idempotent e with x in its domain satisfies s e = t e; germs are stored by
 their canonical representative (smallest element index).  Everything the
 induction machinery needs (germ fibers, isotropy groups, orbits,
-transversals) is computed here once and memoized.  A point or element
-out of range raises ValueError, checked only where a table is built or a
-lookup fails.
+transversals) is computed here once and memoized.  Per point x, the germ
+table germ_table(x)[s] is (position of [s@x] in germs_at(x), theta_s(x)),
+or None where s is undefined at x, so that later layers read germs as
+integers.  A point or element out of range raises ValueError, checked
+only where a table is built or a lookup fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactlin import Field, FiniteAlgebra, StructureError, first_nonassociative
 from .semigroups import InverseSemigroup
@@ -227,7 +230,7 @@ class AmpleSystem:
                 return ValidationReport.failed("domain-cover", (self.point_name(x),))
         # warm the germ tables so later reads never mutate shared state
         for x in range(self.space_size):
-            self._germ_table(x)
+            self._germ_tables(x)
         return ValidationReport.passed()
 
     # -- germs -------------------------------------------------------------
@@ -237,15 +240,18 @@ class AmpleSystem:
         return tuple(s for s in range(self.semigroup.size)
                      if self.theta[s].defined_at(x))
 
-    def _germ_table(self, x: int) -> dict:
-        """element -> canonical representative, for elements defined at x."""
+    def _germ_tables(self, x: int) -> tuple:
+        """(germs_at(x), germ_table(x)), built once per point: each element
+        defined at x is sent to its canonical representative, the germs
+        are the representatives in ascending order, and the table holds
+        (position of the germ, theta_s(x)) for each element s, or None."""
         cached = self._germ_cache.get(x)
         if cached is not None:
             return cached
         sg = self.semigroup
         live = self.elements_defined_at(x)
         idem_at_x = [e for e in sg.idempotents if self.theta[e].defined_at(x)]
-        table = {}
+        reps = {}
         for s in live:
             rep = s
             for t in live:
@@ -255,27 +261,37 @@ class AmpleSystem:
                     rep = t
                     break
             # chase down: the first equivalent t found may itself reduce
-            while table.get(rep, rep) != rep:
-                rep = table[rep]
-            table[s] = rep
-        self._germ_cache[x] = table
-        return table
+            while reps.get(rep, rep) != rep:
+                rep = reps[rep]
+            reps[s] = rep
+        order = sorted(set(reps.values()))
+        position = {r: i for i, r in enumerate(order)}
+        table = [None] * sg.size
+        for s, rep in reps.items():
+            table[s] = (position[rep], self.theta[s].apply(x))
+        cached = self._germ_cache[x] = (tuple(Germ(r, x) for r in order), tuple(table))
+        return cached
+
+    def germ_table(self, x: int) -> tuple:
+        """For each element s, (position of [s@x] in germs_at(x),
+        theta_s(x)), or None where s is undefined at x."""
+        return self._germ_tables(x)[1]
 
     def germ_of(self, s: int, x: int) -> Germ:
-        table = self._germ_table(x)
-        if s not in table:
+        germs, table = self._germ_tables(x)
+        entry = table[s] if 0 <= s < len(table) else None
+        if entry is None:
             self.require_element(s)
             raise ValueError(
                 f"{self.semigroup.name(s)} is not defined at {self.point_name(x)}")
-        return Germ(table[s], x)
+        return germs[entry[0]]
 
     def same_germ(self, s: int, t: int, x: int) -> bool:
         return self.germ_of(s, x) == self.germ_of(t, x)
 
     def germs_at(self, x: int) -> tuple:
         """All germ classes with source x, sorted by representative."""
-        table = self._germ_table(x)
-        return tuple(Germ(r, x) for r in sorted(set(table.values())))
+        return self._germ_tables(x)[0]
 
     def germ_target(self, g: Germ) -> int:
         return self.theta[g.element].apply(g.point)
@@ -335,28 +351,37 @@ class IsotropyGroup:
 
     @staticmethod
     def at(system: AmpleSystem, x: int) -> "IsotropyGroup":
+        """The isotropy group at x, read off the germ table at x: the
+        members are the germs whose elements fix x, and each product,
+        the identity and each inverse is the germ of one semigroup
+        product, idempotent or star."""
         system.require_point(x)
         sg = system.semigroup
-        reps = sorted({system.germ_of(s, x).element
-                       for s in system.isotropy_elements(x)})
-        members = [Germ(r, x) for r in reps]
-        index = {g.element: i for i, g in enumerate(members)}
-        table = []
-        for g in members:
-            row = []
-            for h in members:
-                prod = system.germ_of(sg.product(g.element, h.element), x)
-                row.append(index[prod.element])
-            table.append(row)
-        idem = next((e for e in sg.idempotents if system.theta[e].defined_at(x)), None)
+        germs, table = system.germs_at(x), system.germ_table(x)
+        index = {p: i for i, p in enumerate(
+            sorted({e[0] for e in table if e is not None and e[1] == x}))}
+        members = [germs[p] for p in index]
+        mult = sg.mult
+        rows = [[index[table[row[h.element]][0]] for h in members]
+                for row in (mult[g.element] for g in members)]
+        idem = next((e for e in sg.idempotents if table[e] is not None), None)
         if idem is None:
             raise StructureError("domain-cover", (system.point_name(x),),
                                  f"no idempotent domain holds {system.point_name(x)}")
-        identity = index[system.germ_of(idem, x).element]
-        inverse = [index[system.germ_of(sg.inv(g.element), x).element] for g in members]
-        grp = IsotropyGroup(system, x, members, table, identity, inverse)
+        identity = index[table[idem][0]]
+        inverse = [index[table[sg.star[g.element]][0]] for g in members]
+        grp = IsotropyGroup(system, x, members, rows, identity, inverse)
         grp._check_group_laws()
         return grp
+
+    @cached_property
+    def element_index(self) -> tuple:
+        """For each semigroup element s, the member index of [s@x] when
+        theta_s fixes x, else None."""
+        x = self.point
+        germs, table = self.system.germs_at(x), self.system.germ_table(x)
+        by_position = [self._index.get(g) for g in germs]
+        return tuple(None if e is None or e[1] != x else by_position[e[0]] for e in table)
 
     @property
     def size(self) -> int:

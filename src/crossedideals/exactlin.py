@@ -7,6 +7,12 @@ matrices are equal, with no tolerances anywhere.
 
 Scalars are plain ints in [0, p) for prime fields and fractions.Fraction
 for the rationals.  Matrices are tuples of row tuples; vectors are tuples.
+Every scalar is kept canonical (an int reduced into [0, p), or a Fraction),
+so a scalar is zero iff it is falsy: the elimination kernels test bool(a)
+instead of calling Field.is_zero.  Their row operations are the field's
+own, in native arithmetic: Field.row_scale (c * row) and Field.row_sub_at
+(v_j -= c * a at the nonzero entries (j, a) of a row, in place), one % p
+per entry touched for F_p.
 
 Every algebra here has a monomial basis, so FiniteAlgebra(field, labels,
 table) holds one index table, table[i][j] the index of e_i e_j or None
@@ -108,6 +114,14 @@ class Field:
     def is_zero(self, a) -> bool:
         return a == self.zero
 
+    def row_scale(self, c, row) -> list:
+        """c * row, entry by entry."""
+        raise NotImplementedError
+
+    def row_sub_at(self, v: list, c, entries) -> None:
+        """v_j -= c * a for each (j, a) in entries, in place."""
+        raise NotImplementedError
+
     def to_text(self, a) -> str:
         raise NotImplementedError
 
@@ -148,6 +162,15 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
+
+    def row_scale(self, c, row) -> list:
+        p = self.p
+        return [c * a % p for a in row]
+
+    def row_sub_at(self, v: list, c, entries) -> None:
+        p = self.p
+        for j, a in entries:
+            v[j] = (v[j] - c * a) % p
 
     def of(self, x):
         if isinstance(x, Fraction):
@@ -191,6 +214,13 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
+
+    def row_scale(self, c, row) -> list:
+        return [c * a for a in row]
+
+    def row_sub_at(self, v: list, c, entries) -> None:
+        for j, a in entries:
+            v[j] -= c * a
 
     def of(self, x):
         return Fraction(x)
@@ -242,12 +272,12 @@ def vec_add(field: Field, u, v):
 
 
 def vec_is_zero(field: Field, v) -> bool:
-    return all(field.is_zero(a) for a in v)
+    return not any(v)
 
 
 def nonzero_entries(field: Field, v) -> tuple:
     """The nonzero entries of v as ((index, entry), ...), in index order."""
-    return tuple((j, a) for j, a in enumerate(v) if not field.is_zero(a))
+    return tuple((j, a) for j, a in enumerate(v) if a)
 
 
 def lincomb(field: Field, coeffs, vectors, dim: int) -> tuple:
@@ -331,20 +361,15 @@ def rref(field: Field, rows: Iterable[Sequence]):
             raise ValueError("ragged matrix")
     lead = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(lead, len(work)):
-            if not field.is_zero(work[r][col]):
-                pivot = r
-                break
+        pivot = next((r for r in range(lead, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
         work[lead], work[pivot] = work[pivot], work[lead]
-        inv = field.inv(work[lead][col])
-        work[lead] = [field.mul(inv, a) for a in work[lead]]
-        for r in range(len(work)):
-            if r != lead and not field.is_zero(work[r][col]):
-                c = work[r][col]
-                work[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(work[r], work[lead])]
+        work[lead] = field.row_scale(field.inv(work[lead][col]), work[lead])
+        entries = nonzero_entries(field, work[lead])
+        for r, row in enumerate(work):
+            if r != lead and row[col]:
+                field.row_sub_at(row, row[col], entries)
         lead += 1
         if lead == len(work):
             break
@@ -354,13 +379,7 @@ def rref(field: Field, rows: Iterable[Sequence]):
 
 def row_pivots(field: Field, reduced) -> tuple:
     """Pivot column of each row of an RREF matrix."""
-    pivots = []
-    for row in reduced:
-        for j, a in enumerate(row):
-            if not field.is_zero(a):
-                pivots.append(j)
-                break
-    return tuple(pivots)
+    return tuple(next(j for j, a in enumerate(row) if a) for row in reduced)
 
 
 def nullspace(field: Field, rows, ncols: int):
@@ -425,15 +444,14 @@ class Subspace:
 
     def reduce(self, v) -> tuple:
         """Residue of v after eliminating every pivot coordinate."""
-        f = self.field
+        sub_at = self.field.row_sub_at
         v = list(v)
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         for entries in self._sparse_rows:
             c = v[entries[0][0]]
-            if not f.is_zero(c):
-                for j, a in entries:
-                    v[j] = f.sub(v[j], f.mul(c, a))
+            if c:
+                sub_at(v, c, entries)
         return tuple(v)
 
     def contains(self, v) -> bool:
@@ -790,14 +808,12 @@ def ideal_generate(algebra: FiniteAlgebra, generators: Iterable) -> Subspace:
         v = list(queue.pop())
         for p in sorted(rows):
             c = v[p]
-            if not f.is_zero(c):
-                for j, a in rows[p][1]:
-                    v[j] = f.sub(v[j], f.mul(c, a))
-        lead = next((j for j, a in enumerate(v) if not f.is_zero(a)), None)
+            if c:
+                f.row_sub_at(v, c, rows[p][1])
+        lead = next((j for j, a in enumerate(v) if a), None)
         if lead is None:
             continue
-        inv = f.inv(v[lead])
-        row = tuple(f.mul(inv, a) for a in v)
+        row = tuple(f.row_scale(f.inv(v[lead]), v))
         rows[lead] = (row, nonzero_entries(f, row))
         for w in algebra.generator_multiples(row):
             if w not in seen:
@@ -985,7 +1001,7 @@ def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
         orbit = [v]
         for u in (perm(w) for w in orbit for perm in perms):    # orbit grows
             if u not in marked:
-                marked.update(tuple(f.mul(c, x) for x in u) for c in range(1, f.p))
+                marked.update(tuple(f.row_scale(c, u)) for c in range(1, f.p))
                 orbit.append(u)
     found = {Subspace.zero(f, n), *principal}
     frontier = list(principal)

@@ -31,7 +31,6 @@ from .exactlin import (
     mat_from_columns,
     unit_vector,
 )
-from .induction import _fixed_germ
 from .semigroups import InverseSemigroup
 from .validation import ValidationReport
 
@@ -259,7 +258,7 @@ class SteinbergIso:
             iso = sys.isotropy_group(x)
             for i in range(cp.dim):
                 y, s = cp.basis_pair(i)
-                direct = _fixed_germ(cp, x, s) if y == x else None
+                direct = iso.element_index[s] if y == x else None
                 g = germs[self.targets[i]]
                 through = iso.member_index(g) \
                     if g.point == x and sys.germ_target(g) == x else None

@@ -54,21 +54,15 @@ def _restrict(cp: CrossedProduct, x: int, terms) -> tuple:
     section label delta_y at s: it adds c at the germ [s@x] exactly when
     y = x and theta_s fixes x, and nothing otherwise."""
     f = cp.field
-    out = [f.zero] * cp.system.isotropy_group(x).size
+    iso = cp.system.isotropy_group(x)
+    fixed = iso.element_index
+    out = [f.zero] * iso.size
     for g, c in terms:
         y, s = cp.section_pair(g)
-        idx = _fixed_germ(cp, x, s) if y == x else None
+        idx = fixed[s] if y == x else None
         if idx is not None:
             out[idx] = f.add(out[idx], c)
     return tuple(out)
-
-
-def _fixed_germ(cp: CrossedProduct, x: int, s: int):
-    """Isotropy index of the germ [s@x] when theta_s fixes x, else None."""
-    pb = cp.system.theta[s]
-    if pb.defined_at(x) and pb.apply(x) == x:
-        return cp.system.isotropy_group(x).member_index(cp.system.germ_of(s, x))
-    return None
 
 
 def induction_context(cp: CrossedProduct, x: int) -> "InductionContext":
@@ -88,6 +82,9 @@ class InductionContext:
     to zero, so moves[i][l] is the germ that basis section i sends germ l
     to, or None.  The form sends a pair of germs to one isotropy germ or
     to zero, so pair_index[k][t] is the isotropy index of [k* t], or None.
+    Both are read off the semigroup's mult and star tables, the system's
+    germ table at x and the isotropy group's element index, with no germ
+    objects formed.
     """
 
     def __init__(self, cp: CrossedProduct, x: int):
@@ -99,6 +96,7 @@ class InductionContext:
         self.field = cp.field
         self.germs = sys.germs_at(x)
         self.germ_index = {g: i for i, g in enumerate(self.germs)}
+        self._germ_table = sys.germ_table(x)
         self.iso = sys.isotropy_group(x)
         self.group_algebra = self.iso.algebra(cp.field)
         self.transversal = sys.orbit_transversal(x)
@@ -108,9 +106,10 @@ class InductionContext:
         self._section_moves = tuple(self._moves(*cp.section_pair(g))
                                     for g in range(sections.total.dim))
         self.moves = tuple(self._section_moves[g] for g in sections.coset_positions)
-        self.pair_index = tuple(
-            tuple(self._pair_target(k, t) for t in range(self.module_dim))
-            for k in range(self.module_dim))
+        elements = [g.element for g in self.germs]
+        fixed, mult, star = self.iso.element_index, sys.semigroup.mult, sys.semigroup.star
+        self.pair_index = tuple(tuple(fixed[row[t]] for t in elements)
+                                for row in (mult[star[k]] for k in elements))
         self._check_well_defined()
 
     # -- the germ module ----------------------------------------------------
@@ -122,20 +121,12 @@ class InductionContext:
     def _moves(self, y: int, s: int) -> tuple:
         """For each germ [t] at x, the index of the germ [s t] when the
         section delta_y at s moves it, else None."""
-        sys, sg, x = self.system, self.system.semigroup, self.point
+        table, row = self._germ_table, self.system.semigroup.mult[s]
         out = []
         for germ in self.germs:
-            st = sg.product(s, germ.element)
-            pb = sys.theta[st]
-            hit = pb.defined_at(x) and pb.apply(x) == y
-            out.append(self.germ_index[sys.germ_of(st, x)] if hit else None)
+            entry = table[row[germ.element]]
+            out.append(entry[0] if entry is not None and entry[1] == y else None)
         return tuple(out)
-
-    def _pair_target(self, k: int, t: int):
-        """Isotropy index of [k* t] when k* t fixes x, else None."""
-        sg = self.system.semigroup
-        kt = sg.product(sg.inv(self.germs[k].element), self.germs[t].element)
-        return _fixed_germ(self.cp, self.point, kt)
 
     def act(self, b) -> tuple:
         """Matrix of b acting on the germ module."""
@@ -151,10 +142,9 @@ class InductionContext:
 
     def right_translate(self, germ_i: int, iso_i: int) -> int:
         """delta_[s] . delta_[g] = delta_[s g] for an isotropy germ g."""
-        sg = self.system.semigroup
         s = self.germs[germ_i].element
         g = self.iso.members[iso_i].element
-        return self.germ_index[self.system.germ_of(sg.product(s, g), self.point)]
+        return self._germ_table[self.system.semigroup.mult[s][g]][0]
 
     def pair(self, k: int, m_vec) -> tuple:
         """The KG_x-valued form <delta_[k], m> = sum [k* t isotropy] m_t delta_[k* t]."""
@@ -164,7 +154,7 @@ class InductionContext:
         f = self.field
         out = [f.zero] * self.iso.size
         for t, c in enumerate(m_vec):
-            idx = None if f.is_zero(c) else self._pair_target(k, t)
+            idx = None if f.is_zero(c) else self.pair_index[k][t]
             if idx is not None:
                 out[idx] = f.add(out[idx], c)
         return tuple(out)

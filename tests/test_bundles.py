@@ -3,7 +3,6 @@
 import functools
 import itertools
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +54,7 @@ from util import (
     brandt_k_system,
     chain_system,
     corrupt_hom_check,
+    count_calls,
     dense_action_validate,
     dense_bundle_validate,
     dense_fiber_associativity,
@@ -735,7 +735,26 @@ def test_a_bundle_over_an_invalid_semigroup_gets_the_full_inclusion_scan(full_sc
     report = bundle.validate()
     assert (report.rule, report.witness) == ("order-multiplication", ("0", "1"))
     assert report == dense_bundle_validate(bundle)
-    assert full_scans == {"_inclusion_scan": 1}
+    assert full_scans() == {"_inclusion_scan": 1}
+
+
+@pytest.mark.parametrize("make, chain", [
+    (nonassociative_system, ("2", "1", "0")),
+    (rectangular_band_system, ("00", "01", "00")),
+], ids=["nonassociative", "rectangular-band"])
+def test_a_bundle_over_an_intransitive_order_fails_inclusion_transitivity(make, chain):
+    """Over a semigroup whose natural order is not transitive, with empty
+    fibers, the first chain r < s < t whose (r, t) is no strict order pair
+    fails "inclusion-transitivity": there is no j_{t,r} to compare."""
+    sg = make().semigroup
+    assert not sg.validate().ok
+    order = set(sg.order_pairs())
+    r, s, t = (sg.element_index(name) for name in chain)
+    assert (r, s) in order and (s, t) in order and (r, t) not in order
+    bundle = FellBundle(sg, F2, [()] * sg.size, {}, {(b, a): () for a, b in order})
+    report = bundle.validate()
+    assert (report.ok, report.rule, report.witness) == (False, "inclusion-transitivity", chain)
+    assert dense_bundle_validate(bundle) == report
 
 
 GUARD_SYSTEMS = {
@@ -781,14 +800,18 @@ SCAN_SYSTEMS = {
 @pytest.fixture
 def full_scans(monkeypatch):
     """Calls of the full scans behind the composition rules and the
-    inclusion rule, by name."""
-    counts = Counter()
-    for owner, name in ((dynsys, "_composition_scan"), (FellBundle, "_inclusion_scan")):
-        def counting(*args, original=getattr(owner, name), name=name):
-            counts[name] += 1
-            return original(*args)
-        monkeypatch.setattr(owner, name, counting)
-    return counts
+    inclusion rule: a function that returns the counts since its last
+    call, by name, leaving out the scans not run."""
+    calls = {name: count_calls(monkeypatch, owner, name)
+             for owner, name in ((dynsys, "_composition_scan"),
+                                 (FellBundle, "_inclusion_scan"))}
+
+    def take():
+        counts = {name: len(args) for name, args in calls.items() if args}
+        for args in calls.values():
+            args.clear()
+        return counts
+    return take
 
 
 def test_passing_crossed_products_build_without_a_full_scan(monkeypatch):
@@ -808,16 +831,14 @@ def test_a_single_corruption_runs_its_full_scan_once(full_scans):
     broken = with_theta(system, 1, {0: 1, 1: 2})   # theta_g1 loses the pair 2 -> 0
     assert broken.validate().rule == "action-homomorphism"
     broken.validate()   # the report is kept
-    assert full_scans == {"_composition_scan": 1}
-    full_scans.clear()
+    assert full_scans() == {"_composition_scan": 1}
     action = function_action(with_theta(system, 0, {0: 0, 1: 2, 2: 1}), F2)   # theta_1 a swap
     assert action.validate().rule == "composition-values"
-    assert full_scans == {"_composition_scan": 1}
-    full_scans.clear()
+    assert full_scans() == {"_composition_scan": 1}
     bundle = index_bundle("chain6", F3)
     moved = moved_along(bundle, 0, tuple(range(1, 6)) + (0,))
     assert moved.validate().rule == "inclusion-multiplicative"
-    assert full_scans == {"_inclusion_scan": 1}
+    assert full_scans() == {"_inclusion_scan": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,18 @@ from crossedideals.fixtures import (
     trivial_system,
 )
 
-from util import z2_semigroup
+from util import (
+    SMALL_SYSTEMS,
+    brandt_k_system,
+    chain_system,
+    reference_germ_table,
+    reference_isotropy_at,
+    rotation_system,
+    unitized_brandt_system,
+    wide_semilattice_system,
+    z2_semigroup,
+    z2_times_z3_system,
+)
 
 F2 = GF(2)
 
@@ -300,3 +311,51 @@ def test_member_index_finds_every_isotropy_germ_and_rejects_others():
             for g in outside:
                 with pytest.raises(ValueError):
                     iso.member_index(g)
+
+
+# ---------------------------------------------------------------------------
+# germ tables
+
+# every valid system that util builds (nonassociative_system and
+# rectangular_band_system fail validation), and every fixture
+GERM_SYSTEMS = {
+    **SMALL_SYSTEMS,
+    "rot6on2": lambda: rotation_system(6, 2),
+    "rot8on2": lambda: rotation_system(8, 2),
+    "brandt4": lambda: brandt_k_system(4),
+    "unitized-brandt": unitized_brandt_system,
+    "z2xz3": z2_times_z3_system,
+    "chain4": chain_system,
+    "wide-semilattice": wide_semilattice_system,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GERM_SYSTEMS))
+def test_germ_tables_hold_each_germ_position_and_target(name):
+    sys = GERM_SYSTEMS[name]()
+    assert sys.validate().ok
+    for x in range(sys.space_size):
+        table, germs = sys.germ_table(x), sys.germs_at(x)
+        assert len(table) == sys.semigroup.size
+        assert table == reference_germ_table(sys, x)
+        for s, entry in enumerate(table):
+            if sys.theta[s].defined_at(x):
+                assert entry == (germs.index(sys.germ_of(s, x)), sys.theta[s].apply(x))
+            else:
+                assert entry is None
+                with pytest.raises(ValueError, match="is not defined at"):
+                    sys.germ_of(s, x)
+
+
+@pytest.mark.parametrize("name", sorted(GERM_SYSTEMS))
+def test_isotropy_groups_match_the_germ_of_reference(name):
+    sys = GERM_SYSTEMS[name]()
+    assert sys.validate().ok
+    for x in range(sys.space_size):
+        iso = sys.isotropy_group(x)
+        assert (iso.members, iso.table, iso.identity, iso.inverse) == \
+            reference_isotropy_at(sys, x)
+        fixing = set(sys.isotropy_elements(x))
+        assert iso.element_index == tuple(
+            iso.member_index(sys.germ_of(s, x)) if s in fixing else None
+            for s in range(sys.semigroup.size))

@@ -36,8 +36,10 @@ from crossedideals.exactlin import (
     mat_from_columns,
     mat_lincomb,
     nonzero_entries,
+    nullspace,
     unit_vector,
     vec_add,
+    vec_is_zero,
     zero_vector,
 )
 
@@ -45,6 +47,7 @@ from util import (
     MATRIX_UNIT_POSITIONS,
     basis_multiples_reference,
     brute_force_ideals,
+    count_calls,
     dense_check_algebra_hom,
     dense_check_associativity,
     dense_mul,
@@ -52,7 +55,10 @@ from util import (
     klein_four_system,
     matrix_units_algebra,
     matrix_units_table,
+    reference_ideal_generate,
     reference_is_ideal,
+    reference_reduce,
+    reference_rref,
     rotation_system,
     z2_algebra,
     z2_times_z3_system,
@@ -456,6 +462,105 @@ def test_semigroup_and_groupoid_tables_are_associative(field, table):
 
 
 # ---------------------------------------------------------------------------
+# the row kernels against the per-scalar references in util
+
+KERNEL_FIELDS = (F2, F3, GF(5), QQ)
+
+
+@st.composite
+def kernel_matrices(draw, field, ncols=None):
+    """(ncols, rows): 1-6 rows of ncols columns (by default 1-6), each
+    drawn at random (half of its entries zero on average), or zero, or a
+    repeat or a multiple of an earlier row."""
+    n = ncols or draw(st.integers(1, 6))
+    entry = st.one_of(st.just(field.zero), scalars(field))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("random", "zero", "repeat", "multiple")))
+        if kind == "zero":
+            rows.append((field.zero,) * n)
+        elif kind != "random" and rows:
+            row = draw(st.sampled_from(rows))
+            c = draw(scalars(field))
+            rows.append(row if kind == "repeat" else tuple(field.mul(c, a) for a in row))
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+    return n, rows
+
+
+def _dot(field, u, v):
+    acc = field.zero
+    for a, b in zip(u, v, strict=True):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_rref_and_nullspace_match_the_per_scalar_reference(field, data):
+    n, rows = data.draw(kernel_matrices(field))
+    reduced, rank = rref(field, rows)
+    assert (reduced, rank) == reference_rref(field, rows)
+    kernel = nullspace(field, rows, n)
+    assert reference_rref(field, kernel) == (kernel, n - rank)
+    assert all(field.is_zero(_dot(field, row, v)) for row in rows for v in kernel)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_reduce_and_contains_match_the_per_scalar_reference(field, data):
+    n, rows = data.draw(kernel_matrices(field))
+    space = Subspace.span(field, n, rows)
+    _, probes = data.draw(kernel_matrices(field, n))
+    for v in [*rows, *probes, *space.basis]:
+        residue = reference_reduce(space, v)
+        assert space.reduce(v) == residue
+        assert space.contains(v) == all(field.is_zero(a) for a in residue)
+    for v in rows:
+        assert space.contains(v)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ideal_generate_matches_the_per_scalar_reference(field, data):
+    alg = data.draw(relabelled_algebras(field, ASSOCIATIVE_INDEX_TABLES + NON_PRINCIPAL_TABLES))
+    _, generators = data.draw(kernel_matrices(field, alg.dim))
+    assert ideal_generate(alg, generators) == reference_ideal_generate(alg, generators)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_operations_match_the_field_operations(field, data):
+    n, rows = data.draw(kernel_matrices(field))
+    u, v = rows[0], rows[-1]
+    c = data.draw(scalars(field))
+    assert field.row_scale(c, u) == [field.mul(c, a) for a in u]
+    w = list(u)
+    field.row_sub_at(w, c, nonzero_entries(field, v))
+    assert w == [field.sub(a, field.mul(c, b)) for a, b in zip(u, v)]
+    assert vec_is_zero(field, w) == all(field.is_zero(a) for a in w)
+    assert nonzero_entries(field, w) == tuple(
+        (j, a) for j, a in enumerate(w) if not field.is_zero(a))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_ragged_rows_raise_value_error(field):
+    one, zero = field.one, field.zero
+    for ragged in ([(one, zero), (one,)], [(zero,), (one, one)], [(), (one,)]):
+        for kernel in (rref, reference_rref):
+            with pytest.raises(ValueError, match="ragged"):
+                kernel(field, ragged)
+        with pytest.raises(ValueError):
+            nullspace(field, ragged, 2)
+        with pytest.raises(ValueError):
+            Subspace.span(field, 2, ragged)
+
+
+# ---------------------------------------------------------------------------
 # representations
 
 def test_left_regular_mod_full_ideal_is_zero_dimensional():
@@ -763,14 +868,7 @@ def test_is_ideal_on_a_cyclic_group_algebra_forms_only_generator_multiples(monke
     alg = FiniteAlgebra(F3, tuple(range(24)), _cyclic(24))
     augmentation = ideal_generate(alg, [(1, 2) + (0,) * 22])
     line = Subspace.span(F3, 24, [(1, 2) + (0,) * 22])
-    tested = []
-    contains = Subspace.contains
-
-    def counting(self, v):
-        tested.append(v)
-        return contains(self, v)
-
-    monkeypatch.setattr(Subspace, "contains", counting)
+    tested = count_calls(monkeypatch, Subspace, "contains")
     assert augmentation.dim == 23
     assert is_ideal(alg, augmentation)
     assert len(tested) <= 2 * 23 * 2
@@ -901,18 +999,8 @@ def test_basis_permutations_keep_the_principal_ideal(field, data):
 
 
 def test_f3_cyclic_six_oracle_uses_principal_ideals_only(monkeypatch):
-    calls = {"ideal_generate": 0, "is_ideal": 0}
-
-    def counted(name):
-        original = getattr(exactlin, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        monkeypatch.setattr(exactlin, name, wrapper)
-
-    counted("ideal_generate")
-    counted("is_ideal")
+    calls = {name: count_calls(monkeypatch, exactlin, name)
+             for name in ("ideal_generate", "is_ideal")}
     table = tuple(tuple((a + b) % 6 for b in range(6)) for a in range(6))
     alg = FiniteAlgebra(F3, tuple(f"g{k}" for k in range(6)), table)
     ideals = enumerate_ideals(alg)
@@ -924,7 +1012,8 @@ def test_f3_cyclic_six_oracle_uses_principal_ideals_only(monkeypatch):
         lines -= {tuple(c * x % 3 for x in v[k:] + v[:k]) for k in range(6) for c in (1, 2)}
         orbits += 1
     assert orbits == 67
-    assert calls == {"ideal_generate": orbits, "is_ideal": 0}
+    assert {name: len(args) for name, args in calls.items()} == \
+        {"ideal_generate": orbits, "is_ideal": 0}
     # F3[Z/6] = F3[x]/((x - 1)^3 (x + 1)^3): the ideals are generated by
     # (x - 1)^a (x + 1)^b for 0 <= a, b <= 3
     one, x = alg.basis_vector(0), alg.basis_vector(1)

@@ -29,17 +29,22 @@ from crossedideals import (
 )
 from crossedideals.exactlin import lincomb, mat_lincomb, mat_mul, nullspace, rref, unit_vector
 from crossedideals.fixtures import FIXTURES, brandt_system, flip_system, semilattice_system
-from crossedideals import induction
+from crossedideals import cli, induction
+from crossedideals.dynsys import AmpleSystem
+from crossedideals.formats import generator_text, serialize_system
 from crossedideals.induction import InductionContext, isotropy_restriction
 
 from util import (
     brandt_k_system,
+    count_calls,
     dense_action_matrix,
     dense_induce,
     dense_induced_ideal,
     dense_isotropy_restriction,
     dense_lift_terms,
     klein_four_system,
+    reference_moves,
+    reference_pair_target,
     rotation_system,
     unitized_brandt_system,
 )
@@ -856,20 +861,48 @@ def test_every_semilattice_ideal_decomposes():
 
 
 def test_decompose_induces_once_per_orbit_representative(monkeypatch):
-    calls = []
-    induce = InductionContext._induce
-
-    def counted(self, ideal):
-        calls.append(self.point)
-        return induce(self, ideal)
-
-    monkeypatch.setattr(InductionContext, "_induce", counted)
+    calls = count_calls(monkeypatch, InductionContext, "_induce")
     for make in FIXTURES.values():
         cp = crossed_product(make(), F2)
         for ideal in enumerate_ideals(cp.algebra):
             calls.clear()
             decompose_ideal(cp, ideal)
-            assert sorted(calls) == sorted(cp.system.orbit_representatives())
+            assert sorted(ctx.point for ctx, _ in calls) == \
+                sorted(cp.system.orbit_representatives())
+
+
+def test_decompose_forms_no_germ_after_validation(monkeypatch, tmp_path, capsys):
+    """Once the system is validated, building the crossed product and the
+    induction contexts and certifying an ideal read the germ tables only:
+    germ_of is never called, by the library or by the CLI verb."""
+    system = rotation_system(8, 2)
+    assert system.validate().ok
+    calls = count_calls(monkeypatch, AmpleSystem, "germ_of")
+    cp = crossed_product(system, F3)
+    # p0:1 - p0:g4 generates a proper ideal, of dim 8
+    one, g4 = cp.algebra.basis_vector(0), cp.algebra.basis_vector(8)
+    generator = lincomb(F3, [1, 2], [one, g4], cp.dim)
+    ideal = ideal_generate(cp.algebra, [generator])
+    assert ideal.dim == 8
+    assert decompose_ideal(cp, ideal).exact
+    assert calls == []
+    path = tmp_path / "rot8on2.system"
+    path.write_text(serialize_system(system, F3), encoding="utf-8")
+    assert cli.main(["decompose", str(path), generator_text(cp, generator)]) == 0
+    assert "ideal dimension 8" in capsys.readouterr().out
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTION_SYSTEMS))
+def test_context_tables_match_the_germ_of_references(name):
+    cp = crossed_product(RESTRICTION_SYSTEMS[name](), F2)
+    for x in range(cp.system.space_size):
+        ctx = induction_context(cp, x)
+        assert ctx.moves == tuple(reference_moves(ctx, *cp.basis_pair(i))
+                                  for i in range(cp.dim))
+        n = ctx.module_dim
+        assert ctx.pair_index == tuple(tuple(reference_pair_target(ctx, k, t)
+                                             for t in range(n)) for k in range(n))
 
 
 def test_non_ideal_subspaces_are_rejected():

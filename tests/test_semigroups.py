@@ -6,7 +6,7 @@ from crossedideals import InverseSemigroup, semigroups
 from crossedideals.exactlin import generating_indices
 from crossedideals.fixtures import FIXTURES, brandt_system
 
-from util import brandt_k_system, z2_semigroup
+from util import brandt_k_system, count_calls, z2_semigroup
 
 
 def brandt_semigroup() -> InverseSemigroup:
@@ -31,18 +31,11 @@ def test_brandt_semigroup_is_valid():
 
 
 def test_the_report_and_generators_are_computed_once(monkeypatch):
-    checked = []
-    check = semigroups.first_nonassociative
-
-    def recording(table):
-        checked.append(table)
-        return check(table)
-
-    monkeypatch.setattr(semigroups, "first_nonassociative", recording)
+    checked = count_calls(monkeypatch, semigroups, "first_nonassociative")
     sg = brandt_k_system(3).semigroup
     report = sg.validate()
     assert sg.validate() is report and report.ok
-    assert checked == [sg.mult]
+    assert checked == [(sg.mult,)]
     assert sg.generators is sg.generators
     assert sg.generators == generating_indices(sg.mult)
 

@@ -5,6 +5,7 @@ import itertools
 from crossedideals import (
     AmpleSystem,
     FiniteAlgebra,
+    Germ,
     InverseSemigroup,
     PartialBijection,
     QuotientMap,
@@ -114,6 +115,153 @@ def reference_first_nonassociative(table):
                 if times(times(i, j), k) != times(i, times(j, k)):
                     return i, j, k
     return None
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap the function or method owner.name for the test: every call
+    appends its positional arguments (self first for a method) to the
+    returned list and then runs the original."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def reference_rref(field, rows):
+    """rref before its row kernels: one Field call per scalar."""
+    work = [list(r) for r in rows]
+    if not work:
+        return (), 0
+    ncols = len(work[0])
+    for r in work:
+        if len(r) != ncols:
+            raise ValueError("ragged matrix")
+    lead = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(lead, len(work)):
+            if not field.is_zero(work[r][col]):
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        work[lead], work[pivot] = work[pivot], work[lead]
+        inv = field.inv(work[lead][col])
+        work[lead] = [field.mul(inv, a) for a in work[lead]]
+        for r in range(len(work)):
+            if r != lead and not field.is_zero(work[r][col]):
+                c = work[r][col]
+                work[r] = [field.sub(a, field.mul(c, b)) for a, b in zip(work[r], work[lead])]
+        lead += 1
+        if lead == len(work):
+            break
+    return tuple(tuple(r) for r in work[:lead]), lead
+
+
+def reference_reduce(space, v) -> tuple:
+    """Subspace.reduce before its row kernels: one Field call per scalar."""
+    f = space.field
+    v = list(v)
+    if len(v) != space.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    for row in space.basis:
+        entries = [(j, a) for j, a in enumerate(row) if not f.is_zero(a)]
+        c = v[entries[0][0]]
+        if not f.is_zero(c):
+            for j, a in entries:
+                v[j] = f.sub(v[j], f.mul(c, a))
+    return tuple(v)
+
+
+def reference_ideal_generate(algebra, generators) -> Subspace:
+    """ideal_generate before its row kernels: one Field call per scalar."""
+    f, n = algebra.field, algebra.dim
+    queue = [tuple(v) for v in generators]
+    for v in queue:
+        if len(v) != n:
+            raise ValueError(f"vector of length {len(v)} in ambient dim {n}")
+    seen = set(queue)
+    rows = {}
+    while queue and len(rows) < n:
+        v = list(queue.pop())
+        for p in sorted(rows):
+            c = v[p]
+            if not f.is_zero(c):
+                for j, a in rows[p][1]:
+                    v[j] = f.sub(v[j], f.mul(c, a))
+        lead = next((j for j, a in enumerate(v) if not f.is_zero(a)), None)
+        if lead is None:
+            continue
+        inv = f.inv(v[lead])
+        row = tuple(f.mul(inv, a) for a in v)
+        rows[lead] = (row, tuple((j, a) for j, a in enumerate(row) if not f.is_zero(a)))
+        for w in algebra.generator_multiples(row):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    if len(rows) == n:
+        return Subspace.full(f, n)
+    return Subspace.span(f, n, [row for row, _ in rows.values()])
+
+
+def reference_germ_table(system, x) -> tuple:
+    """The germ table at x from the definition: s and t defined at x have
+    the same germ when s e = t e for some idempotent e defined at x, the
+    germ is named by the smallest element of its class, and the germs at
+    x are those names in ascending order."""
+    sg = system.semigroup
+    live = [s for s in range(sg.size) if system.theta[s].defined_at(x)]
+    idem = [e for e in sg.idempotents if system.theta[e].defined_at(x)]
+    rep = {s: min(t for t in live if any(sg.product(s, e) == sg.product(t, e) for e in idem))
+           for s in live}
+    names = sorted(set(rep.values()))
+    return tuple((names.index(rep[s]), system.theta[s].apply(x)) if s in rep else None
+                 for s in range(sg.size))
+
+
+def reference_moves(ctx, y, s) -> tuple:
+    """InductionContext._moves before the germ tables: for each germ [t]
+    at x, germ_of(s t, x) by index when delta_y at s moves it, else None."""
+    sys, sg, x = ctx.system, ctx.system.semigroup, ctx.point
+    out = []
+    for germ in ctx.germs:
+        st = sg.product(s, germ.element)
+        pb = sys.theta[st]
+        hit = pb.defined_at(x) and pb.apply(x) == y
+        out.append(ctx.germ_index[sys.germ_of(st, x)] if hit else None)
+    return tuple(out)
+
+
+def reference_pair_target(ctx, k, t):
+    """InductionContext._pair_target before the germ tables (now the
+    pair_index table): the isotropy index of germ_of(k* t, x) when
+    theta_(k* t) fixes x, else None."""
+    sys, sg, x = ctx.system, ctx.system.semigroup, ctx.point
+    kt = sg.product(sg.inv(ctx.germs[k].element), ctx.germs[t].element)
+    pb = sys.theta[kt]
+    if pb.defined_at(x) and pb.apply(x) == x:
+        return sys.isotropy_group(x).member_index(sys.germ_of(kt, x))
+    return None
+
+
+def reference_isotropy_at(system, x) -> tuple:
+    """IsotropyGroup.at before the germ tables, as (members, table,
+    identity, inverse), from germ_of on every product."""
+    sg = system.semigroup
+    reps = sorted({system.germ_of(s, x).element for s in system.isotropy_elements(x)})
+    members = [Germ(r, x) for r in reps]
+    index = {g.element: i for i, g in enumerate(members)}
+    table = tuple(tuple(index[system.germ_of(sg.product(g.element, h.element), x).element]
+                        for h in members) for g in members)
+    idem = next(e for e in sg.idempotents if system.theta[e].defined_at(x))
+    identity = index[system.germ_of(idem, x).element]
+    inverse = tuple(index[system.germ_of(sg.inv(g.element), x).element] for g in members)
+    return tuple(members), table, identity, inverse
 
 
 def reference_semigroup_associativity(sg):
@@ -584,6 +732,9 @@ def dense_bundle_validate(bundle):
     for r in range(n):
         for s in above[r]:
             for t in above[s]:
+                if (t, r) not in matrices:    # the order is not transitive
+                    return ValidationReport.failed(
+                        "inclusion-transitivity", (sg.name(r), sg.name(s), sg.name(t)))
                 for i in range(dim(r)):
                     e = unit_vector(f, dim(r), i)
                     if include(t, s, include(s, r, e)) != include(t, r, e):
