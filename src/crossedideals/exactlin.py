@@ -606,15 +606,24 @@ class FiniteAlgebra:
         return tuple(prod.get(k, f.zero) for k in range(self.dim))
 
     @cached_property
-    def _generator_maps(self) -> list:
-        """For each a in generating_indices the row j -> e_a e_j of the
-        table, and then for each a the column j -> e_j e_a."""
+    def _generator_maps(self) -> tuple:
+        """The distinct maps among, for each a in generating_indices, the
+        row j -> e_a e_j of the table and then for each a the column
+        j -> e_j e_a, each kept at its first occurrence, without the
+        identity map (e_a a one-sided unit, e_a v = v or v e_a = v)."""
         gens, table = self.generating_indices, self.table
-        return [table[a] for a in gens] + [tuple(row[a] for row in table) for a in gens]
+        maps = dict.fromkeys([table[a] for a in gens]
+                             + [tuple(row[a] for row in table) for a in gens])
+        maps.pop(tuple(range(self.dim)), None)
+        return tuple(maps)
 
     def generator_multiples(self, v) -> list:
-        """e_a v and then v e_a for every a in generating_indices, as dense
-        vectors, from one walk of the nonzero entries of v each."""
+        """The images of v under _generator_maps, as dense vectors, from one
+        walk of the nonzero entries of v each: e_a v and v e_a for every a
+        in generating_indices, less the multiples equal to v (the identity
+        map) and the repeats of a map already applied.  A subspace holds
+        every e_a v and v e_a iff it holds these, so is_ideal and
+        ideal_generate read them alone."""
         f, n = self.field, self.dim
         if len(v) != n:
             raise ValueError(f"vector of length {len(v)} in an algebra of dim {n}")
@@ -782,7 +791,10 @@ def is_ideal(algebra: FiniteAlgebra, space: Subspace) -> bool:
     That suffices: the algebra was checked associative when built, so
     {x : x V <= V} is a subalgebra, and so is {x : V x <= V}; each holds
     the generating basis elements, whose products reach every basis
-    element, and so is the whole algebra."""
+    element, and so is the whole algebra.  generator_multiples leaves out
+    the identity map and repeated maps, which cannot change the verdict:
+    the identity sends V into V, and a repeated map gives the same
+    vectors."""
     if space.field != algebra.field or space.ambient_dim != algebra.dim:
         raise ValueError("subspace does not live in the algebra")
     return all(space.contains(w) for v in space.basis
@@ -794,9 +806,10 @@ def ideal_generate(algebra: FiniteAlgebra, generators: Iterable) -> Subspace:
     closure: each queued vector is reduced against the echelon rows found
     so far, and one that adds a row queues its generator_multiples.  The
     rows then span a subspace holding the generators and closed under
-    both multiplications by the generating basis elements, an ideal by the
-    argument of is_ideal, and every row lies in any ideal holding the
-    generators."""
+    both multiplications by the generating basis elements (the identity
+    and repeated maps that generator_multiples leaves out add no vector),
+    an ideal by the argument of is_ideal, and every row lies in any ideal
+    holding the generators."""
     f, n = algebra.field, algebra.dim
     queue = [tuple(v) for v in generators]
     for v in queue:
@@ -955,11 +968,11 @@ LINE_LIMIT = 10_000
 
 
 def _basis_permutations(algebra: FiniteAlgebra) -> list:
-    """The maps v -> e_a v, v -> v e_a that permute the basis, e_a generating."""
+    """The maps v -> e_a v, v -> v e_a that permute the basis, e_a generating,
+    each once and without the identity, as _generator_maps keeps them."""
     n = algebra.dim
-    perms = dict.fromkeys(pi for pi in algebra._generator_maps if set(pi) == set(range(n)))
-    perms.pop(tuple(range(n)), None)
-    return [itemgetter(*sorted(range(n), key=pi.__getitem__)) for pi in perms]
+    return [itemgetter(*sorted(range(n), key=pi.__getitem__))
+            for pi in algebra._generator_maps if set(pi) == set(range(n))]
 
 
 def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
@@ -972,12 +985,23 @@ def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
     then <e_a v> = <v>: e_a v lies in <v>, and v, e_a applied m - 1 times
     to e_a v, lies in <e_a v>; so too on the right, using no unit and no
     associativity.  So <v> is formed once per orbit of lines under
-    _basis_permutations, and <v> lies in an ideal J iff v does.  The work
-    is one ideal_generate per orbit, one reduce per (ideal, principal
-    ideal) pair and one span per sum: far less than filtering every
-    subspace when the ideal lattice is small, as for the crossed products
-    the oracle runs on, but more when most subspaces are ideals (zero
-    multiplication, each line its own orbit and principal ideal).
+    _basis_permutations, and <v> lies in an ideal J iff v does.
+
+    Each ideal J gets its mask, the indices k of the distinct principal
+    ideals P_k = <v_k> that it holds (v_k in J), tested once when J is
+    found; the mask of a sum holds the masks of its two terms untested.
+    J + P_k is formed only when k is not in J's mask and every principal
+    ideal strictly inside P_k is.  That reaches every ideal I: list the
+    principal ideals inside I by dimension, P_k1, P_k2, ...; their sum is
+    I, and each P_ki's strictly smaller principal ideals lie in I and have
+    smaller dimension, so they come earlier in the list and lie in the
+    partial sum before it.  Each partial sum is then P_k1, or the last
+    one, or the last one plus P_ki by a sum the rule allows.  The work is
+    one ideal_generate per orbit, at most one reduce per (ideal, principal
+    ideal) pair and one span per allowed sum: far less than filtering
+    every subspace when the ideal lattice is small, as for the crossed
+    products the oracle runs on, but more when most subspaces are ideals
+    (zero multiplication, each line its own orbit and principal ideal).
     Guarded to small prime-field algebras: to dim <= dim_limit and to at
     most LINE_LIMIT lines."""
     f, n = algebra.field, algebra.dim
@@ -1003,14 +1027,25 @@ def enumerate_ideals(algebra: FiniteAlgebra, dim_limit: int = 6):
             if u not in marked:
                 marked.update(tuple(f.row_scale(c, u)) for c in range(1, f.p))
                 orbit.append(u)
-    found = {Subspace.zero(f, n), *principal}
-    frontier = list(principal)
+    lines = tuple(principal.values())
+
+    def mask(space: Subspace, known: int) -> int:
+        for k, v in enumerate(lines):
+            if not known >> k & 1 and space.contains(v):
+                known |= 1 << k
+        return known
+
+    masks = {p: mask(p, 1 << k) for k, p in enumerate(principal)}
+    # (P_k, bit k, the mask of the principal ideals strictly inside P_k)
+    terms = [(p, 1 << k, m & ~(1 << k)) for k, (p, m) in enumerate(masks.items())]
+    frontier = list(masks.items())
     while frontier:
-        ideal = frontier.pop()
-        for p, v in principal.items():
-            if not ideal.contains(v):
+        ideal, held = frontier.pop()
+        for p, bit, below in terms:
+            if not held & bit and held & below == below:
                 total = subspace_sum(ideal, p)
-                if total not in found:
-                    found.add(total)
-                    frontier.append(total)
+                if total not in masks:
+                    masks[total] = mask(total, held | bit | below)
+                    frontier.append((total, masks[total]))
+    found = [Subspace.zero(f, n), *masks]
     return sorted(found, key=lambda s: (s.dim, s.pivots, s.basis))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .bundles import CrossedProduct, crossed_product
-from .dynsys import AmpleSystem, Germ, PartialBijection
+from .dynsys import AmpleSystem, PartialBijection
 from .exactlin import (
     Field,
     FiniteAlgebra,
@@ -127,14 +127,16 @@ class GermGroupoidModel:
     def __init__(self, system: AmpleSystem):
         system.validate().require("ample system")
         self.system = system
-        germs = []
+        # the germs at x are numbered from offset[x] on, in germs_at(x) order
+        germs, offset = [], []
         for x in range(system.space_size):
+            offset.append(len(germs))
             germs.extend(system.germs_at(x))
         self.germs = tuple(germs)
         self.index = {g: i for i, g in enumerate(self.germs)}
-        units = []
-        for x in range(system.space_size):
-            units.append(self.index[self._unit_germ(x)])
+        rows = [system.germ_table(x) for x in range(system.space_size)]
+        units = [offset[x] + rows[x][self._unit_element(x)][0]
+                 for x in range(system.space_size)]
         self._unit_of_point = tuple(units)
         target_points = [system.germ_target(g) for g in self.germs]
         source = [self._unit_of_point[g.point] for g in self.germs]
@@ -143,22 +145,27 @@ class GermGroupoidModel:
         ending_at = [[] for _ in range(system.space_size)]
         for j, y in enumerate(target_points):
             ending_at[y].append(j)
+        product = system.semigroup.product
         table = [[None] * len(self.germs) for _ in self.germs]
         for i, gi in enumerate(self.germs):
             for j in ending_at[gi.point]:
                 gj = self.germs[j]
-                table[i][j] = self.index[system.germ_of(
-                    system.semigroup.product(gi.element, gj.element), gj.point)]
+                st = product(gi.element, gj.element)
+                entry = rows[gj.point][st]
+                if entry is None:    # germ_of raises: s t is undefined there
+                    system.germ_of(st, gj.point)
+                table[i][j] = offset[gj.point] + entry[0]
         names = tuple(system.germ_name(g) for g in self.germs)
         self.groupoid = FiniteGroupoid(
             len(self.germs), units, source, target, table, names)
         self.groupoid.validate().require("germ groupoid")
 
-    def _unit_germ(self, x: int) -> Germ:
+    def _unit_element(self, x: int) -> int:
+        """The first idempotent defined at x, whose germ is the unit at x."""
         sg = self.system.semigroup
         for e in sg.idempotents:
             if self.system.theta[e].defined_at(x):
-                return self.system.germ_of(e, x)
+                return e
         raise StructureError("domain-cover", (self.system.point_name(x),),
                              f"no idempotent domain holds {self.system.point_name(x)}")
 

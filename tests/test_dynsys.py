@@ -21,16 +21,10 @@ from crossedideals.fixtures import (
 )
 
 from util import (
-    SMALL_SYSTEMS,
-    brandt_k_system,
-    chain_system,
+    GERM_SYSTEMS,
     reference_germ_table,
     reference_isotropy_at,
-    rotation_system,
-    unitized_brandt_system,
-    wide_semilattice_system,
     z2_semigroup,
-    z2_times_z3_system,
 )
 
 F2 = GF(2)
@@ -315,20 +309,6 @@ def test_member_index_finds_every_isotropy_germ_and_rejects_others():
 
 # ---------------------------------------------------------------------------
 # germ tables
-
-# every valid system that util builds (nonassociative_system and
-# rectangular_band_system fail validation), and every fixture
-GERM_SYSTEMS = {
-    **SMALL_SYSTEMS,
-    "rot6on2": lambda: rotation_system(6, 2),
-    "rot8on2": lambda: rotation_system(8, 2),
-    "brandt4": lambda: brandt_k_system(4),
-    "unitized-brandt": unitized_brandt_system,
-    "z2xz3": z2_times_z3_system,
-    "chain4": chain_system,
-    "wide-semilattice": wide_semilattice_system,
-}
-
 
 @pytest.mark.parametrize("name", sorted(GERM_SYSTEMS))
 def test_germ_tables_hold_each_germ_position_and_target(name):

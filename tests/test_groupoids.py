@@ -48,10 +48,12 @@ from crossedideals.fixtures import FIXTURES, flip_system, semilattice_system
 from crossedideals.validation import ValidationReport
 
 from util import (
+    GERM_SYSTEMS,
     MATRIX_UNIT_POSITIONS,
     SMALL_SYSTEMS,
     brandt_k_system,
     corrupt_permutation_check,
+    count_calls,
     dense_check_algebra_hom,
     dense_restriction_triangle,
     matrix_units_algebra,
@@ -217,16 +219,46 @@ def test_an_uncovered_point_has_no_unit_germ(monkeypatch):
     assert (err.value.rule, err.value.witness) == ("domain-cover", ("y",))
 
 
-@pytest.mark.parametrize("name", sorted(SMALL_SYSTEMS))
+@pytest.mark.parametrize("name", sorted(GERM_SYSTEMS))
 def test_germ_composition_is_tabled_in_pair_order(name):
-    # the reference: every pair (i, j) tested for composability
-    model = germ_groupoid(SMALL_SYSTEMS[name]())
+    # the reference: the germs point by point, every pair (i, j) tested
+    # for composability, and each product and unit found by germ_of
+    model = germ_groupoid(GERM_SYSTEMS[name]())
     sys = model.system
+    assert model.germs == tuple(g for x in range(sys.space_size) for g in sys.germs_at(x))
+    assert model.index == {g: i for i, g in enumerate(model.germs)}
     want = tuple(tuple(
         model.index[sys.germ_of(sys.semigroup.product(gi.element, gj.element), gj.point)]
         if gi.point == sys.germ_target(gj) else None
         for gj in model.germs) for gi in model.germs)
     assert model.groupoid.table == want
+    first_idempotent = [next(e for e in sys.semigroup.idempotents if sys.theta[e].defined_at(x))
+                        for x in range(sys.space_size)]
+    assert model.groupoid.units == tuple(sorted(
+        model.index[sys.germ_of(e, x)] for x, e in enumerate(first_idempotent)))
+
+
+@pytest.mark.parametrize("name", sorted(GERM_SYSTEMS))
+def test_germ_groupoid_forms_no_germ_after_validation(monkeypatch, name):
+    """The model reads its units and products off the germ tables, so
+    building it after validation forms no Germ."""
+    system = GERM_SYSTEMS[name]()
+    assert system.validate().ok
+    formed = count_calls(monkeypatch, AmpleSystem, "germ_of")
+    germ_groupoid(system)
+    assert formed == []
+
+
+def test_an_undefined_germ_product_raises_as_germ_of_does(monkeypatch):
+    # on a valid system every composable product is defined; sending every
+    # product to the zero of B_2, defined nowhere, reaches the germ_of error
+    system = FIXTURES["FIX-BRANDT"]()
+    assert system.validate().ok
+    zero = next(s for s, pb in enumerate(system.theta) if not pb.pairs)
+    monkeypatch.setattr(InverseSemigroup, "product", lambda self, s, t: zero)
+    with pytest.raises(ValueError, match="is not defined at") as err:
+        germ_groupoid(system)
+    assert not isinstance(err.value, StructureError)
 
 
 def test_unit_point_dictionary_round_trips():

@@ -480,6 +480,20 @@ SMALL_SYSTEMS = {
 }
 
 
+# every valid system that util builds (nonassociative_system and
+# rectangular_band_system fail validation), and every fixture
+GERM_SYSTEMS = {
+    **SMALL_SYSTEMS,
+    "rot6on2": lambda: rotation_system(6, 2),
+    "rot8on2": lambda: rotation_system(8, 2),
+    "brandt4": lambda: brandt_k_system(4),
+    "unitized-brandt": unitized_brandt_system,
+    "z2xz3": z2_times_z3_system,
+    "chain4": chain_system,
+    "wide-semilattice": wide_semilattice_system,
+}
+
+
 def basis_multiples_reference(algebra, v):
     """e_i v and v e_i for every basis index i, by dense_mul."""
     f, n = algebra.field, algebra.dim
