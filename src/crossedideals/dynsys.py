@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactlin import Field, FiniteAlgebra, StructureError, first_nonassociative
+from .exactlin import Field, FiniteAlgebra, IndexTable, StructureError
 from .semigroups import InverseSemigroup
 from .validation import ValidationReport
 
@@ -204,9 +204,14 @@ class AmpleSystem:
         system cannot change after construction (theta is a tuple of
         partial bijections and the semigroup a frozen dataclass), so the
         axioms are walked once and the report is kept for every later
-        call."""
+        call.  A pass then builds every germ table, by the products with
+        e_x that a valid system allows, so later reads never mutate
+        shared state."""
         if self._report is None:
             self._report = self._check_axioms()
+            if self._report.ok:
+                for x in range(self.space_size):
+                    self._germ_tables(x)
         return self._report
 
     def _check_axioms(self) -> ValidationReport:
@@ -228,9 +233,6 @@ class AmpleSystem:
         for x in range(self.space_size):
             if x not in covered:
                 return ValidationReport.failed("domain-cover", (self.point_name(x),))
-        # warm the germ tables so later reads never mutate shared state
-        for x in range(self.space_size):
-            self._germ_tables(x)
         return ValidationReport.passed()
 
     # -- germs -------------------------------------------------------------
@@ -244,13 +246,46 @@ class AmpleSystem:
         """(germs_at(x), germ_table(x)), built once per point: each element
         defined at x is sent to its canonical representative, the germs
         are the representatives in ascending order, and the table holds
-        (position of the germ, theta_s(x)) for each element s, or None."""
+        (position of the germ, theta_s(x)) for each element s, or None.
+
+        Once the axioms have passed, s and t defined at x have one germ iff
+        s e_x = t e_x, for e_x the product of the idempotents defined at x,
+        so the representative of s is the least t with the same product,
+        one product per element.  For if s e = t e with e idempotent and
+        defined at x, then s e_x = s e e_x = t e e_x = t e_x, since the
+        idempotents commute (a law of the semigroup) so that e e_x = e_x.
+        And e_x is itself an idempotent defined at x: theta is a
+        homomorphism, so theta_(e_x) is the composite of the partial
+        identities theta_e, each defined at x.  Before a pass, or after a
+        fail, the definition itself is applied, t against every smaller
+        element and every idempotent defined at x."""
         cached = self._germ_cache.get(x)
         if cached is not None:
             return cached
         sg = self.semigroup
         live = self.elements_defined_at(x)
         idem_at_x = [e for e in sg.idempotents if self.theta[e].defined_at(x)]
+        if self._report is not None and self._report.ok:
+            e_x = idem_at_x[0]
+            for e in idem_at_x[1:]:
+                e_x = sg.mult[e_x][e]
+            first = {}
+            reps = {s: first.setdefault(sg.mult[s][e_x], s) for s in live}
+        else:
+            reps = self._germ_representatives(live, idem_at_x)
+        order = sorted(set(reps.values()))
+        position = {r: i for i, r in enumerate(order)}
+        table = [None] * sg.size
+        for s, rep in reps.items():
+            table[s] = (position[rep], self.theta[s].apply(x))
+        cached = self._germ_cache[x] = (tuple(Germ(r, x) for r in order), tuple(table))
+        return cached
+
+    def _germ_representatives(self, live, idem_at_x) -> dict:
+        """The representative of each element of live, from the definition
+        of a germ: the least t in live with s e = t e for some e in
+        idem_at_x, and s itself when there is none."""
+        sg = self.semigroup
         reps = {}
         for s in live:
             rep = s
@@ -264,13 +299,7 @@ class AmpleSystem:
             while reps.get(rep, rep) != rep:
                 rep = reps[rep]
             reps[s] = rep
-        order = sorted(set(reps.values()))
-        position = {r: i for i, r in enumerate(order)}
-        table = [None] * sg.size
-        for s, rep in reps.items():
-            table[s] = (position[rep], self.theta[s].apply(x))
-        cached = self._germ_cache[x] = (tuple(Germ(r, x) for r in order), tuple(table))
-        return cached
+        return reps
 
     def germ_table(self, x: int) -> tuple:
         """For each element s, (position of [s@x] in germs_at(x),
@@ -338,14 +367,15 @@ class AmpleSystem:
 
 
 class IsotropyGroup:
-    """Group of germs at x fixing x, with its multiplication table."""
+    """Group of germs at x fixing x, with its multiplication table, an
+    exactlin.IndexTable that algebra passes on, checked once."""
 
     def __init__(self, system: AmpleSystem, point: int, members, table, identity, inverse):
         self.system = system
         self.point = point
         self.members = tuple(members)
         self._index = {m: i for i, m in enumerate(self.members)}
-        self.table = tuple(tuple(row) for row in table)
+        self.table = IndexTable.of(table)
         self.identity = identity
         self.inverse = tuple(inverse)
 
@@ -396,7 +426,7 @@ class IsotropyGroup:
                 raise StructureError("isotropy-identity", (name[i],))
             if self.table[i][self.inverse[i]] != e or self.table[self.inverse[i]][i] != e:
                 raise StructureError("isotropy-inverse", (name[i],))
-        failure = first_nonassociative(self.table)
+        failure = self.table.first_failure
         if failure is not None:
             raise StructureError("isotropy-associativity", tuple(name[i] for i in failure))
 
@@ -407,6 +437,8 @@ class IsotropyGroup:
             raise ValueError(f"{g} is not an isotropy germ here") from None
 
     def algebra(self, field: Field) -> FiniteAlgebra:
-        """Group algebra on the isotropy germs."""
+        """Group algebra on the isotropy germs, on the group's own table,
+        whose associativity _check_group_laws has decided: FiniteAlgebra
+        reads that verdict and checks nothing again."""
         labels = tuple(self.system.germ_name(g) for g in self.members)
         return FiniteAlgebra(field, labels, self.table)

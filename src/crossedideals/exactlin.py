@@ -17,10 +17,14 @@ per entry touched for F_p.
 Every algebra here has a monomial basis, so FiniteAlgebra(field, labels,
 table) holds one index table, table[i][j] the index of e_i e_j or None
 for zero; its elements, subspaces and homomorphism images are arbitrary
-vectors.  first_nonassociative is the one associativity check for tables
-of indices: semigroups, isotropy groups, groupoids and algebras.  It and
-the ideal tests is_ideal and ideal_generate work over a generating set of
-the table (generating_indices) rather than every basis element.
+vectors.  An IndexTable is such a table, frozen, with its generating set
+and its first failing triple kept on it: semigroups, isotropy groups,
+groupoids and algebras each hold one and pass the same object on, so a
+table is checked once.  Its associativity check is Light's test over the
+generating set, read at the nonzero entries only, and the ideal tests
+is_ideal and ideal_generate too work over the generating set rather than
+every basis element.  first_nonassociative and generating_indices are
+the same two results for plain rows.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import is_not, itemgetter, ne
 from typing import Iterable, Sequence
 
 
@@ -546,6 +550,227 @@ class QuotientMap:
 
 
 # ---------------------------------------------------------------------------
+# index tables
+
+# Tables up to this size are checked by whole rows, whose n^2 reads per
+# generator cost less than the sparse bookkeeping there.
+_WHOLE_ROWS = 16
+
+
+class IndexTable(tuple):
+    """A square table of basis indices, table[i][j] the index of e_i e_j or
+    None for zero, held as a tuple of row tuples: indexing, == and hashing
+    are the tuple's.  It is frozen, and it keeps the two results read off
+    it, the generating set (generators) and the first failing triple
+    (first_failure).  InverseSemigroup.mult, FiniteGroupoid.table,
+    IsotropyGroup.table and FiniteAlgebra.table each hold one and pass the
+    same object on, so a table shared by several structures is walked and
+    checked once.  Build one with IndexTable.of, which makes each row a
+    tuple."""
+
+    @staticmethod
+    def of(rows) -> "IndexTable":
+        """rows itself when it is an IndexTable, else rows wrapped."""
+        return rows if isinstance(rows, IndexTable) else IndexTable(map(tuple, rows))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"an IndexTable is frozen: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"an IndexTable is frozen: cannot delete {name!r}")
+
+    @cached_property
+    def generators(self) -> tuple:
+        """A generating set, by greedy closure: the smallest index not yet
+        reached becomes a generator, and the reached indices are closed
+        under products with the generators on both sides.  Every index is
+        reached by the end.  The closure multiplies only indices already
+        reached, so it holds in any magma, associative or not; each
+        reached index is a product of generators under some bracketing."""
+        table = tuple(self)    # a plain tuple indexes faster
+        n = len(table)
+        reached = [False] * n
+        found, generators = [], []
+        for g in range(n):
+            if reached[g]:
+                continue
+            generators.append(g)
+            row_g = table[g]
+            queue = [g]
+            for r in found:
+                queue += (table[r][g], row_g[r])
+            while queue:
+                r = queue.pop()
+                if r is None or reached[r]:
+                    continue
+                reached[r] = True
+                found.append(r)
+                row_r = table[r]
+                for a in generators:
+                    queue += (row_r[a], table[a][r])
+        return tuple(generators)
+
+    @cached_property
+    def first_failure(self):
+        """The first (i, j, k) in lexicographic order at which (e_i e_j) e_k
+        and e_i (e_j e_k) differ, or None.  Pass or fail is _light_passes;
+        only a fail runs _first_failing_triple, the full scan."""
+        return None if self._light_passes() else self._first_failing_triple()
+
+    @cached_property
+    def entries(self) -> frozenset:
+        """Every entry of the table, None among them when a product is
+        zero."""
+        return frozenset().union(*self)
+
+    def _zero(self, table):
+        """The index z with z x = x z = z for every x, when there is one and
+        no entry is None; else None.  A left fold of every index ends at
+        such a z, which absorbs from its own step on, so only the fold's
+        result is tested, by its row and its column, before entries is
+        read for None."""
+        n = len(table)
+        z = 0
+        for i in range(1, n):
+            z = table[z][i]
+            if z is None:
+                return None
+        if table[z].count(z) != n or [row[z] for row in table].count(z) != n \
+                or None in self.entries:
+            return None
+        return z
+
+    def _light_passes(self) -> bool:
+        """Light's test over generators (Clifford and Preston, The
+        Algebraic Theory of Semigroups I, 1.2): for each generator a and
+        every x and y, x (a y) == (x a) y.  That suffices: T = {a : (x a) y
+        = x (a y) for all x, y} holds zero and is closed under products,
+        since for a, b in T (x (a b)) y = ((x a) b) y = (x a)(b y) =
+        x (a (b y)) = x ((a b) y), and every index is a product of
+        generators.  A 1 x 1 table always passes: both sides are e_0, or
+        both zero.  A table of at most _WHOLE_ROWS indices is compared by
+        whole rows, a larger one by _sparse_rows_pass."""
+        table = tuple(self)    # a plain tuple indexes faster
+        n = len(table)
+        if n < 2:
+            return True
+        if n > _WHOLE_ROWS:
+            return self._sparse_rows_pass(table)
+        padded = None
+        for a in self.generators:
+            row_a, col_a = table[a], [row[a] for row in table]
+            if None not in row_a and None not in col_a:
+                if list(map(itemgetter(*row_a), table)) != list(map(table.__getitem__, col_a)):
+                    return False
+                continue
+            if padded is None:    # index n reads zero
+                padded = [row + (None,) for row in table]
+                blank = (None,) * (n + 1)
+            read = itemgetter(*[n if c is None else c for c in row_a], n)
+            if list(map(read, padded)) != [blank if c is None else padded[c] for c in col_a]:
+                return False
+        return True
+
+    def _sparse_rows_pass(self, table) -> bool:
+        """_light_passes on a table of at least two indices.  The zero
+        entries are None, or the entries equal to _zero's z when it finds
+        one: z is then an index like any other, and no triple through z
+        can fail, since z absorbs every product.  A generator a whose row
+        and column have no zero entry is compared by whole rows, row x a
+        against row x read at row a, and passes at once when it is a
+        two-sided unit.  Otherwise the two sides are compared only at the
+        x with x a nonzero and the y with a y nonzero.  Everywhere else
+        one side is zero, (x a) y or x (a y), so the other must be zero
+        too, and counts of zero entries decide that.  Off the y compared,
+        (x a) y is zero iff the compared part of row x a holds every
+        nonzero entry of that row; off the x compared, x (a y) is zero iff
+        the compared part of the columns a y holds every nonzero entry of
+        those columns.  Each compared part holds at most that many, so one
+        comparison of sums decides each.  A generator then costs the
+        nonzero entries of its row times those of its column, plus O(n)
+        reads, for n^2 by whole rows."""
+        n = len(table)
+        zero = self._zero(table)
+        live = is_not if zero is None else ne
+        identity = tuple(range(n))
+        zeros = None
+        for a in self.generators:
+            row_a = table[a]
+            col_a = tuple(map(itemgetter(a), table))
+            full_row, full_col = zero not in row_a, zero not in col_a
+            if full_row and full_col:
+                if row_a == identity and col_a == identity:
+                    continue
+                if list(map(itemgetter(*row_a), table)) != list(map(table.__getitem__, col_a)):
+                    return False
+                continue
+            if zeros is None:    # the zero entries of each row and column
+                zeros = (list(map(tuple.count, table, itertools.repeat(zero))),
+                         list(map(tuple.count, zip(*table), itertools.repeat(zero))))
+            live_x = list(map(live, col_a, itertools.repeat(zero)))
+            xa = list(itertools.compress(col_a, live_x))
+            if full_row:
+                ay, at = row_a, None
+            else:
+                live_y = list(map(live, row_a, itertools.repeat(zero)))
+                ay = list(itertools.compress(row_a, live_y))
+                at = list(itertools.compress(identity, live_y))
+            nonzero_xa = n * len(xa) - sum(map(zeros[0].__getitem__, xa))
+            if not ay:
+                if nonzero_xa:
+                    return False
+                continue
+            lefts = list(map(itemgetter(*ay), itertools.compress(table, live_x)))
+            rights = list(map(table.__getitem__, xa))
+            if at is not None:
+                rights = list(map(itemgetter(*at), rights))
+            if lefts != rights:
+                return False
+            met = len(lefts) - lefts.count(zero) if len(ay) == 1 else \
+                len(ay) * len(lefts) - sum(map(tuple.count, lefts, itertools.repeat(zero)))
+            if at is not None and met != nonzero_xa:
+                return False
+            if not full_col and met != n * len(ay) - sum(map(zeros[1].__getitem__, ay)):
+                return False
+        return True
+
+    def _first_failing_triple(self):
+        """The full scan: e_i (e_j e_*) is row i read at the entries of row
+        j, one list, compared with row ij: whole when row j has no zero;
+        else at row j's nonzero positions and by the number of nonzero
+        entries, both sides being zero where e_j e_k is.  Only a mismatch
+        scans for k."""
+        n = len(self)
+        rows = [list(row) for row in self]
+        keys = [[k for k, c in enumerate(row) if c is not None] for row in rows]
+        values = [[row[k] for k in ks] for row, ks in zip(rows, keys)]
+        zero = [None] * n
+        for i, row_i in enumerate(rows):
+            for j, ij in enumerate(row_i):
+                row_ij = zero if ij is None else rows[ij]
+                right = [row_i[c] for c in values[j]]
+                if len(right) == n:
+                    if right == row_ij:
+                        continue
+                elif right == [row_ij[k] for k in keys[j]] and \
+                        len(right) - right.count(None) == (0 if ij is None else len(keys[ij])):
+                    continue
+                return next((i, j, k) for k, jk in enumerate(rows[j])
+                            if row_ij[k] != (None if jk is None else row_i[jk]))
+        return None
+
+
+def generating_indices(table) -> tuple:
+    """IndexTable.generators of the table."""
+    return IndexTable.of(table).generators
+
+
+def first_nonassociative(table):
+    """IndexTable.first_failure of the table."""
+    return IndexTable.of(table).first_failure
+
+
+# ---------------------------------------------------------------------------
 # finite-dimensional associative algebras
 
 class FiniteAlgebra:
@@ -553,9 +778,10 @@ class FiniteAlgebra:
     product of two basis vectors is a basis vector or zero, as for K^X,
     group, groupoid and crossed-product algebras.
 
-    table[i][j] is the index k of e_i e_j = e_k, or None for zero.  The
-    table's shape and indices are checked at construction, and then its
-    associativity by first_nonassociative; a failure raises
+    table[i][j] is the index k of e_i e_j = e_k, or None for zero, held as
+    an IndexTable (plain rows are wrapped, an IndexTable is kept as given).
+    The table's shape and indices are checked at construction, and then
+    its associativity by IndexTable.first_failure; a failure raises
     AssociativityError, which carries the failing triple by index as well
     as by label.  Elements, images and subspaces are arbitrary vectors.
     """
@@ -563,11 +789,11 @@ class FiniteAlgebra:
     def __init__(self, field: Field, labels: Sequence, table):
         self.field = field
         self.labels = tuple(labels)
-        self.table = tuple(map(tuple, table))
+        self.table = IndexTable.of(table)
         n = len(self.labels)
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ValueError(f"a table of {n} rows of {n} entries is required")
-        bad = set().union(*self.table) - set(range(n)) - {None}
+        bad = self.table.entries.difference(range(n), (None,))
         if bad:
             raise ValueError(f"table target out of range: {min(bad, key=repr)!r}")
         self._check_associativity()
@@ -647,99 +873,20 @@ class FiniteAlgebra:
         ]
         return " + ".join(terms) if terms else "0"
 
-    @cached_property
+    @property
     def generating_indices(self) -> tuple:
-        """Basis indices whose products generate the algebra, by
-        exactlin.generating_indices on the table."""
-        return generating_indices(self.table)
+        """Basis indices whose products generate the algebra: the table's
+        IndexTable.generators."""
+        return self.table.generators
 
     def _check_associativity(self):
         """(e_i e_j) e_k == e_i (e_j e_k) on every basis triple: each side
-        is zero or a single basis vector, so the table of indices goes to
-        first_nonassociative, with no field arithmetic."""
-        failure = first_nonassociative(self.table)
+        is zero or a single basis vector, so this is the table's
+        IndexTable.first_failure, with no field arithmetic, and a verdict
+        already computed on the same table object is read, not redone."""
+        failure = self.table.first_failure
         if failure is not None:
             raise AssociativityError(failure, self.labels)
-
-
-def generating_indices(table) -> tuple:
-    """A generating set of an index table (table[i][j] the index of
-    e_i e_j, or None for zero), by greedy closure: the smallest index not
-    yet reached becomes a generator, and the reached indices are closed
-    under products with the generators on both sides.  Every index is
-    reached by the end.  The closure multiplies only indices already
-    reached, so it holds in any magma, associative or not; each reached
-    index is a product of generators under some bracketing."""
-    n = len(table)
-    reached = [False] * n
-    found, generators = [], []
-    for g in range(n):
-        if reached[g]:
-            continue
-        generators.append(g)
-        row_g = table[g]
-        queue = [g]
-        for r in found:
-            queue += (table[r][g], row_g[r])
-        while queue:
-            r = queue.pop()
-            if r is None or reached[r]:
-                continue
-            reached[r] = True
-            found.append(r)
-            row_r = table[r]
-            for a in generators:
-                queue += (row_r[a], table[a][r])
-    return tuple(generators)
-
-
-def first_nonassociative(table):
-    """The first (i, j, k) in lexicographic order at which (e_i e_j) e_k
-    and e_i (e_j e_k) differ, or None.  table[i][j] is the index of e_i e_j,
-    or None for zero.
-
-    Pass or fail is Light's test over generating_indices(table) (Clifford
-    and Preston, The Algebraic Theory of Semigroups I, 1.2): for each
-    generator a and every x, the row of x a equals x times the row of a.
-    That suffices: T = {a : (x a) y = x (a y) for all x, y} holds zero and
-    is closed under products, since for a, b in T
-    (x (a b)) y = ((x a) b) y = (x a)(b y) = x (a (b y)) = x ((a b) y),
-    and every index is a product of generators.
-
-    Only a fail runs the full scan for the first failing triple:
-    e_i (e_j e_*) is row i read at the entries of row j, one list,
-    compared with row ij: whole when row j has no zero; else at row j's
-    nonzero positions and by the number of nonzero entries, both sides
-    being zero where e_j e_k is.  Only a mismatch scans for k."""
-    n = len(table)
-    padded = [tuple(row) + (None,) for row in table]    # index n reads zero
-    padded_zero = (None,) * (n + 1)
-
-    def light_passes(a):
-        """x (a y) == (x a) y for every x and y, one row per x."""
-        times_row_a = itemgetter(*[n if c is None else c for c in table[a]], n)
-        return list(map(times_row_a, padded)) == \
-            [padded_zero if row[a] is None else padded[row[a]] for row in table]
-
-    if all(light_passes(a) for a in generating_indices(table)):
-        return None
-    rows = [list(row) for row in table]
-    keys = [[k for k, c in enumerate(row) if c is not None] for row in rows]
-    values = [[row[k] for k in ks] for row, ks in zip(rows, keys)]
-    zero = [None] * n
-    for i, row_i in enumerate(rows):
-        for j, ij in enumerate(row_i):
-            row_ij = zero if ij is None else rows[ij]
-            right = [row_i[c] for c in values[j]]
-            if len(right) == n:
-                if right == row_ij:
-                    continue
-            elif right == [row_ij[k] for k in keys[j]] and \
-                    len(right) - right.count(None) == (0 if ij is None else len(keys[ij])):
-                continue
-            return next((i, j, k) for k, jk in enumerate(rows[j])
-                        if row_ij[k] != (None if jk is None else row_i[jk]))
-    return None
 
 
 def check_algebra_hom(src: FiniteAlgebra, dst: FiniteAlgebra, images: Sequence, rule: str):

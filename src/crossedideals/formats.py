@@ -102,10 +102,25 @@ def _split_row(value: str, count: int, line: int, what: str):
     return tuple(tokens)
 
 
-def _lookup(names, token: str, line: int, what: str) -> int:
-    if token in names:
-        return names.index(token)
-    raise ParseError(line, f"unknown {what} {token!r}")
+def _name_index(names) -> dict:
+    """name -> position, built once per block of distinct names."""
+    return {name: i for i, name in enumerate(names)}
+
+
+def _lookup(index: dict, token: str, line: int, what: str) -> int:
+    position = index.get(token)
+    if position is None:
+        raise ParseError(line, f"unknown {what} {token!r}")
+    return position
+
+
+def _lookup_all(index: dict, tokens, line: int, what: str) -> tuple:
+    """The position of each token, as _lookup, with its error at the first
+    unknown token."""
+    try:
+        return tuple(map(index.__getitem__, tokens))
+    except KeyError as err:
+        raise ParseError(line, f"unknown {what} {err.args[0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +148,10 @@ def parse_system(text: str):
     size = int(size_text)
     n, names_text = lines.expect_key("names")
     names = _split_names(names_text, size, n, "element names")
+    index = _name_index(names)
     n, star_text = lines.expect_key("star")
     star_names = _split_names(star_text, size, n, "involution entries")
-    star = tuple(_lookup(names, t, n, "element") for t in star_names)
+    star = _lookup_all(index, star_names, n, "element")
     lines.expect_key("mult")
     mult = []
     for i in range(size):
@@ -145,7 +161,7 @@ def parse_system(text: str):
         row = body.split()
         if len(row) != size:
             raise ParseError(n, f"expected {size} products, found {len(row)}")
-        mult.append(tuple(_lookup(names, t, n, "element") for t in row))
+        mult.append(_lookup_all(index, row, n, "element"))
     try:
         semigroup = InverseSemigroup(tuple(mult), star, names)
     except ValueError as exc:
@@ -158,6 +174,7 @@ def parse_system(text: str):
     space = int(size_text)
     n, names_text = lines.expect_key("names")
     points = _split_names(names_text, space, n, "point names")
+    point_index = _name_index(points)
 
     lines.expect_key("theta")
     theta = [None] * size
@@ -168,14 +185,14 @@ def parse_system(text: str):
         head, sep, rest = body.partition(":")
         if not sep:
             raise ParseError(n, f"expected '<element>: <domain> -> <image>', found {body!r}")
-        s = _lookup(names, head.strip(), n, "element")
+        s = _lookup(index, head.strip(), n, "element")
         if theta[s] is not None:
             raise ParseError(n, f"duplicate theta line for {head.strip()!r}")
         dom_text, arrow, img_text = rest.partition("->")
         if not arrow:
             raise ParseError(n, "missing '->' in theta line")
-        dom = [_lookup(points, t, n, "point") for t in dom_text.split()]
-        img = [_lookup(points, t, n, "point") for t in img_text.split()]
+        dom = _lookup_all(point_index, dom_text.split(), n, "point")
+        img = _lookup_all(point_index, img_text.split(), n, "point")
         if len(dom) != len(img):
             raise ParseError(n, "domain and image lists differ in length")
         try:
@@ -249,17 +266,17 @@ def parse_groupoid(text: str):
     size = int(size_text)
     n, names_text = lines.expect_key("names")
     names = _split_names(names_text, size, n, "element names")
+    index = _name_index(names)
     n, units_text = lines.expect_key("units")
-    units = tuple(_lookup(names, t, n, "element") for t in units_text.split())
+    units = _lookup_all(index, units_text.split(), n, "element")
     if len(set(units)) != len(units) or not units:
         raise ParseError(n, "units must be a nonempty list without repeats")
     n, src_text = lines.expect_key("source")
-    source = tuple(_lookup(names, t, n, "element")
-                   for t in _split_row(src_text, size, n, "source entries"))
+    source = _lookup_all(index, _split_row(src_text, size, n, "source entries"), n, "element")
     n, tgt_text = lines.expect_key("target")
-    target = tuple(_lookup(names, t, n, "element")
-                   for t in _split_row(tgt_text, size, n, "target entries"))
+    target = _lookup_all(index, _split_row(tgt_text, size, n, "target entries"), n, "element")
     lines.expect_key("compose")
+    entries = {**index, ".": None}    # "." is no composite, whatever the names
     table = []
     for _ in range(size):
         if lines.done():
@@ -268,8 +285,7 @@ def parse_groupoid(text: str):
         row = body.split()
         if len(row) != size:
             raise ParseError(n, f"expected {size} entries, found {len(row)}")
-        table.append([None if token == "." else _lookup(names, token, n, "element")
-                      for token in row])
+        table.append(_lookup_all(entries, row, n, "element"))
     if not lines.done():
         raise ParseError(lines.peek()[0], f"unexpected trailing line {lines.peek()[1]!r}")
     try:

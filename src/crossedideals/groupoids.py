@@ -24,9 +24,9 @@ from .exactlin import (
     FiniteAlgebra,
     GuardError,
     HomomorphismError,
+    IndexTable,
     StructureError,
     check_permutation_hom,
-    first_nonassociative,
     lincomb,
     mat_from_columns,
     unit_vector,
@@ -38,14 +38,17 @@ from .validation import ValidationReport
 class FiniteGroupoid:
     """A finite groupoid given by source/target maps into a chosen unit
     set and one composition table, table[a][b] the index of ab or None
-    where a and b do not compose (its shape and indices checked here)."""
+    where a and b do not compose (its shape and indices checked here),
+    held as an exactlin.IndexTable: validate reads its first_failure, and
+    the convolution algebra holds the same object, so the table is checked
+    for associativity once."""
 
     def __init__(self, size: int, units, source, target, table, names=None):
         self.size = size
         self.units = tuple(sorted(units))
         self.source = tuple(source)
         self.target = tuple(target)
-        self.table = tuple(map(tuple, table))
+        self.table = IndexTable.of(table)
         self.names = tuple(names) if names is not None else None
         if len(self.source) != size or len(self.target) != size:
             raise ValueError("one source and one target per element required")
@@ -58,7 +61,7 @@ class FiniteGroupoid:
                 raise ValueError(f"element {v} out of range")
         if len(self.table) != size or any(len(row) != size for row in self.table):
             raise ValueError(f"a table of {size} rows of {size} entries is required")
-        if set().union(*self.table) - set(range(size)) - {None}:
+        if self.table.entries.difference(range(size), (None,)):
             raise ValueError("composition table leaves the element set")
 
     def name(self, g: int) -> str:
@@ -108,7 +111,7 @@ class FiniteGroupoid:
                 return ValidationReport.failed("identity-laws", (self.name(g),))
         # by the rules above, (ab)c and a(bc) are each defined exactly when
         # ab and bc are, so only such triples can fail in the table
-        failure = first_nonassociative(self.table)
+        failure = self.table.first_failure
         if failure is not None:
             return ValidationReport.failed("associativity", map(self.name, failure))
         for g in range(self.size):
@@ -122,7 +125,9 @@ class FiniteGroupoid:
 
 class GermGroupoidModel:
     """The groupoid of germs of an ample system, with the dictionary
-    between groupoid elements and germs."""
+    between groupoid elements and germs: the germs at x are numbered from
+    offset[x] on, in germs_at(x) order, so the germ of s at x has index
+    offset[x] + germ_table(x)[s][0]."""
 
     def __init__(self, system: AmpleSystem):
         system.validate().require("ample system")
@@ -133,6 +138,7 @@ class GermGroupoidModel:
             offset.append(len(germs))
             germs.extend(system.germs_at(x))
         self.germs = tuple(germs)
+        self.offset = tuple(offset)
         self.index = {g: i for i, g in enumerate(self.germs)}
         rows = [system.germ_table(x) for x in range(system.space_size)]
         units = [offset[x] + rows[x][self._unit_element(x)][0]
@@ -217,7 +223,9 @@ def groupoid_restriction(model: GermGroupoidModel, x: int, vec,
 class SteinbergIso:
     """Basis bijection from a crossed product onto the convolution
     algebra of its germ groupoid: the coset of delta_y at s maps to the
-    indicator of the germ of s at the preimage of y."""
+    indicator of the germ of s at the preimage x of y, read off the germ
+    table at x by the model's offset.  The action is valid, so x is
+    theta_(s*)(y), where s is defined."""
 
     def __init__(self, cp: CrossedProduct):
         self.cp = cp
@@ -227,11 +235,12 @@ class SteinbergIso:
                                  "germ count differs from crossed product dimension")
         f = cp.field
         sys = cp.system
+        theta, star, offset = sys.theta, sys.semigroup.star, self.model.offset
         targets = []
         for i in range(cp.dim):
             y, s = cp.basis_pair(i)
-            x = sys.theta[s].inverse().apply(y)
-            targets.append(self.model.index[sys.germ_of(s, x)])
+            x = theta[star[s]].apply(y)
+            targets.append(offset[x] + sys.germ_table(x)[s][0])
         if len(set(targets)) != cp.dim:
             dup = next(t for t in targets if targets.count(t) > 1)
             raise StructureError("not-injective", (self.model.groupoid.name(dup),))

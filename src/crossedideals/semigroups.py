@@ -3,10 +3,11 @@
 Elements are dense indices 0..size-1 with optional display names.  The
 involution is part of the data; validation checks associativity, the
 involutive anti-homomorphism laws, s s* s = s, and that idempotents
-commute (which forces uniqueness of generalized inverses);
-associativity is exactlin.first_nonassociative on the table.  The
-semigroup is frozen, so its report and a generating set of its table are
-computed once and kept.
+commute (which forces uniqueness of generalized inverses).  The table
+is an exactlin.IndexTable, so associativity is its first_failure and the
+generators are its generating set, each computed once on the one table
+object and shared by every structure built on it.  The semigroup is
+frozen, so its report is computed once and kept.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactlin import first_nonassociative, generating_indices
+from .exactlin import IndexTable
 from .validation import ValidationReport
 
 
@@ -26,7 +27,7 @@ class InverseSemigroup:
 
     def __post_init__(self):
         n = len(self.mult)
-        object.__setattr__(self, "mult", tuple(tuple(row) for row in self.mult))
+        object.__setattr__(self, "mult", IndexTable.of(self.mult))
         object.__setattr__(self, "star", tuple(self.star))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
@@ -34,10 +35,11 @@ class InverseSemigroup:
                 raise ValueError("one name per element required")
         if len(self.star) != n or any(len(row) != n for row in self.mult):
             raise ValueError("malformed multiplication table")
-        for row in self.mult:
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"product {v} out of range")
+        if not self.mult.entries.issubset(range(n)):
+            for row in self.mult:
+                for v in row:
+                    if not 0 <= v < n:
+                        raise ValueError(f"product {v} out of range")
         for v in self.star:
             if not 0 <= v < n:
                 raise ValueError(f"involution value {v} out of range")
@@ -69,11 +71,11 @@ class InverseSemigroup:
     def idempotents(self) -> tuple:
         return tuple(e for e in range(self.size) if self.mult[e][e] == e)
 
-    @cached_property
+    @property
     def generators(self) -> tuple:
-        """exactlin.generating_indices of the table: every element is a
-        product of these."""
-        return generating_indices(self.mult)
+        """The table's IndexTable.generators: every element is a product of
+        these."""
+        return self.mult.generators
 
     @cached_property
     def _leq_pairs(self) -> frozenset:
@@ -113,8 +115,8 @@ class InverseSemigroup:
     @cached_property
     def _report(self) -> ValidationReport:
         n = self.size
-        mult, star = self.mult, self.star
-        failure = first_nonassociative(mult)
+        failure = self.mult.first_failure
+        mult, star = tuple(self.mult), self.star    # a plain tuple indexes faster
         if failure is not None:
             return ValidationReport.failed("associativity", map(self.name, failure))
         for s in range(n):

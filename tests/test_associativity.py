@@ -1,7 +1,6 @@
-"""The one associativity check for index tables, exactlin.first_nonassociative,
-against the loops it replaced, through each of its callers."""
-
-import sys
+"""The one associativity check for index tables, exactlin.IndexTable's
+first_failure (first_nonassociative on plain rows), against the loops it
+replaced, through each of its callers."""
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +20,19 @@ from crossedideals import (
     function_action,
     semidirect_bundle,
 )
-from crossedideals.exactlin import AssociativityError, first_nonassociative, generating_indices
+from crossedideals.exactlin import (
+    AssociativityError,
+    IndexTable,
+    first_nonassociative,
+    generating_indices,
+)
 from crossedideals.fixtures import flip_system
 from crossedideals.validation import ValidationReport
 
 from util import (
     dense_check_associativity,
     matrix_units_table,
+    record_table_results,
     reference_first_nonassociative,
     reference_groupoid_associativity,
     reference_isotropy_associativity,
@@ -220,6 +225,177 @@ def test_kernel_matches_the_reference_on_tables_with_many_generators(data):
 
 
 # ---------------------------------------------------------------------------
+# sparse tables that need many generators: Light's test at the nonzero
+# entries, and the zero index read as zero
+
+def pair_groupoid_table(k):
+    """The pair groupoid on k points, its units (i, i) first and then the
+    arrows (i, j), i != j: (i, j)(j, l) = (i, l), other products zero."""
+    arrows = [(i, i) for i in range(k)]
+    arrows += [(i, j) for i in range(k) for j in range(k) if i != j]
+    index = {arrow: t for t, arrow in enumerate(arrows)}
+    return [[index[(i, l)] if j == j2 else None for (j2, l) in arrows] for (i, j) in arrows]
+
+
+def brandt_table(k):
+    """The Brandt semigroup B_k with its zero z first, then the E_ij:
+    E_ij E_jl = E_il, every other product z, so no entry is None."""
+    units = [(i, j) for i in range(k) for j in range(k)]
+    index = {u: 1 + t for t, u in enumerate(units)}
+    table = [[0] * (1 + len(units)) for _ in range(1 + len(units))]
+    for (i, j) in units:
+        for (a, b) in units:
+            if j == a:
+                table[index[(i, j)]][index[(a, b)]] = index[(i, b)]
+    return table
+
+
+def contracted_semilattice_table(bits):
+    """The nonempty subsets of `bits` points under intersection, subset s
+    at index s - 1, with None where two subsets are disjoint."""
+    size = (1 << bits) - 1
+    return [[(a + 1 & b + 1) - 1 if a + 1 & b + 1 else None for b in range(size)]
+            for a in range(size)]
+
+
+SPARSE_TABLES = (
+    *(pair_groupoid_table(k) for k in (3, 4, 5)),
+    *(brandt_table(k) for k in (2, 3, 4)),
+    *([[a & b for b in range(1 << bits)] for a in range(1 << bits)] for bits in (3, 5)),
+    contracted_semilattice_table(4),
+    contracted_semilattice_table(5),
+    [[min(a, b) for b in range(20)] for a in range(20)],     # chain, zero at 0
+    [[a if a == b else None for b in range(20)] for a in range(20)],   # K^20
+    disjoint_union(pair_groupoid_table(4), cyclic(3)),
+)
+
+# whole rows up to the default size, and the sparse reads on every table
+THRESHOLDS = (exactlin._WHOLE_ROWS, 1)
+
+
+def kernel_outcomes(table, threshold):
+    """(first_nonassociative, Light's verdict) with whole rows up to the
+    given table size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "_WHOLE_ROWS", threshold)
+        return first_nonassociative(table), IndexTable.of(table)._light_passes()
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+@pytest.mark.parametrize("table", SPARSE_TABLES, ids=len)
+def test_sparse_tables_pass_by_light_alone(monkeypatch, table, threshold):
+    """Every generator is compared and passes: the full scan never runs."""
+    generators = generating_indices(table)
+    assert len(generators) >= len(table) // 4
+    assert product_closure(table, generators) == set(range(len(table)))
+
+    def no_scan(self):
+        raise AssertionError("the full scan ran on an associative table")
+
+    monkeypatch.setattr(IndexTable, "_first_failing_triple", no_scan)
+    assert kernel_outcomes(table, threshold) == (None, True)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_the_reference_on_sparse_tables(threshold, data):
+    """Sparse tables, in their order (units or zero first) or relabelled,
+    with 0-2 entries set at random, None among the values."""
+    table = [list(row) for row in data.draw(st.sampled_from(SPARSE_TABLES))]
+    n = len(table)
+    if data.draw(st.booleans()):
+        table = relabelled(table, data.draw(st.permutations(range(n))))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[i][j] = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    expected = reference_first_nonassociative(table)
+    assert kernel_outcomes(table, threshold) == (expected, expected is None)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+@pytest.mark.parametrize("k", (2, 3))
+def test_one_none_in_a_brandt_table_is_no_zero(threshold, k):
+    """B_k with any one entry set to None: z and None are then two
+    different products, so z is not read as zero, and the kernel agrees
+    with the reference at every cell."""
+    source = brandt_table(k)
+    n = len(source)
+    for i in range(n):
+        for j in range(n):
+            table = [list(row) for row in source]
+            table[i][j] = None
+            expected = reference_first_nonassociative(table)
+            assert kernel_outcomes(table, threshold) == (expected, expected is None), (i, j)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+def test_a_zero_row_generator_checks_the_rows_it_is_multiplied_into(threshold):
+    # row 0 is zero, so e_1 (e_0 e_0) = 0, but e_1 e_0 = e_1 and
+    # (e_1 e_0) e_0 = e_1; beside a pair groupoid, with zero "z" read as None
+    table = [[None, None], [1, None]]
+    assert kernel_outcomes(table, threshold) == ((1, 0, 0), False)
+    wide = disjoint_union(table, pair_groupoid_table(4))
+    assert kernel_outcomes(wide, threshold) == ((1, 0, 0), False)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+@pytest.mark.parametrize("source", (
+    pair_groupoid_table(3), brandt_table(2), contracted_semilattice_table(3),
+    [[a if a == b else None for b in range(5)] for a in range(5)],
+    disjoint_union(pair_groupoid_table(2), cyclic(2)), cyclic(4), symmetric_three(),
+), ids=["pair3", "brandt2", "semilattice3", "K^5", "pair2+Z2", "Z4", "S3"])
+def test_every_one_cell_change_matches_the_reference(source, threshold):
+    """Each cell set to each value, None too: every way one product can be
+    wrong, so that each comparison and each count of the kernel is met."""
+    n = len(source)
+    for i in range(n):
+        for j in range(n):
+            for value in (None, *range(n)):
+                table = [list(row) for row in source]
+                table[i][j] = value
+                expected = reference_first_nonassociative(table)
+                assert kernel_outcomes(table, threshold) == (expected, expected is None), \
+                    (i, j, value)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+def test_a_left_unit_that_is_no_right_unit_is_compared(threshold):
+    # e_0 e_y = e_y for every y, but e_1 e_0 = e_2: (e_1 e_0) e_0 = e_0
+    # differs from e_1 (e_0 e_0) = e_2, and only generator 0's rows show it
+    table = [[0, 1, 2], [2, 1, 2], [0, 2, 0]]
+    assert kernel_outcomes(table, threshold) == ((1, 0, 0), False)
+
+
+def test_the_zero_index_is_found_only_without_none():
+    brandt = IndexTable.of(brandt_table(3))
+    assert brandt._zero(tuple(brandt)) == 0
+    moved = IndexTable.of(relabelled(brandt_table(3), [4, 0, 1, 2, 3, 5, 6, 7, 8, 9]))
+    assert moved._zero(tuple(moved)) == 4
+    holed = IndexTable.of([row[:-1] + (None,) if i == 2 else row
+                           for i, row in enumerate(brandt)])
+    assert holed._zero(tuple(holed)) is None
+    assert IndexTable.of([[0, 1], [1, 1]])._zero(((0, 1), (1, 1))) == 1
+    for table in (cyclic(5), pair_groupoid_table(3), [[a] * 3 for a in range(3)]):
+        table = IndexTable.of(table)
+        assert table._zero(tuple(table)) is None
+
+
+def test_an_index_table_is_a_frozen_tuple_of_rows():
+    rows = [[0, 1], [1, 0]]
+    table = IndexTable.of(rows)
+    assert table == ((0, 1), (1, 0)) and hash(table) == hash(((0, 1), (1, 0)))
+    assert table[1][0] == 1 and IndexTable.of(table) is table
+    assert table.generators == (0, 1) and table.first_failure is None
+    with pytest.raises(AttributeError):
+        table.generators = ()
+    with pytest.raises(AttributeError):
+        table.extra = 1
+    with pytest.raises(AttributeError):
+        del table.generators
+
+
+# ---------------------------------------------------------------------------
 # the callers, against the loops they replaced
 
 @settings(max_examples=100, deadline=None)
@@ -354,25 +530,15 @@ def test_monomial_algebras_fail_at_the_reference_triple(field, zeros, data):
 # a guard against hand-written loops
 
 def test_every_index_table_check_goes_through_the_kernel(monkeypatch):
-    """With the kernel patched to fail at (1, 0, 1), every caller reports
-    that triple under its own rule."""
+    """With IndexTable.first_failure patched to fail at (1, 0, 1), every
+    caller reports that triple under its own rule."""
     semigroup = z2_semigroup()
     system = rotation_system(2, 1)
     z2_groupoid = FiniteGroupoid(2, (0,), (0, 0), (0, 0), ((0, 1), (1, 0)), ("1", "g"))
     built = semidirect_bundle(function_action(flip_system(), F2))
     bundle = FellBundle(built.semigroup, built.field, built.fiber_labels,
                         built.mu, built.order_maps)
-    tables = []
-
-    def fixed(table):
-        tables.append(len(table))
-        return 1, 0, 1
-
-    kernel = exactlin.first_nonassociative
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("crossedideals") and \
-                getattr(module, "first_nonassociative", None) is kernel:
-            monkeypatch.setattr(module, "first_nonassociative", fixed)
+    tables = record_table_results(monkeypatch, "first_failure", lambda table: (1, 0, 1))
 
     assert semigroup.validate() == ValidationReport.failed("associativity", ("g", "1", "g"))
     with pytest.raises(StructureError) as err:
@@ -387,4 +553,4 @@ def test_every_index_table_check_goes_through_the_kernel(monkeypatch):
     # indices 1, 0, 1
     assert bundle.validate() == ValidationReport.failed(
         "fiber-associativity", ("1", "1", "1", 1, 0, 1))
-    assert tables == [2, 2, 2, 2, 4]
+    assert list(map(len, tables)) == [2, 2, 2, 2, 4]

@@ -1,12 +1,15 @@
 """Ample systems: validation, germs, orbits, isotropy groups."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossedideals import (
     GF,
     QQ,
     AmpleSystem,
     Germ,
+    InverseSemigroup,
     IsotropyGroup,
     PartialBijection,
     StructureError,
@@ -22,8 +25,12 @@ from crossedideals.fixtures import (
 
 from util import (
     GERM_SYSTEMS,
+    brandt_k_system,
+    chain_system,
+    record_table_results,
     reference_germ_table,
     reference_isotropy_at,
+    rotation_system,
     z2_semigroup,
 )
 
@@ -339,3 +346,59 @@ def test_isotropy_groups_match_the_germ_of_reference(name):
         assert iso.element_index == tuple(
             iso.member_index(sys.germ_of(s, x)) if s in fixing else None
             for s in range(sys.semigroup.size))
+
+
+@st.composite
+def generated_systems(draw):
+    """A valid system with its elements and points renamed at random: one
+    of GERM_SYSTEMS, Z/n rotating Z/d, a chain of k idempotents, or the
+    Brandt B_k, so that the representatives of the germs move."""
+    kind = draw(st.sampled_from(("named", "rotation", "chain", "brandt")))
+    if kind == "named":
+        system = GERM_SYSTEMS[draw(st.sampled_from(sorted(GERM_SYSTEMS)))]()
+    elif kind == "rotation":
+        n = draw(st.integers(1, 8))
+        system = rotation_system(n, draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0])))
+    elif kind == "chain":
+        system = chain_system(draw(st.integers(1, 6)))
+    else:
+        system = brandt_k_system(draw(st.integers(1, 4)))
+    sg = system.semigroup
+    perm = draw(st.permutations(range(sg.size)))
+    moved = draw(st.permutations(range(system.space_size)))
+    old = sorted(range(sg.size), key=perm.__getitem__)    # old[perm[s]] = s
+    mult = [[perm[sg.mult[old[a]][old[b]]] for b in range(sg.size)] for a in range(sg.size)]
+    theta = [PartialBijection({moved[x]: moved[y] for x, y in system.theta[old[a]].pairs})
+             for a in range(sg.size)]
+    return AmpleSystem(InverseSemigroup(mult, [perm[sg.star[s]] for s in old]),
+                       system.space_size, theta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_systems())
+def test_germ_tables_after_validation_match_the_definition(system):
+    """After a pass each representative is read off the one product
+    s e_x; before validation the definition itself is applied.  Both give
+    reference_germ_table, and the validated system never applies the
+    definition."""
+    before = [system.germ_table(x) for x in range(system.space_size)]
+    fresh = AmpleSystem(system.semigroup, system.space_size, system.theta)
+    with pytest.MonkeyPatch.context() as mp:
+        scans = []
+        mp.setattr(AmpleSystem, "_germ_representatives",
+                   lambda self, live, idem: scans.append(1))
+        assert fresh.validate().ok
+        after = [fresh.germ_table(x) for x in range(fresh.space_size)]
+    assert scans == []
+    assert before == after == [reference_germ_table(system, x)
+                               for x in range(system.space_size)]
+
+
+def test_the_isotropy_algebra_reads_the_group_verdict(monkeypatch):
+    system = rotation_system(8, 2)
+    assert system.validate().ok
+    group = system.isotropy_group(0)
+    verdicts = record_table_results(monkeypatch, "first_failure")
+    algebra = group.algebra(F2)
+    assert algebra.table is group.table and algebra.dim == 4
+    assert verdicts == []

@@ -299,3 +299,35 @@ def test_generator_text_round_trips_over_the_rationals():
     vec = (Fraction(1, 2), Fraction(-3))
     text = generator_text(cp, vec)
     assert parse_generator(cp, text) == vec
+
+
+@pytest.mark.parametrize("name, old, new, line, message", [
+    ("order_two_fixed_point.system", "star: 1 g", "star: 1 q", 8, "unknown element 'q'"),
+    ("order_two_fixed_point.system", "    g 1", "    q r", 11, "unknown element 'q'"),
+    ("order_two_fixed_point.system", "  g: x -> x", "  q: x -> x", 19, "unknown element 'q'"),
+    ("order_two_fixed_point.system", "  g: x -> x", "  g: y -> z", 19, "unknown point 'y'"),
+    ("order_two_fixed_point.system", "  g: x -> x", "  g: x -> z", 19, "unknown point 'z'"),
+    ("pair_groupoid.groupoid", "units: u v", "units: u w", 8, "unknown element 'w'"),
+    ("pair_groupoid.groupoid", "source: u v v u", "source: u v w u", 9, "unknown element 'w'"),
+    ("pair_groupoid.groupoid", "target: u v u v", "target: u v u w", 10, "unknown element 'w'"),
+    ("pair_groupoid.groupoid", "    . uv . u", "    . uv w x", 14, "unknown element 'w'"),
+])
+def test_an_unknown_name_is_reported_at_its_line(name, old, new, line, message):
+    """Names are looked up in one dict per block, and the first unknown
+    token of a line is the one reported, with that line's number."""
+    text = (DATA / name).read_text()
+    assert text.count(old) == 1
+    parse = parse_system if name.endswith(".system") else parse_groupoid
+    with pytest.raises(ParseError) as err:
+        parse(text.replace(old, new))
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_a_dot_is_no_composite_even_when_an_element_is_named_dot():
+    text = (DATA / "pair_groupoid.groupoid").read_text()
+    renamed = text.replace("names: u v uv vu", "names: u v . vu")
+    with pytest.raises(ParseError) as err:
+        parse_groupoid(renamed)
+    assert err.value.message == "unknown element 'uv'"
+    groupoid, _ = parse_groupoid(renamed.replace(" uv", " ."))
+    assert groupoid.table[0] == (0, None, None, None)

@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossedideals
-from crossedideals import cli, exactlin, groupoids
+from crossedideals import cli, groupoids
 from crossedideals import (
     GF,
     QQ,
     AmpleSystem,
     FiniteAlgebra,
     FiniteGroupoid,
+    Germ,
     InverseSemigroup,
     PartialBijection,
     StructureError,
@@ -39,6 +40,7 @@ from crossedideals import (
     parse_groupoid,
     parse_system,
     serialize_groupoid,
+    serialize_system,
     steinberg_algebra,
     steinberg_as_crossed_product,
     steinberg_isomorphism,
@@ -57,6 +59,7 @@ from util import (
     dense_check_algebra_hom,
     dense_restriction_triangle,
     matrix_units_algebra,
+    record_table_results,
     reference_germ_map_composition,
     rotation_system,
     z2_algebra,
@@ -489,20 +492,9 @@ def test_one_bisect_walks_each_groupoid_and_system_once(monkeypatch):
 
 
 def record_kernel_tables(monkeypatch):
-    """Record the table of every first_nonassociative call, whichever
-    module makes it, as a tuple of row tuples."""
-    tables = []
-    kernel = exactlin.first_nonassociative
-
-    def recording(table):
-        tables.append(tuple(map(tuple, table)))
-        return kernel(table)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("crossedideals") and \
-                getattr(module, "first_nonassociative", None) is kernel:
-            monkeypatch.setattr(module, "first_nonassociative", recording)
-    return tables
+    """Record the table of every associativity check, whichever module
+    reads it: each computation of an IndexTable.first_failure."""
+    return record_table_results(monkeypatch, "first_failure")
 
 
 @pytest.mark.parametrize("path", ("matrix_units.system", "two_point_flip.system"))
@@ -531,6 +523,51 @@ def test_one_bisect_checks_each_groupoid_table_once(monkeypatch, capsys, tmp_pat
     expected = Counter((groupoid.table, model.model.groupoid.table))
     assert model.cp.algebra.table not in expected
     assert {table: calls.count(table) for table in expected} == expected
+
+
+def test_a_brandt6_isocheck_decides_and_generates_each_table_once(monkeypatch, capsys,
+                                                                 tmp_path):
+    """The semigroup, K^X, the crossed product and the germ groupoid each
+    get one verdict and one generating set, on the one table object that
+    each holds, and the six 1 x 1 isotropy tables one verdict each, which
+    needs no generating set."""
+    path = tmp_path / "b6.system"
+    path.write_text(serialize_system(brandt_k_system(6), F2))
+    verdicts = record_table_results(monkeypatch, "first_failure")
+    generated = record_table_results(monkeypatch, "generators")
+    assert cli.main(["isocheck", str(path)]) == 0
+    assert len(set(map(id, verdicts))) == len(verdicts)
+    assert len(set(map(id, generated))) == len(generated)
+    assert Counter(map(len, verdicts)) == {37: 1, 6: 1, 36: 2, 1: 6}
+    assert Counter(map(len, generated)) == {37: 1, 6: 1, 36: 2}
+    assert {id(t) for t in generated} <= {id(t) for t in verdicts}
+
+
+def test_build_on_a_groupoid_file_checks_its_table_once(monkeypatch, capsys):
+    verdicts = record_table_results(monkeypatch, "first_failure")
+    assert cli.main(["build", str(DATA / "pair_groupoid.groupoid")]) == 0
+    groupoid, _ = parse_groupoid((DATA / "pair_groupoid.groupoid").read_text())
+    assert verdicts == [groupoid.table]
+
+
+def test_steinberg_algebra_holds_the_groupoid_table():
+    groupoid = pair_groupoid()
+    assert steinberg_algebra(groupoid, F2).table is groupoid.table
+
+
+@pytest.mark.parametrize("name", sorted(GERM_SYSTEMS))
+def test_steinberg_isomorphism_forms_no_germ_after_validation(monkeypatch, name):
+    """Each target is read off the germ table at the source point, by the
+    model's offset: no germ_of, and no Germ formed."""
+    cp = crossed_product(GERM_SYSTEMS[name](), F2)
+    formed = count_calls(monkeypatch, AmpleSystem, "germ_of")
+    made = count_calls(monkeypatch, Germ, "__init__")
+    iso = steinberg_isomorphism(cp)
+    assert formed == [] and made == []
+    sys_ = cp.system
+    assert iso.targets == tuple(
+        iso.model.index[sys_.germ_of(s, sys_.theta[s].inverse().apply(y))]
+        for y, s in map(cp.basis_pair, range(cp.dim)))
 
 
 def test_a_failing_system_keeps_its_report(monkeypatch):

@@ -38,3 +38,27 @@ def test_package_imports_itself_only_relatively():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "crossedideals"]
     assert found == []
+
+
+def test_only_exactlin_reads_the_plain_row_kernels():
+    """first_nonassociative and generating_indices take plain rows and so
+    build a fresh IndexTable, checked or walked again.  No module but
+    exactlin names them: the others read first_failure and generators off
+    the IndexTable that their structure holds."""
+    kernels = {"first_nonassociative", "generating_indices"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "exactlin.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name in kernels]
+    assert found == []

@@ -1,5 +1,6 @@
 """Shared constructions for the test suite."""
 
+import functools
 import itertools
 
 from crossedideals import (
@@ -17,6 +18,7 @@ from crossedideals import (
     nullspace,
 )
 from crossedideals.exactlin import (
+    IndexTable,
     lincomb,
     mat_from_columns,
     mat_vec,
@@ -130,6 +132,24 @@ def count_calls(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def record_table_results(monkeypatch, name, compute=None) -> list:
+    """Rewrap the cached property IndexTable.<name> (first_failure or
+    generators) for the test: each time it is computed, which is once per
+    table object, the table is appended to the returned list and the
+    original runs, or compute(table) when given."""
+    original = IndexTable.__dict__[name].func
+    tables = []
+
+    def recording(table):
+        tables.append(table)
+        return (compute or original)(table)
+
+    wrapped = functools.cached_property(recording)
+    wrapped.__set_name__(IndexTable, name)
+    monkeypatch.setattr(IndexTable, name, wrapped)
+    return tables
 
 
 def reference_rref(field, rows):
