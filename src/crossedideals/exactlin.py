@@ -21,10 +21,11 @@ vectors.  An IndexTable is such a table, frozen, with its generating set
 and its first failing triple kept on it: semigroups, isotropy groups,
 groupoids and algebras each hold one and pass the same object on, so a
 table is checked once.  Its associativity check is Light's test over the
-generating set, read at the nonzero entries only, and the ideal tests
-is_ideal and ideal_generate too work over the generating set rather than
-every basis element.  first_nonassociative and generating_indices are
-the same two results for plain rows.
+generating set, each generator compared by whole rows or at its nonzero
+entries only, whichever a rule fitted to measured times says is cheaper,
+and the ideal tests is_ideal and ideal_generate too work over the
+generating set rather than every basis element.  first_nonassociative
+and generating_indices are the same two results for plain rows.
 """
 
 from __future__ import annotations
@@ -552,26 +553,99 @@ class QuotientMap:
 # ---------------------------------------------------------------------------
 # index tables
 
-# Tables up to this size are checked by whole rows, whose n^2 reads per
-# generator cost less than the sparse bookkeeping there.
-_WHOLE_ROWS = 16
+class _kept:
+    """functools.cached_property without its lock, which Python 3.11 takes
+    at every first read (0.4 us of the 5 us that checking a 2 x 2 table
+    takes).  The first read computes the value and stores it in the
+    instance's __dict__, where every later read finds it."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
+def _sparse_reads_pay(n: int, r: int, c: int) -> bool:
+    """Whether Light's test on an n x n table compares a generator whose
+    row holds r nonzero entries and whose column holds c at those entries
+    only (_passes_at_nonzero: r c reads and O(n + c) bookkeeping) rather
+    than by whole rows (about n^2 reads).  The rule is fitted to the
+    per-generator times of both comparisons on CPython 3.11 (x86-64): 100
+    generators of 81 tables of 2-96 indices, group, pair-groupoid,
+    Brandt, chain, diagonal and crossed-product tables.  Its pick was at
+    most 5 % slower than the other, at the crossover, the 16- and
+    17-index tables of B_4 (whole rows 7.0-7.7 us, nonzero entries
+    7.2-7.3 us); it reads the nonzero entries of B_5's tables (25 and 26
+    indices: 14.0 -> 9.1 us) and of B_6's (36: 24.8 -> 10.6 us), and
+    whole rows that are half full up to about 40 indices (Z/12 rotating
+    two points, 24: 13.7 us, against 16.3 us).  It never picks the
+    nonzero entries below 10 indices."""
+    return 2 * (r * c + 16 * c + 3 * n + 16) < n * n
+
+
+def _passes_at_nonzero(table, zero, zeros, row_a, col_a, in_row, in_col) -> bool:
+    """Light's test at one generator a of an n x n table, read at the
+    nonzero entries only: row_a and col_a are row and column a, with
+    in_row and in_col nonzero entries, zeros the numbers of zero entries
+    of each row and of each column.  The sides are compared at the x with
+    x a nonzero and the y with a y nonzero, and everywhere else one side
+    is zero, (x a) y or x (a y), so the other must be zero too, which
+    counts of zero entries decide.  Off the y compared, (x a) y is zero
+    iff the compared part of row x a holds every nonzero entry of that
+    row; off the x compared, x (a y) is zero iff the compared part of the
+    columns a y holds every nonzero entry of those columns.  Each compared
+    part holds at most that many, so one comparison of sums decides
+    each."""
+    n = len(table)
+    live = is_not if zero is None else ne
+    live_x = list(map(live, col_a, itertools.repeat(zero)))
+    xa = list(itertools.compress(col_a, live_x))
+    if in_row == n:
+        ay, at = row_a, None
+    else:
+        live_y = list(map(live, row_a, itertools.repeat(zero)))
+        ay = list(itertools.compress(row_a, live_y))
+        at = list(itertools.compress(range(n), live_y))
+    nonzero_xa = n * len(xa) - sum(map(zeros[0].__getitem__, xa))
+    if not ay:
+        return not nonzero_xa
+    lefts = list(map(itemgetter(*ay), itertools.compress(table, live_x)))
+    rights = list(map(table.__getitem__, xa))
+    if at is not None:
+        rights = list(map(itemgetter(*at), rights))
+    if lefts != rights:
+        return False
+    met = len(lefts) - lefts.count(zero) if len(ay) == 1 else \
+        len(ay) * len(lefts) - sum(map(tuple.count, lefts, itertools.repeat(zero)))
+    if at is not None and met != nonzero_xa:
+        return False
+    return in_col == n or met == n * len(ay) - sum(map(zeros[1].__getitem__, ay))
 
 
 class IndexTable(tuple):
     """A square table of basis indices, table[i][j] the index of e_i e_j or
     None for zero, held as a tuple of row tuples: indexing, == and hashing
-    are the tuple's.  It is frozen, and it keeps the two results read off
-    it, the generating set (generators) and the first failing triple
-    (first_failure).  InverseSemigroup.mult, FiniteGroupoid.table,
-    IsotropyGroup.table and FiniteAlgebra.table each hold one and pass the
-    same object on, so a table shared by several structures is walked and
-    checked once.  Build one with IndexTable.of, which makes each row a
-    tuple."""
+    are the tuple's, and IndexTable(rows) makes each row a tuple.  It is
+    frozen, and it keeps the two results read off it, the generating set
+    (generators) and the first failing triple (first_failure).
+    InverseSemigroup.mult, FiniteGroupoid.table, IsotropyGroup.table and
+    FiniteAlgebra.table each hold one and pass the same object on, so a
+    table shared by several structures is walked and checked once."""
+
+    def __new__(cls, rows=()):
+        return tuple.__new__(cls, map(tuple, rows))
 
     @staticmethod
     def of(rows) -> "IndexTable":
-        """rows itself when it is an IndexTable, else rows wrapped."""
-        return rows if isinstance(rows, IndexTable) else IndexTable(map(tuple, rows))
+        """rows itself when it is an IndexTable, else IndexTable(rows)."""
+        return rows if isinstance(rows, IndexTable) else IndexTable(rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"an IndexTable is frozen: cannot set {name!r}")
@@ -579,7 +653,7 @@ class IndexTable(tuple):
     def __delattr__(self, name):
         raise AttributeError(f"an IndexTable is frozen: cannot delete {name!r}")
 
-    @cached_property
+    @_kept
     def generators(self) -> tuple:
         """A generating set, by greedy closure: the smallest index not yet
         reached becomes a generator, and the reached indices are closed
@@ -610,14 +684,14 @@ class IndexTable(tuple):
                     queue += (row_r[a], table[a][r])
         return tuple(generators)
 
-    @cached_property
+    @_kept
     def first_failure(self):
         """The first (i, j, k) in lexicographic order at which (e_i e_j) e_k
         and e_i (e_j e_k) differ, or None.  Pass or fail is _light_passes;
         only a fail runs _first_failing_triple, the full scan."""
         return None if self._light_passes() else self._first_failing_triple()
 
-    @cached_property
+    @_kept
     def entries(self) -> frozenset:
         """Every entry of the table, None among them when a product is
         zero."""
@@ -648,89 +722,55 @@ class IndexTable(tuple):
         since for a, b in T (x (a b)) y = ((x a) b) y = (x a)(b y) =
         x (a (b y)) = x ((a b) y), and every index is a product of
         generators.  A 1 x 1 table always passes: both sides are e_0, or
-        both zero.  A table of at most _WHOLE_ROWS indices is compared by
-        whole rows, a larger one by _sparse_rows_pass."""
+        both zero.
+
+        Each generator a is compared by whole rows, row x a against row x
+        read at row a for every x, a None read as the padding index n
+        whose row is all None, or at its nonzero entries by
+        _passes_at_nonzero, as _sparse_reads_pay decides.  A table too
+        small for the second to pay at any generator, of at most 9
+        indices, takes whole padded rows throughout.  On a larger one the
+        zero entries are None, or the entries equal to _zero's z when it
+        finds one: z is then an index like any other, and no triple
+        through z can fail, since z absorbs every product.  A two-sided
+        unit passes at once, and whole rows are padded only where row a or
+        column a holds None.
+        """
         table = tuple(self)    # a plain tuple indexes faster
         n = len(table)
         if n < 2:
             return True
-        if n > _WHOLE_ROWS:
-            return self._sparse_rows_pass(table)
-        padded = None
-        for a in self.generators:
-            row_a, col_a = table[a], [row[a] for row in table]
-            if None not in row_a and None not in col_a:
-                if list(map(itemgetter(*row_a), table)) != list(map(table.__getitem__, col_a)):
+        if not _sparse_reads_pay(n, 0, 0):
+            padded = [row + (None,) for row in table]
+            blank = (None,) * (n + 1)
+            for a in self.generators:
+                read = itemgetter(*[n if c is None else c for c in table[a]], n)
+                if list(map(read, padded)) != \
+                        [blank if row[a] is None else padded[row[a]] for row in table]:
                     return False
-                continue
-            if padded is None:    # index n reads zero
-                padded = [row + (None,) for row in table]
-                blank = (None,) * (n + 1)
-            read = itemgetter(*[n if c is None else c for c in row_a], n)
-            if list(map(read, padded)) != [blank if c is None else padded[c] for c in col_a]:
-                return False
-        return True
-
-    def _sparse_rows_pass(self, table) -> bool:
-        """_light_passes on a table of at least two indices.  The zero
-        entries are None, or the entries equal to _zero's z when it finds
-        one: z is then an index like any other, and no triple through z
-        can fail, since z absorbs every product.  A generator a whose row
-        and column have no zero entry is compared by whole rows, row x a
-        against row x read at row a, and passes at once when it is a
-        two-sided unit.  Otherwise the two sides are compared only at the
-        x with x a nonzero and the y with a y nonzero.  Everywhere else
-        one side is zero, (x a) y or x (a y), so the other must be zero
-        too, and counts of zero entries decide that.  Off the y compared,
-        (x a) y is zero iff the compared part of row x a holds every
-        nonzero entry of that row; off the x compared, x (a y) is zero iff
-        the compared part of the columns a y holds every nonzero entry of
-        those columns.  Each compared part holds at most that many, so one
-        comparison of sums decides each.  A generator then costs the
-        nonzero entries of its row times those of its column, plus O(n)
-        reads, for n^2 by whole rows."""
-        n = len(table)
+            return True
         zero = self._zero(table)
-        live = is_not if zero is None else ne
-        identity = tuple(range(n))
-        zeros = None
+        padded = zeros = None
         for a in self.generators:
             row_a = table[a]
-            col_a = tuple(map(itemgetter(a), table))
-            full_row, full_col = zero not in row_a, zero not in col_a
-            if full_row and full_col:
-                if row_a == identity and col_a == identity:
-                    continue
-                if list(map(itemgetter(*row_a), table)) != list(map(table.__getitem__, col_a)):
-                    return False
+            col_a = [row[a] for row in table]
+            in_row, in_col = n - row_a.count(zero), n - col_a.count(zero)
+            if in_row == in_col == n and col_a == list(range(n)) and row_a == tuple(range(n)):
                 continue
-            if zeros is None:    # the zero entries of each row and column
-                zeros = (list(map(tuple.count, table, itertools.repeat(zero))),
-                         list(map(tuple.count, zip(*table), itertools.repeat(zero))))
-            live_x = list(map(live, col_a, itertools.repeat(zero)))
-            xa = list(itertools.compress(col_a, live_x))
-            if full_row:
-                ay, at = row_a, None
-            else:
-                live_y = list(map(live, row_a, itertools.repeat(zero)))
-                ay = list(itertools.compress(row_a, live_y))
-                at = list(itertools.compress(identity, live_y))
-            nonzero_xa = n * len(xa) - sum(map(zeros[0].__getitem__, xa))
-            if not ay:
-                if nonzero_xa:
+            if _sparse_reads_pay(n, in_row, in_col):
+                if zeros is None:    # the zero entries of each row and column
+                    zeros = (list(map(tuple.count, table, itertools.repeat(zero))),
+                             list(map(tuple.count, zip(*table), itertools.repeat(zero))))
+                if not _passes_at_nonzero(table, zero, zeros, row_a, col_a, in_row, in_col):
                     return False
-                continue
-            lefts = list(map(itemgetter(*ay), itertools.compress(table, live_x)))
-            rights = list(map(table.__getitem__, xa))
-            if at is not None:
-                rights = list(map(itemgetter(*at), rights))
-            if lefts != rights:
-                return False
-            met = len(lefts) - lefts.count(zero) if len(ay) == 1 else \
-                len(ay) * len(lefts) - sum(map(tuple.count, lefts, itertools.repeat(zero)))
-            if at is not None and met != nonzero_xa:
-                return False
-            if not full_col and met != n * len(ay) - sum(map(zeros[1].__getitem__, ay)):
+            elif zero is None and (in_row < n or in_col < n):
+                if padded is None:
+                    padded = [row + (None,) for row in table]
+                    blank = (None,) * (n + 1)
+                read = itemgetter(*[n if c is None else c for c in row_a], n)
+                if list(map(read, padded)) != [blank if c is None else padded[c] for c in col_a]:
+                    return False
+            elif list(map(itemgetter(*row_a), table)) != list(map(table.__getitem__, col_a)):
                 return False
         return True
 

@@ -269,21 +269,31 @@ SPARSE_TABLES = (
     disjoint_union(pair_groupoid_table(4), cyclic(3)),
 )
 
-# whole rows up to the default size, and the sparse reads on every table
-THRESHOLDS = (exactlin._WHOLE_ROWS, 1)
+# Light's test compares each generator by whole rows or at its nonzero
+# entries, as _sparse_reads_pay decides.  Each mode fixes the choice:
+# whole rows only, the path of the tables too small for the other reads;
+# the nonzero entries for every generator; whole rows on the path of the
+# larger tables, but for the generators with an all-zero row and column;
+# and the fitted rule itself.
+MODES = {
+    "whole": lambda n, r, c: False,
+    "sparse": lambda n, r, c: True,
+    "rows": lambda n, r, c: r == c == 0,
+    "rule": exactlin._sparse_reads_pay,
+}
 
 
-def kernel_outcomes(table, threshold):
-    """(first_nonassociative, Light's verdict) with whole rows up to the
-    given table size."""
+def kernel_outcomes(table, mode):
+    """(first_nonassociative, Light's verdict) with the generators
+    compared as the mode says."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactlin, "_WHOLE_ROWS", threshold)
+        mp.setattr(exactlin, "_sparse_reads_pay", MODES[mode])
         return first_nonassociative(table), IndexTable.of(table)._light_passes()
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("table", SPARSE_TABLES, ids=len)
-def test_sparse_tables_pass_by_light_alone(monkeypatch, table, threshold):
+def test_sparse_tables_pass_by_light_alone(monkeypatch, table, mode):
     """Every generator is compared and passes: the full scan never runs."""
     generators = generating_indices(table)
     assert len(generators) >= len(table) // 4
@@ -293,13 +303,13 @@ def test_sparse_tables_pass_by_light_alone(monkeypatch, table, threshold):
         raise AssertionError("the full scan ran on an associative table")
 
     monkeypatch.setattr(IndexTable, "_first_failing_triple", no_scan)
-    assert kernel_outcomes(table, threshold) == (None, True)
+    assert kernel_outcomes(table, mode) == (None, True)
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+@pytest.mark.parametrize("mode", MODES)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_kernel_matches_the_reference_on_sparse_tables(threshold, data):
+def test_kernel_matches_the_reference_on_sparse_tables(mode, data):
     """Sparse tables, in their order (units or zero first) or relabelled,
     with 0-2 entries set at random, None among the values."""
     table = [list(row) for row in data.draw(st.sampled_from(SPARSE_TABLES))]
@@ -310,12 +320,12 @@ def test_kernel_matches_the_reference_on_sparse_tables(threshold, data):
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         table[i][j] = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
     expected = reference_first_nonassociative(table)
-    assert kernel_outcomes(table, threshold) == (expected, expected is None)
+    assert kernel_outcomes(table, mode) == (expected, expected is None)
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("k", (2, 3))
-def test_one_none_in_a_brandt_table_is_no_zero(threshold, k):
+def test_one_none_in_a_brandt_table_is_no_zero(mode, k):
     """B_k with any one entry set to None: z and None are then two
     different products, so z is not read as zero, and the kernel agrees
     with the reference at every cell."""
@@ -326,26 +336,26 @@ def test_one_none_in_a_brandt_table_is_no_zero(threshold, k):
             table = [list(row) for row in source]
             table[i][j] = None
             expected = reference_first_nonassociative(table)
-            assert kernel_outcomes(table, threshold) == (expected, expected is None), (i, j)
+            assert kernel_outcomes(table, mode) == (expected, expected is None), (i, j)
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
-def test_a_zero_row_generator_checks_the_rows_it_is_multiplied_into(threshold):
+@pytest.mark.parametrize("mode", MODES)
+def test_a_zero_row_generator_checks_the_rows_it_is_multiplied_into(mode):
     # row 0 is zero, so e_1 (e_0 e_0) = 0, but e_1 e_0 = e_1 and
     # (e_1 e_0) e_0 = e_1; beside a pair groupoid, with zero "z" read as None
     table = [[None, None], [1, None]]
-    assert kernel_outcomes(table, threshold) == ((1, 0, 0), False)
+    assert kernel_outcomes(table, mode) == ((1, 0, 0), False)
     wide = disjoint_union(table, pair_groupoid_table(4))
-    assert kernel_outcomes(wide, threshold) == ((1, 0, 0), False)
+    assert kernel_outcomes(wide, mode) == ((1, 0, 0), False)
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("source", (
     pair_groupoid_table(3), brandt_table(2), contracted_semilattice_table(3),
     [[a if a == b else None for b in range(5)] for a in range(5)],
     disjoint_union(pair_groupoid_table(2), cyclic(2)), cyclic(4), symmetric_three(),
 ), ids=["pair3", "brandt2", "semilattice3", "K^5", "pair2+Z2", "Z4", "S3"])
-def test_every_one_cell_change_matches_the_reference(source, threshold):
+def test_every_one_cell_change_matches_the_reference(source, mode):
     """Each cell set to each value, None too: every way one product can be
     wrong, so that each comparison and each count of the kernel is met."""
     n = len(source)
@@ -355,16 +365,16 @@ def test_every_one_cell_change_matches_the_reference(source, threshold):
                 table = [list(row) for row in source]
                 table[i][j] = value
                 expected = reference_first_nonassociative(table)
-                assert kernel_outcomes(table, threshold) == (expected, expected is None), \
+                assert kernel_outcomes(table, mode) == (expected, expected is None), \
                     (i, j, value)
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS, ids=["whole", "sparse"])
-def test_a_left_unit_that_is_no_right_unit_is_compared(threshold):
+@pytest.mark.parametrize("mode", MODES)
+def test_a_left_unit_that_is_no_right_unit_is_compared(mode):
     # e_0 e_y = e_y for every y, but e_1 e_0 = e_2: (e_1 e_0) e_0 = e_0
     # differs from e_1 (e_0 e_0) = e_2, and only generator 0's rows show it
     table = [[0, 1, 2], [2, 1, 2], [0, 2, 0]]
-    assert kernel_outcomes(table, threshold) == ((1, 0, 0), False)
+    assert kernel_outcomes(table, mode) == ((1, 0, 0), False)
 
 
 def test_the_zero_index_is_found_only_without_none():
@@ -393,6 +403,37 @@ def test_an_index_table_is_a_frozen_tuple_of_rows():
         table.extra = 1
     with pytest.raises(AttributeError):
         del table.generators
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_index_table_of_list_rows_holds_tuple_rows(mode):
+    """IndexTable(rows) makes each row a tuple, as IndexTable.of does, so a
+    table of list rows is checked like any other: here B_4 with its zero
+    first (17 indices, the zero read as zero) and a pair groupoid, each
+    also with one product changed."""
+    for source in (brandt_table(4), pair_groupoid_table(5)):
+        rows = [list(row) for row in source]
+        broken = [list(row) for row in rows]
+        broken[1][len(rows) - 1] = 2
+        for given in (rows, broken):
+            table = IndexTable(given)
+            assert all(type(row) is tuple for row in table)
+            assert table == IndexTable.of(given) == tuple(map(tuple, given))
+            expected = reference_first_nonassociative(given)
+            assert kernel_outcomes(table, mode) == (expected, expected is None)
+            given[0][0] = None    # the table keeps its own rows
+            assert table[0][0] == source[0][0]
+
+
+def test_tables_of_at_most_nine_indices_are_compared_by_whole_rows():
+    """The fitted rule never reads at the nonzero entries below 10 indices,
+    whatever the generator, so small tables take the whole-row path with
+    no search for a zero index."""
+    pays = exactlin._sparse_reads_pay
+    assert not any(pays(n, r, c)
+                   for n in range(1, 10) for r in range(n + 1) for c in range(n + 1))
+    assert pays(10, 0, 0) and not pays(10, 1, 1)
+    assert pays(36, 6, 6) and not pays(24, 12, 12)
 
 
 # ---------------------------------------------------------------------------

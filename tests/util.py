@@ -1,6 +1,5 @@
 """Shared constructions for the test suite."""
 
-import functools
 import itertools
 
 from crossedideals import (
@@ -135,18 +134,19 @@ def count_calls(monkeypatch, owner, name) -> list:
 
 
 def record_table_results(monkeypatch, name, compute=None) -> list:
-    """Rewrap the cached property IndexTable.<name> (first_failure or
+    """Rewrap the kept result IndexTable.<name> (first_failure or
     generators) for the test: each time it is computed, which is once per
     table object, the table is appended to the returned list and the
     original runs, or compute(table) when given."""
-    original = IndexTable.__dict__[name].func
+    kept = IndexTable.__dict__[name]
+    original = kept.func
     tables = []
 
     def recording(table):
         tables.append(table)
         return (compute or original)(table)
 
-    wrapped = functools.cached_property(recording)
+    wrapped = type(kept)(recording)
     wrapped.__set_name__(IndexTable, name)
     monkeypatch.setattr(IndexTable, name, wrapped)
     return tables
