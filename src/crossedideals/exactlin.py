@@ -580,7 +580,7 @@ def _sparse_reads_pay(n: int, r: int, c: int) -> bool:
     per-generator times of both comparisons on CPython 3.11 (x86-64): 100
     generators of 81 tables of 2-96 indices, group, pair-groupoid,
     Brandt, chain, diagonal and crossed-product tables.  Its pick was at
-    most 5 % slower than the other, at the crossover, the 16- and
+    most 5.2 % slower than the other, at the crossover, the 16- and
     17-index tables of B_4 (whole rows 7.0-7.7 us, nonzero entries
     7.2-7.3 us); it reads the nonzero entries of B_5's tables (25 and 26
     indices: 14.0 -> 9.1 us) and of B_6's (36: 24.8 -> 10.6 us), and
@@ -734,8 +734,7 @@ class IndexTable(tuple):
         finds one: z is then an index like any other, and no triple
         through z can fail, since z absorbs every product.  A two-sided
         unit passes at once, and whole rows are padded only where row a or
-        column a holds None.
-        """
+        column a holds None."""
         table = tuple(self)    # a plain tuple indexes faster
         n = len(table)
         if n < 2:
